@@ -11,49 +11,25 @@
 //           stable "code" field; see docs/protocol.md, the normative
 //           wire reference)
 //
-// Verbs (normative field reference in docs/protocol.md):
-//   hello            {min_version?,        -> {version, min_version,
-//                     max_version?}           max_version} — protocol
-//                                            negotiation: the connection
-//                                            switches to min(client max,
-//                                            server max) when the ranges
-//                                            overlap, else answers code
-//                                            "version_mismatch" and stays
-//                                            at v1.  Never sending hello
-//                                            keeps the v1 JSON-lines
-//                                            protocol byte-for-byte.
-//   auth             {token}               -> {} (marks the connection
-//                                            authenticated)
-//   register_network {id, network}        -> {}
-//   submit           {job, priority?}     -> {ticket}
-//   poll             {ticket}             -> {state, result?}
-//   wait             {ticket}             -> {state, result?} (answered
-//                                            when the job turns terminal)
-//   cancel           {ticket}             -> {cancelled}
-//   apply_link_updates {network, updates} -> {results: [...]}  (re-solved
-//                                            subscriptions)
-//   pause | resume   {}                   -> {}  (gate dispatch)
-//   stats            {}                   -> queue/engine/cache counters,
-//                                            connection/auth counters,
-//                                            uptime + build info, and the
-//                                            compact metrics snapshot
-//   metrics          {}                   -> {text} Prometheus exposition
-//   slowlog          {state?, kernel?,    -> {entries: [...]} slow spans,
-//                     min_ms?}               filtered server-side
-//   trace            {}                   -> {trace: {...}} Chrome-trace
-//                                            JSON: drains the profiler
-//                                            rings and attaches every
-//                                            retained terminal span
-//   drain            {timeout_ms?}        -> {drained, ...} (stop
-//                                            admission, finish or time
-//                                            out in-flight work, report
-//                                            when safe to kill)
-//   shutdown         {}                   -> {} and the server exits
+// Verbs: auth, hello (protocol negotiation), register_network, submit,
+// poll, wait, cancel, apply_link_updates, pause, resume, stats, metrics,
+// slowlog, trace, drain, shutdown — one row each in the verb table
+// (find_verb in socket_server.cpp); docs/protocol.md §3 is the normative
+// field reference.
 //
-// Trace ids: a request carrying "trace_id" is handled with that id as
-// the thread's util::trace_context (so its log lines and profiler
-// events carry it), a submitted job inherits it unless the job set its
-// own, and the id is echoed on the response frame.
+// One request path.  Every verb is one row of a table — {name,
+// auth_exempt, handler} — and every request, whether it arrived as a
+// JSON line, as a v2 binary kLinkUpdateTable frame (decoded into the
+// apply_link_updates handler), or through the direct handle() call, runs
+// through one wrapper: the request's trace_id becomes the thread's
+// util::trace_context and is echoed on the response, the auth gate
+// consults the row, and an exception becomes an ok=false frame.  A
+// handler returns a Reply — control JSON plus the SolveResults it
+// carries — and one renderer sends it in the connection's negotiated
+// version: v1 inlines the results as `result`/`results`, v2 marks the
+// control line with "payload" and ships them as one kResultTable frame.
+// `wait` and `drain` answer later through a completion sink that captured
+// the connection's version when the request arrived.
 //
 // A malformed or failing request answers ok=false on that frame; the
 // connection (and the daemon) stays up — clients must never be able to
@@ -62,24 +38,21 @@
 // connection: the stream cannot re-sync.
 //
 // Concurrency model: a fixed pool of epoll IO workers (ConnectionMux)
-// multiplexes every connection — the daemon's thread count is constant
-// in the number of clients, where the previous thread-per-connection
-// loop grew one OS thread per LIVE client.  The formerly blocking verbs
-// are completion-driven instead of thread-parking: `wait` registers a
-// JobManager callback that sends the response when the job turns
-// terminal, `drain` arms an idle notification plus a budget timer.  An
-// idle persistent client or a pending `wait` therefore costs a buffer,
-// not a thread, and never stalls other clients.  Request handling
-// itself is thread-safe (JobManager and BatchEngine carry their own
-// locks).
+// multiplexes every connection, so the daemon's thread count is constant
+// in the number of clients.  `wait` registers a JobManager callback and
+// `drain` an idle notification plus a budget timer — a pending `wait`
+// costs a closure, not a thread, and never stalls other clients.
+// Request handling itself is thread-safe (JobManager and BatchEngine
+// carry their own locks).
 //
 // Optional shared-token auth (auth_token option / serve --auth-token):
 // until a connection presents the token via the `auth` verb
-// (constant-time compare), every verb except `auth` and `stats`
-// answers {"ok": false, "code": "unauthenticated"}.  Per-connection
-// quotas (max_inflight_jobs / max_inflight_bytes) bound what one
-// client may keep in flight; rejections carry code "quota_jobs" /
-// "quota_bytes" and bump elpc_quota_rejections_total.
+// (constant-time compare), every verb whose row is not auth-exempt
+// (`auth`, `hello`, `stats` are) answers {"ok": false, "code":
+// "unauthenticated"}.  Per-connection quotas (max_inflight_jobs /
+// max_inflight_bytes) bound what one client may keep in flight;
+// rejections carry code "quota_jobs" / "quota_bytes" and bump
+// elpc_quota_rejections_total.
 
 #include <atomic>
 #include <chrono>
@@ -88,8 +61,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "daemon/connection_mux.hpp"
 #include "daemon/job_manager.hpp"
@@ -200,22 +175,52 @@ class SocketServer {
 
   /// The daemon's one metrics source of truth: the engine's and
   /// manager's counters/histograms land here, and a collect callback
-  /// refreshes the queue/cache/connection gauges from live stats at
-  /// every exposition (`metrics` verb, the snapshot embedded in
-  /// `stats`).
+  /// refreshes the stats-table gauges from live stats at every
+  /// exposition (`metrics` verb, the snapshot embedded in `stats`).
   [[nodiscard]] util::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] SlowLog& slowlog() { return slowlog_; }
   /// Every terminal span (the `trace` verb's parent slices), not just
   /// the slow ones.
   [[nodiscard]] SlowLog& tracelog() { return tracelog_; }
 
-  /// Handles one already-parsed request and returns the response frame —
-  /// the protocol's pure core, shared by the IO workers and direct
-  /// tests (thread-safe).  Never throws; failures become
-  /// {"ok": false, "error": ...}.  Connection-scoped concerns (auth,
-  /// quotas, the async wait/drain paths) live in the framing layer
-  /// above — this entry point behaves as a fully-authorized connection.
+  /// Runs one already-parsed request through the verb table and returns
+  /// the response frame — exactly the JSON line a v1 connection receives
+  /// for the same request.  A thin adapter over the socket path: the
+  /// request runs on an in-process, authenticated, v1 connection context
+  /// with no quota history (thread-safe; never throws; failures become
+  /// {"ok": false, "error": ...}).  `wait` and `drain` answer an error
+  /// here instead of blocking: their replies are completion-driven and
+  /// need a connection to arrive on.
   [[nodiscard]] util::Json handle(const util::Json& request);
+
+  /// One counter sample the stats-field getters read from.
+  struct StatsSample {
+    const SocketServer& server;
+    JobManagerStats jobs;
+    service::EngineStats engine;
+    std::size_t live_unix = 0;  // open connections per transport
+    std::size_t live_tcp = 0;
+    std::size_t live = 0;
+    std::size_t live_v2 = 0;  // ...of which negotiated v2
+    std::uint64_t accepted_unix = 0;  // connections ever accepted
+    std::uint64_t accepted_tcp = 0;
+    double uptime_ms = 0.0;
+  };
+  /// One stats field, declared once: rendered into the `stats` verb's
+  /// JSON under `key` and, when `family` is set, refreshed as a gauge of
+  /// that family at every metrics exposition.
+  struct StatsField {
+    const char* key;     // nullptr = metrics only
+    const char* family;  // nullptr = `stats` JSON only
+    util::Json (*get)(const StatsSample& sample);
+    const char* help = nullptr;
+    util::MetricLabels labels = {};
+    /// Cumulative at source: the gauge is exposed with counter type.
+    bool counter = false;
+  };
+  /// The stats-field table (`stats` JSON and Prometheus gauges both
+  /// render from it).
+  [[nodiscard]] static const std::vector<StatsField>& stats_fields();
 
  private:
   /// Per-connection protocol state, attached to MuxConnection::
@@ -225,56 +230,112 @@ class SocketServer {
   struct ConnState {
     bool authenticated = false;
     /// Negotiated wire protocol version (1 until a successful `hello`).
-    /// Atomic because async completion callbacks (wait) read it from
-    /// dispatcher threads while the owning worker may renegotiate.
-    std::atomic<int> version{1};
+    int version = 1;
     std::atomic<std::size_t> inflight_jobs{0};
     std::atomic<std::size_t> inflight_bytes{0};
   };
 
-  /// The verb dispatch behind handle(), which wraps it with the
-  /// request's trace context and echoes the id on the response.
-  [[nodiscard]] util::Json handle_verb(const util::Json& request);
-  /// The mux's on_frame callback: parse, auth/quota gate, dispatch —
-  /// synchronously through handle() for most verbs, via completion
-  /// callbacks for wait/drain.
-  void handle_frame(const std::shared_ptr<MuxConnection>& conn,
-                    const std::string& line);
-  void handle_auth(const std::shared_ptr<MuxConnection>& conn,
-                   ConnState& state, const util::Json& request);
-  /// Protocol-version negotiation (framed path: flips the connection's
-  /// ConnState::version and the per-proto gauges on success).
-  void handle_hello(const std::shared_ptr<MuxConnection>& conn,
-                    ConnState& state, const util::Json& request);
-  void handle_submit_framed(const std::shared_ptr<MuxConnection>& conn,
-                            const std::shared_ptr<ConnState>& state,
-                            const util::Json& request,
-                            std::size_t frame_bytes);
-  /// `version` is the connection's negotiated protocol at request time —
-  /// captured by value so a later renegotiation cannot change how an
-  /// already-armed completion encodes its response.
-  void handle_wait_framed(const std::shared_ptr<MuxConnection>& conn,
-                          const util::Json& request, int version);
-  /// v2 poll: terminal statuses ship the result entry as a binary
-  /// result-table frame behind a JSON control line.
-  void handle_poll_v2(const std::shared_ptr<MuxConnection>& conn,
-                      const util::Json& request);
-  /// v2 apply_link_updates: the re-solved subscription results leave as
-  /// one binary result-table frame instead of a JSON array.
-  void handle_link_updates_v2(const std::shared_ptr<MuxConnection>& conn,
-                              const util::Json& request);
-  /// The mux's on_binary_frame callback: v2 binary requests (today the
-  /// kLinkUpdateTable bulk apply_link_updates).  A binary frame on a
-  /// connection that never negotiated v2 answers code "protocol".
-  void handle_binary_frame(const std::shared_ptr<MuxConnection>& conn,
-                           const wire::FrameHeader& header,
-                           std::string_view payload);
-  void handle_drain_framed(const std::shared_ptr<MuxConnection>& conn,
-                           const util::Json& request);
-  /// Registers the collect callback that refreshes the daemon gauges
-  /// (queue depth, cache occupancy, pins, connections, uptime) from
-  /// live stats.
+  /// A verb's answer: the control JSON plus the results it carries
+  /// (`payload` names them: "result" for one job status, "results" for
+  /// a list, nullptr for none).  send() renders it per protocol version.
+  struct Reply {
+    Reply(util::Json control_json = {})  // NOLINT(google-explicit-constructor)
+        : control(std::move(control_json)) {}
+    Reply(util::Json control_json, std::vector<service::SolveResult> carried,
+          const char* marker)
+        : control(std::move(control_json)),
+          results(std::move(carried)),
+          payload(marker) {}
+    util::Json control;
+    std::vector<service::SolveResult> results;
+    const char* payload = nullptr;
+  };
+  /// nullopt = the handler deferred its answer to completion_sink(),
+  /// which throws without a connection: the direct path always answers.
+  using Answer = std::optional<Reply>;
+  /// The connection a request arrived on, as the handlers see it.
+  struct ConnCtx {
+    /// Null on the direct handle() path (no connection to renegotiate or
+    /// to answer a deferred reply on).
+    std::shared_ptr<MuxConnection> conn;
+    std::shared_ptr<ConnState> state;
+    std::size_t frame_bytes = 0;
+    /// Negotiated version when the request arrived: a deferred reply
+    /// speaks it even if the connection renegotiates meanwhile.
+    int version = 1;
+    std::string trace_id;
+    /// A v2 binary request's frame (header + payload); null for a line.
+    const wire::FrameHeader* frame = nullptr;
+    std::string_view frame_payload = {};
+  };
+  using Handler = Answer (SocketServer::*)(const util::Json& request,
+                                           ConnCtx& ctx);
+  struct Verb {
+    std::string_view name;
+    /// Served before `auth` on an auth-token daemon.
+    bool auth_exempt;
+    Handler handler;
+  };
+  /// The verb table row named by the request's "verb", or nullptr.
+  [[nodiscard]] static const Verb* find_verb(std::string_view name);
+
+  /// The mux callbacks: one JSON-line request, one v2 binary request
+  /// (decoded by the apply_link_updates handler).
+  void on_frame(const std::shared_ptr<MuxConnection>& conn,
+                const std::string& line);
+  void on_binary_frame(const std::shared_ptr<MuxConnection>& conn,
+                       const wire::FrameHeader& header,
+                       std::string_view payload);
+  [[nodiscard]] ConnCtx context(const std::shared_ptr<MuxConnection>& conn,
+                                std::size_t frame_bytes);
+  /// The one request path: trace context + echo, auth gate, the verb's
+  /// handler, exception → error frame.
+  [[nodiscard]] Answer dispatch(const util::Json& request, ConnCtx& ctx);
+  /// The auth gate: auth off, an authenticated connection, or an
+  /// auth-exempt verb (nullptr = unknown verb, never exempt).
+  [[nodiscard]] bool admitted(const ConnCtx& ctx, const Verb* verb) const;
+  [[nodiscard]] static util::Json unauthenticated_response();
+  /// Where a deferred reply (`wait`, `drain`) goes once it is ready: the
+  /// connection, if still open, in the version the request arrived on,
+  /// with the request's trace id echoed.
+  struct Sink {
+    std::weak_ptr<MuxConnection> conn;
+    int version;
+    std::string trace_id;
+    void operator()(Reply reply) const;
+  };
+  /// The request's sink; throws on the direct path (no connection).
+  [[nodiscard]] static Sink completion_sink(const ConnCtx& ctx);
+  /// Renders `reply` in protocol `version` onto `conn`.
+  static void send(MuxConnection& conn, Reply reply, int version);
+  /// The v1 rendering: results inlined into the control JSON.
+  [[nodiscard]] static util::Json inline_results(Reply reply);
+  [[nodiscard]] static Reply status_reply(JobStatus status);
+  [[nodiscard]] StatsSample sample_stats() const;
+  /// The `stats` verb's frame: every keyed stats field, then kernel_jobs,
+  /// build info and the compact metrics snapshot.
+  [[nodiscard]] util::Json stats_json();
+  /// Resolves a gauge per stats-field family and registers the collect
+  /// callback that refreshes them from live stats.
   void register_collectors();
+
+  // The verb handlers (one per table row).
+  Answer verb_auth(const util::Json& request, ConnCtx& ctx);
+  Answer verb_hello(const util::Json& request, ConnCtx& ctx);
+  Answer verb_register_network(const util::Json& request, ConnCtx& ctx);
+  Answer verb_submit(const util::Json& request, ConnCtx& ctx);
+  Answer verb_poll(const util::Json& request, ConnCtx& ctx);
+  Answer verb_wait(const util::Json& request, ConnCtx& ctx);
+  Answer verb_cancel(const util::Json& request, ConnCtx& ctx);
+  Answer verb_apply_link_updates(const util::Json& request, ConnCtx& ctx);
+  Answer verb_pause(const util::Json& request, ConnCtx& ctx);
+  Answer verb_resume(const util::Json& request, ConnCtx& ctx);
+  Answer verb_stats(const util::Json& request, ConnCtx& ctx);
+  Answer verb_metrics(const util::Json& request, ConnCtx& ctx);
+  Answer verb_slowlog(const util::Json& request, ConnCtx& ctx);
+  Answer verb_trace(const util::Json& request, ConnCtx& ctx);
+  Answer verb_drain(const util::Json& request, ConnCtx& ctx);
+  Answer verb_shutdown(const util::Json& request, ConnCtx& ctx);
 
   util::UnixListener listener_;
   std::unique_ptr<util::TcpListener> tcp_listener_;

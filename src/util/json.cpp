@@ -195,8 +195,17 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Recursion (and the recursive destructor of what it builds) is
+        // bounded by the nesting cap, whatever the peer sends.
+        if (++depth_ > kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        }
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -344,6 +353,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open at pos_
 };
 
 }  // namespace

@@ -22,6 +22,11 @@ using JsonArray = std::vector<Json>;
 /// std::map keeps object keys sorted, giving canonical, diffable output.
 using JsonObject = std::map<std::string, Json>;
 
+/// Deepest array/object nesting Json::parse accepts; deeper documents
+/// are rejected with JsonError.  No schema in this codebase nests deeper
+/// than ~6, and the cap bounds the parser's recursion on peer input.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Thrown on malformed input or type-mismatched access.
 class JsonError : public std::runtime_error {
  public:
@@ -74,7 +79,8 @@ class Json {
   /// With `indent > 0`, pretty-prints using that many spaces per level.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  /// Parses a complete JSON document; trailing non-whitespace is an error.
+  /// Parses a complete JSON document; trailing non-whitespace, and
+  /// nesting deeper than kMaxJsonDepth, are errors.
   [[nodiscard]] static Json parse(const std::string& text);
 
   friend bool operator==(const Json& a, const Json& b) {

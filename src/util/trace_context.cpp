@@ -44,6 +44,10 @@ std::uint32_t intern(const std::string& id) {
 struct ThreadContext {
   std::string id;
   std::uint32_t ref = 0;
+  /// `ref` is interned lazily, on the first trace_context_ref() under
+  /// this id: with the profiler off nothing asks, and a context switch
+  /// then never touches the global table's mutex.
+  bool ref_resolved = true;
 };
 
 ThreadContext& thread_context() {
@@ -56,18 +60,27 @@ ThreadContext& thread_context() {
 void set_trace_context(const std::string& trace_id) {
   ThreadContext& context = thread_context();
   context.id = trace_id;
-  context.ref = intern(trace_id);
+  context.ref = 0;
+  context.ref_resolved = trace_id.empty();
 }
 
 void clear_trace_context() {
   ThreadContext& context = thread_context();
   context.id.clear();
   context.ref = 0;
+  context.ref_resolved = true;
 }
 
 const std::string& trace_context() { return thread_context().id; }
 
-std::uint32_t trace_context_ref() { return thread_context().ref; }
+std::uint32_t trace_context_ref() {
+  ThreadContext& context = thread_context();
+  if (!context.ref_resolved) {
+    context.ref = intern(context.id);
+    context.ref_resolved = true;
+  }
+  return context.ref;
+}
 
 std::string trace_ref_name(std::uint32_t ref) {
   if (ref == 0) {

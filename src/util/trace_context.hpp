@@ -8,8 +8,10 @@
 //
 // Ids are interned into a process-global table so the profiler's
 // lock-free event slots can carry a 32-bit ref instead of a string.
-// Interning takes a mutex but happens once per context switch (per
-// request / per job), never per event.  The table is capped: past
+// Interning takes a mutex, so it happens lazily: at most once per
+// context switch (per request / per job), on the first profiler event
+// under the new id — never per event, and never with the profiler off.
+// The table is capped: past
 // kMaxInternedTraceIds distinct ids, new ones still reach log lines and
 // spans (the thread-local string is uncapped) but profiler events carry
 // ref 0 (no id) — bounded memory beats unbounded correlation.

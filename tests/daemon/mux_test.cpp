@@ -236,6 +236,44 @@ TEST(ConnectionMux, AuthGatesVerbsPerConnection) {
   serve_thread.join();
 }
 
+/// A single line of 100 000 `[` bytes, sent before `auth` over TCP, used
+/// to overflow the parser's stack and kill the daemon.  Nesting is capped
+/// now: the frame answers one ok=false line, and the daemon — and that
+/// very connection — keep serving.
+TEST(ConnectionMux, DeeplyNestedPreAuthFrameAnswersErrorAndDaemonLives) {
+  SocketServerOptions options;
+  options.tcp = true;
+  options.tcp_port = 0;
+  options.auth_token = "s3cret";
+  SocketServer server(socket_path("deep"), options);
+  std::thread serve_thread([&server]() { server.serve(); });
+  ASSERT_GT(server.tcp_port(), 0);
+
+  util::StreamSocket raw =
+      util::StreamSocket::connect_tcp("127.0.0.1", server.tcp_port());
+  raw.send_line(std::string(100000, '['));
+  std::optional<std::string> line = raw.recv_line();
+  ASSERT_TRUE(line.has_value());
+  const util::Json refused = util::Json::parse(*line);
+  EXPECT_FALSE(refused.at("ok").as_bool());
+  EXPECT_NE(refused.at("error").as_string().find("nesting"),
+            std::string::npos);
+
+  raw.send_line(verb_frame("stats").dump());
+  line = raw.recv_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_TRUE(util::Json::parse(*line).at("ok").as_bool());
+  raw.close();
+
+  DaemonClientOptions client_options;
+  client_options.auth_token = "s3cret";
+  DaemonClient client(DaemonEndpoint::unix_path_at(server.socket_path()),
+                      client_options);
+  EXPECT_TRUE(client.stats().at("ok").as_bool());
+  client.shutdown_server();
+  serve_thread.join();
+}
+
 /// Per-connection quotas answer stable codes and release as jobs turn
 /// terminal: max_inflight_jobs rejects the N+1th in-flight submit with
 /// "quota_jobs", and a fresh submit is admitted again after the backlog

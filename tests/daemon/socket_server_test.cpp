@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <initializer_list>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "daemon/client.hpp"
 #include "graph/generators.hpp"
+#include "graph/serialize.hpp"
 #include "pipeline/generator.hpp"
 #include "service/serialize.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/socket.hpp"
 
 namespace elpc::daemon {
 namespace {
@@ -168,8 +173,20 @@ TEST(SocketServer, BadRequestsAnswerErrorsWithoutKillingTheDaemon) {
   bad_update.set("updates", util::Json(util::JsonArray{}));
   EXPECT_FALSE(client.request(bad_update).at("ok").as_bool());
 
-  // The daemon still answers real work after all of the above.
+  // A priority outside int answers an error instead of wrapping
+  // (2^32 + 1 would otherwise narrow to priority 1).
   client.register_network("net", make_network(3));
+  util::Json wide_priority = util::JsonObject{};
+  wide_priority.set("verb", "submit");
+  wide_priority.set("job", service::to_json(make_job(
+                               "wide", 59, service::Objective::kMinDelay)));
+  wide_priority.set("priority", std::int64_t{4294967297});
+  const util::Json narrowed = client.request(wide_priority);
+  EXPECT_FALSE(narrowed.at("ok").as_bool());
+  EXPECT_NE(narrowed.at("error").as_string().find("priority"),
+            std::string::npos);
+
+  // The daemon still answers real work after all of the above.
   const Ticket ticket =
       client.submit(make_job("ok", 60, service::Objective::kMinDelay));
   EXPECT_EQ(client.wait(ticket).at("state").as_string(), "done");
@@ -398,6 +415,178 @@ TEST(SocketServer, HelloEdgeCasesAnswerStableCodes) {
   const util::Json stats = server.handle(stats_frame);
   EXPECT_EQ(stats.at("protocol_min").as_int(), wire::kProtocolVersionMin);
   EXPECT_EQ(stats.at("protocol_max").as_int(), wire::kProtocolVersionMax);
+}
+
+/// Sends `request` on a raw v1 connection and returns the one line it
+/// answers.
+std::string framed_line(util::StreamSocket& raw, const util::Json& request) {
+  raw.send_line(request.dump());
+  const std::optional<std::string> line = raw.recv_line();
+  EXPECT_TRUE(line.has_value()) << request.dump();
+  return line.value_or("");
+}
+
+util::Json frame_of(const std::string& verb,
+                    std::initializer_list<std::pair<std::string, util::Json>>
+                        fields = {}) {
+  util::Json frame = util::JsonObject{};
+  frame.set("verb", verb);
+  for (const auto& [key, value] : fields) {
+    frame.set(key, value);
+  }
+  return frame;
+}
+
+/// `json` with the top-level `keys` removed (fields that legitimately
+/// differ between two runs of one request: tickets, clocks).
+util::Json without(const util::Json& json, std::vector<std::string> keys) {
+  util::JsonObject object = json.as_object();
+  for (const std::string& key : keys) {
+    object.erase(key);
+  }
+  return util::Json(std::move(object));
+}
+
+/// The direct handle() path is an adapter over the socket path's verb
+/// table: for every synchronous verb, the frame handle() returns is the
+/// line a v1 connection receives for the same request — answers, errors
+/// and trace-id echoes alike.
+TEST(SocketServer, DirectHandleMatchesTheFramedV1Line) {
+  SocketServerOptions options;
+  options.auth_token = "tok";
+  options.start_paused = true;
+  SocketServer server(socket_path("parity"), options);
+  std::thread serve_thread([&server]() { server.serve(); });
+  util::StreamSocket raw = util::StreamSocket::connect(server.socket_path());
+
+  const auto same = [&](const util::Json& request) {
+    const std::string framed = framed_line(raw, request);
+    EXPECT_EQ(server.handle(request).dump(), framed) << request.dump();
+  };
+  same(frame_of("auth", {{"token", "tok"}}));  // unlocks the raw connection
+  same(frame_of("auth", {{"token", "bad"}, {"trace_id", "t-auth"}}));
+  same(frame_of("hello"));
+  same(frame_of("hello", {{"min_version", 3}, {"max_version", 9}}));
+  same(frame_of("hello", {{"min_version", 2}, {"max_version", 1}}));
+  same(frame_of("frobnicate", {{"trace_id", "t-unknown"}}));
+  same(util::Json(util::JsonObject{}));  // no verb at all
+
+  // register_network is stateful: each path registers its own id, then
+  // both refuse the same duplicate.
+  const auto registration = [](const std::string& id) {
+    return frame_of("register_network",
+                    {{"id", id}, {"network", graph::to_json(make_network(3))}});
+  };
+  EXPECT_EQ(server.handle(registration("direct")).dump(),
+            framed_line(raw, registration("net")));
+  same(registration("net"));
+  same(frame_of("register_network", {{"id", "broken"}}));
+  const util::Json job =
+      service::to_json(make_job("parity", 90, service::Objective::kMinDelay));
+  // Tickets differ between the two submits; everything else matches.
+  const util::Json submit =
+      frame_of("submit", {{"job", job}, {"trace_id", "t-s"}});
+  const util::Json framed_submit = util::Json::parse(framed_line(raw, submit));
+  const util::Json direct_submit = server.handle(submit);
+  EXPECT_EQ(without(direct_submit, {"ticket"}).dump(),
+            without(framed_submit, {"ticket"}).dump());
+  const std::int64_t ticket = framed_submit.at("ticket").as_int();
+  same(frame_of("submit", {{"job", job}, {"priority", 1e12}}));
+  same(frame_of("poll", {{"ticket", ticket}}));  // queued: no result yet
+  same(frame_of("resume"));
+  // Both jobs terminal before any counter-bearing frame is compared.
+  (void)server.manager().wait(static_cast<Ticket>(ticket));
+  (void)server.manager().wait(
+      static_cast<Ticket>(direct_submit.at("ticket").as_int()));
+  same(frame_of("poll", {{"ticket", ticket}, {"trace_id", "t-poll"}}));
+  same(frame_of("poll", {{"ticket", 999}}));
+  same(frame_of("cancel", {{"ticket", ticket}}));
+  const util::Json no_updates = util::Json(util::JsonArray{});
+  same(frame_of("apply_link_updates",
+                {{"network", "net"}, {"updates", no_updates}}));
+  same(frame_of("apply_link_updates",
+                {{"network", "nope"}, {"updates", no_updates}}));
+  same(frame_of("pause"));
+  same(frame_of("resume"));
+  same(frame_of("slowlog", {{"state", "done"}}));
+  // Clock-, thread- and ring-dependent payloads: the same key sets.
+  for (const char* verb : {"stats", "metrics", "trace"}) {
+    const util::Json framed =
+        util::Json::parse(framed_line(raw, frame_of(verb)));
+    const util::Json direct = server.handle(frame_of(verb));
+    EXPECT_TRUE(framed.at("ok").as_bool()) << verb;
+    EXPECT_EQ(without(direct, {"uptime_ms", "metrics", "text", "trace"}).dump(),
+              without(framed, {"uptime_ms", "metrics", "text", "trace"}).dump())
+        << verb;
+  }
+
+  // shutdown last: the framed one stops serving, the direct one answers
+  // the same frame on the stopped server.
+  const std::string framed_shutdown = framed_line(raw, frame_of("shutdown"));
+  serve_thread.join();
+  EXPECT_EQ(server.handle(frame_of("shutdown")).dump(), framed_shutdown);
+}
+
+/// `wait` and `drain` are completion-driven: without a connection to
+/// answer on, handle() refuses them at once instead of blocking — and a
+/// refused drain does not close admission.
+TEST(SocketServer, DirectHandleRefusesWaitAndDrainWithoutBlocking) {
+  SocketServerOptions options;
+  options.start_paused = true;  // the job below cannot finish
+  SocketServer server(socket_path("direct_wait"), options);
+  server.engine().register_network("net", make_network(3));
+  const Ticket ticket = server.manager().submit(
+      make_job("parked", 91, service::Objective::kMinDelay));
+
+  const util::Json waited =
+      server.handle(frame_of("wait", {{"ticket", ticket}}));
+  EXPECT_FALSE(waited.at("ok").as_bool());
+  const util::Json drained = server.handle(
+      frame_of("drain", {{"timeout_ms", 10}, {"trace_id", "t-d"}}));
+  EXPECT_FALSE(drained.at("ok").as_bool());
+  EXPECT_EQ(drained.at("trace_id").as_string(), "t-d");
+  EXPECT_FALSE(server.manager().stats().draining);
+  const util::Json job =
+      service::to_json(make_job("after", 92, service::Objective::kMinDelay));
+  EXPECT_TRUE(
+      server.handle(frame_of("submit", {{"job", job}})).at("ok").as_bool());
+}
+
+/// Every stats-table row renders both ways: its key in the `stats` frame,
+/// its family (with its labels, HELP text and exposed type) in the
+/// Prometheus exposition.
+TEST(SocketServer, EveryStatsFieldRendersToStatsAndMetrics) {
+  SocketServer server(socket_path("statsrows"), SocketServerOptions{});
+  const util::Json stats = server.handle(frame_of("stats"));
+  const std::string text =
+      server.handle(frame_of("metrics")).at("text").as_string();
+  std::size_t keyed = 0;
+  std::size_t exported = 0;
+  for (const SocketServer::StatsField& field : SocketServer::stats_fields()) {
+    ASSERT_TRUE(field.key != nullptr || field.family != nullptr);
+    if (field.key != nullptr) {
+      ++keyed;
+      EXPECT_TRUE(stats.contains(field.key)) << field.key;
+    }
+    if (field.family != nullptr) {
+      ++exported;
+      const std::string family = field.family;
+      EXPECT_NE(text.find("# HELP " + family + " " + field.help + "\n"),
+                std::string::npos)
+          << family;
+      EXPECT_NE(text.find("# TYPE " + family + " " +
+                          (field.counter ? "counter" : "gauge") + "\n"),
+                std::string::npos)
+          << family;
+      const std::string child =
+          field.labels.empty()
+              ? family + " "
+              : family + "{" + util::format_labels(field.labels) + "} ";
+      EXPECT_NE(text.find("\n" + child), std::string::npos) << child;
+    }
+  }
+  EXPECT_GT(keyed, 0u);
+  EXPECT_GT(exported, 0u);
 }
 
 /// A client demanding v2 from a server that cannot speak it must fail

@@ -64,6 +64,31 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_THROW((void)Json::parse("\"unterminated"), JsonError);
 }
 
+/// Nesting is capped at kMaxJsonDepth: depth 64 parses, depth 65 is
+/// refused with JsonError (arrays and objects count alike), so a peer
+/// cannot drive the recursive parser through the stack.
+TEST(JsonParse, NestingDeeperThanTheCapIsRejected) {
+  EXPECT_EQ(kMaxJsonDepth, 64);
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const auto objects = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) {
+      text += "{\"k\":";
+    }
+    text += "1";
+    return text + std::string(static_cast<std::size_t>(depth), '}');
+  };
+  EXPECT_NO_THROW((void)Json::parse(arrays(kMaxJsonDepth)));
+  EXPECT_NO_THROW((void)Json::parse(objects(kMaxJsonDepth)));
+  EXPECT_THROW((void)Json::parse(arrays(kMaxJsonDepth + 1)), JsonError);
+  EXPECT_THROW((void)Json::parse(objects(kMaxJsonDepth + 1)), JsonError);
+  // Unterminated and far deeper: still a clean parse error.
+  EXPECT_THROW((void)Json::parse(std::string(100000, '[')), JsonError);
+}
+
 TEST(JsonAccess, TypeMismatchThrows) {
   const Json v = Json::parse("[1]");
   EXPECT_THROW((void)v.as_object(), JsonError);

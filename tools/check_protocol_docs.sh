@@ -1,67 +1,88 @@
 #!/usr/bin/env sh
-# Docs-consistency gate: every verb the daemon dispatches AND every
-# stable error code it answers must be documented in docs/protocol.md.
+# Docs-consistency gate: every verb the daemon dispatches, every stable
+# error code it answers, and every stats field it reports must be
+# documented.
 #
-# The sources of truth are the dispatch comparisons in
-# src/daemon/socket_server.cpp (`verb == "..."`) and the code constants
-# in src/daemon/error_codes.hpp; the doc must mention each name
-# somewhere (section headers use the bare name, tables and prose use
-# `backticks`).  Run from anywhere:
+# The sources of truth are the tables in the code:
+#   * the verb table's name column in src/daemon/socket_server.cpp
+#     (rows `{"verb", auth_exempt, &SocketServer::verb_...}`) — each verb
+#     must appear in docs/protocol.md;
+#   * the code constants in src/daemon/error_codes.hpp — each code must
+#     appear in docs/protocol.md;
+#   * the stats-field table in src/daemon/stats_fields.cpp (rows
+#     `{"key" | nullptr, "elpc_family" | nullptr, ...}`) — each JSON key
+#     must appear in the `stats` section of docs/protocol.md §3, and each
+#     metric family in the metrics catalog of docs/operations.md.
+# Section headers use the bare name, tables and prose use `backticks`.
+# Run from anywhere:
 #
 #   sh tools/check_protocol_docs.sh
 #
-# Exits non-zero listing the undocumented verbs/codes.
+# Exits 1 listing what is undocumented, 2 when a table pattern matches
+# nothing (the code changed shape and this script must follow).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 server="$repo_root/src/daemon/socket_server.cpp"
+stats="$repo_root/src/daemon/stats_fields.cpp"
 codes="$repo_root/src/daemon/error_codes.hpp"
 doc="$repo_root/docs/protocol.md"
+ops="$repo_root/docs/operations.md"
 
-[ -f "$server" ] || { echo "check_protocol_docs: missing $server" >&2; exit 2; }
-[ -f "$codes" ] || { echo "check_protocol_docs: missing $codes" >&2; exit 2; }
-[ -f "$doc" ] || { echo "check_protocol_docs: missing $doc" >&2; exit 2; }
-
-verbs=$(grep -oE 'verb == "[a-z_]+"' "$server" | sed 's/.*"\(.*\)"/\1/' | sort -u)
-[ -n "$verbs" ] || { echo "check_protocol_docs: no dispatched verbs found in $server (pattern drift?)" >&2; exit 2; }
-
-missing=""
-for verb in $verbs; do
-  if ! grep -qw "$verb" "$doc"; then
-    missing="$missing $verb"
-  fi
+for f in "$server" "$stats" "$codes" "$doc" "$ops"; do
+  [ -f "$f" ] || { echo "check_protocol_docs: missing $f" >&2; exit 2; }
 done
 
-count=$(printf '%s\n' "$verbs" | wc -l | tr -d ' ')
-if [ -n "$missing" ]; then
-  echo "check_protocol_docs: verbs dispatched in src/daemon/socket_server.cpp but missing from docs/protocol.md:" >&2
-  for verb in $missing; do
-    echo "  - $verb" >&2
+# names_missing NAMES FILE -> the names that FILE never mentions as a word.
+names_missing() {
+  missing=""
+  for name in $1; do
+    if ! printf '%s\n' "$2" | grep -qw -- "$name"; then
+      missing="$missing $name"
+    fi
   done
-  echo "Document them in docs/protocol.md (section 3, Verbs)." >&2
-  exit 1
-fi
+  printf '%s' "$missing"
+}
 
-# Error codes: every string literal defined in error_codes.hpp must
-# appear in the doc's error-code table.
+# report WHAT SOURCE TARGET MISSING -> exit 1 with the list when non-empty.
+report() {
+  [ -z "$4" ] && return 0
+  echo "check_protocol_docs: $1 in $2 but missing from $3:" >&2
+  for name in $4; do
+    echo "  - $name" >&2
+  done
+  exit 1
+}
+
+doc_text=$(cat "$doc")
+
+verbs=$(grep -oE '\{"[a-z_]+", (true|false), &SocketServer::verb_' "$server" |
+  sed 's/^{"\([a-z_]*\)".*/\1/' | sort -u)
+[ -n "$verbs" ] || { echo "check_protocol_docs: no verb table rows found in $server (pattern drift?)" >&2; exit 2; }
+report "verbs dispatched" "src/daemon/socket_server.cpp" \
+  "docs/protocol.md (section 3, Verbs)" "$(names_missing "$verbs" "$doc_text")"
+
 code_names=$(grep -oE '"[a-z_]+"' "$codes" | tr -d '"' | sort -u)
 [ -n "$code_names" ] || { echo "check_protocol_docs: no codes found in $codes (pattern drift?)" >&2; exit 2; }
+report "codes defined" "src/daemon/error_codes.hpp" \
+  "docs/protocol.md (Error codes)" "$(names_missing "$code_names" "$doc_text")"
 
-missing_codes=""
-for code in $code_names; do
-  if ! grep -qw "$code" "$doc"; then
-    missing_codes="$missing_codes $code"
-  fi
-done
+# Stats rows may wrap, so match on the table text joined into one line.
+rows=$(tr '\n' ' ' < "$stats" |
+  grep -oE '\{("[a-z_0-9]+"|nullptr), +("elpc_[a-z_0-9]+"|nullptr),' || true)
+stat_keys=$(printf '%s\n' "$rows" | sed -n 's/^{"\([a-z_0-9]*\)",.*/\1/p' | sort -u)
+families=$(printf '%s\n' "$rows" | grep -oE '"elpc_[a-z_0-9]+"' | tr -d '"' | sort -u)
+[ -n "$stat_keys" ] && [ -n "$families" ] || { echo "check_protocol_docs: no stats-field rows found in $stats (pattern drift?)" >&2; exit 2; }
 
-code_count=$(printf '%s\n' "$code_names" | wc -l | tr -d ' ')
-if [ -n "$missing_codes" ]; then
-  echo "check_protocol_docs: codes defined in src/daemon/error_codes.hpp but missing from docs/protocol.md:" >&2
-  for code in $missing_codes; do
-    echo "  - $code" >&2
-  done
-  echo "Document them in docs/protocol.md (Error codes)." >&2
-  exit 1
-fi
+stats_section=$(awk '/^### stats/ { on = 1; next } on && /^##/ { exit } on' "$doc")
+[ -n "$stats_section" ] || { echo "check_protocol_docs: no '### stats' section in $doc" >&2; exit 2; }
+report "stats keys declared" "src/daemon/stats_fields.cpp" \
+  "the stats section of docs/protocol.md" "$(names_missing "$stat_keys" "$stats_section")"
 
-echo "check_protocol_docs: ok ($count verbs, $code_count error codes documented)"
+catalog=$(awk '/^## .*Metrics catalog/ { on = 1; next } on && /^## / { exit } on' "$ops")
+[ -n "$catalog" ] || { echo "check_protocol_docs: no metrics catalog section in $ops" >&2; exit 2; }
+report "metric families declared" "src/daemon/stats_fields.cpp" \
+  "the metrics catalog of docs/operations.md" "$(names_missing "$families" "$catalog")"
+
+count() { printf '%s\n' "$1" | wc -l | tr -d ' '; }
+echo "check_protocol_docs: ok ($(count "$verbs") verbs, $(count "$code_names") error codes, $(count "$stat_keys") stats keys, $(count "$families") metric families documented)"
