@@ -1,13 +1,11 @@
-// Kernel dispatch — maps a requested kernels::Kind to a function
-// pointer the running CPU can execute.  Availability is the AND of
-// "compiled in" (the variant file got its -m flag; stubs return
-// nullptr) and "CPU supports it" (util::CpuFeatures, which also checks
-// the OS vector-state bits).  kAuto resolves once per process: the
-// ELPC_FORCE_KERNEL environment variable wins, then the widest
-// available variant.  Forcing an unavailable kernel throws — parity
-// and benchmark runs must never silently measure the wrong code.
+// Kernel dispatch — one table maps each kernels::Kind to its name and
+// function pointer.  A variant is runnable when compiled in (stubs return
+// nullptr) AND supported by the CPU (util::CpuFeatures).  kAuto resolves
+// once per process: ELPC_FORCE_KERNEL, else the widest runnable variant.
+// Forcing an unavailable kernel throws, never silently falls back.
 
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -16,36 +14,50 @@
 
 namespace elpc::core::kernels {
 
-// Adding a Kind must update kKindCount (and everything sized by it,
-// e.g. BatchEngine's per-kernel counters) in the same change.
-static_assert(static_cast<std::size_t>(Kind::kAvx512) + 1 == kKindCount,
-              "kKindCount out of sync with the Kind enum");
-
 namespace {
 
-bool kernel_available(Kind kind) {
-  const util::CpuFeatures& cpu = util::CpuFeatures::get();
-  switch (kind) {
-    case Kind::kScalar:
-      return true;
-    case Kind::kAvx2:
-      return avx2_cell_kernel() != nullptr && cpu.avx2;
-    case Kind::kAvx512:
-      return avx512_cell_kernel() != nullptr && cpu.avx512f;
-    case Kind::kAuto:
-      break;
+struct KernelRow {
+  Kind kind;
+  const char* name;
+  /// nullptr for kAuto, which selects a variant rather than being one.
+  CellKernelFn (*accessor)();
+  bool (*cpu_supports)(const util::CpuFeatures&);
+};
+
+/// kAuto first, then the variants narrowest to widest.
+constexpr KernelRow kKernels[] = {
+    {Kind::kAuto, "auto", nullptr, nullptr},
+    {Kind::kScalar, "scalar", &scalar_cell_kernel,
+     [](const util::CpuFeatures&) { return true; }},
+    {Kind::kAvx2, "avx2", &avx2_cell_kernel,
+     [](const util::CpuFeatures& cpu) { return cpu.avx2; }},
+    {Kind::kAvx512, "avx512", &avx512_cell_kernel,
+     [](const util::CpuFeatures& cpu) { return cpu.avx512f; }},
+};
+
+// A new Kind needs its row here and kKindCount (and all sized by it,
+// e.g. BatchEngine's per-kernel counters) updated in the same change.
+static_assert(std::size(kKernels) == kKindCount,
+              "kKindCount out of sync with the kernel table");
+
+const KernelRow* find_row(Kind kind) {
+  for (const KernelRow& row : kKernels) {
+    if (row.kind == kind) {
+      return &row;
+    }
   }
-  return false;
+  return nullptr;
 }
 
-Kind widest() {
-  if (kernel_available(Kind::kAvx512)) {
-    return Kind::kAvx512;
+/// The variant's function pointer when this process can run it, else
+/// nullptr (kAuto, compiled out, or unsupported by the CPU).
+CellKernelFn runnable(Kind kind) {
+  const KernelRow* row = find_row(kind);
+  if (row == nullptr || row->accessor == nullptr ||
+      !row->cpu_supports(util::CpuFeatures::get())) {
+    return nullptr;
   }
-  if (kernel_available(Kind::kAvx2)) {
-    return Kind::kAvx2;
-  }
-  return Kind::kScalar;
+  return row->accessor();
 }
 
 struct AutoResolution {
@@ -62,7 +74,7 @@ const AutoResolution& auto_resolution() {
     if (forced != nullptr && *forced != '\0') {
       const Kind kind = kind_from_name(forced);
       if (kind != Kind::kAuto) {
-        if (!kernel_available(kind)) {
+        if (runnable(kind) == nullptr) {
           throw std::runtime_error(
               std::string("ELPC_FORCE_KERNEL=") + forced +
               ": kernel not available on this build/CPU");
@@ -70,7 +82,7 @@ const AutoResolution& auto_resolution() {
         return AutoResolution{kind, true};
       }
     }
-    return AutoResolution{widest(), false};
+    return AutoResolution{available_kernels().back(), false};
   }();
   return resolved;
 }
@@ -78,43 +90,28 @@ const AutoResolution& auto_resolution() {
 }  // namespace
 
 const char* kind_name(Kind kind) {
-  switch (kind) {
-    case Kind::kAuto:
-      return "auto";
-    case Kind::kScalar:
-      return "scalar";
-    case Kind::kAvx2:
-      return "avx2";
-    case Kind::kAvx512:
-      return "avx512";
-  }
-  return "unknown";
+  const KernelRow* row = find_row(kind);
+  return row != nullptr ? row->name : "unknown";
 }
 
 Kind kind_from_name(const std::string& name) {
-  if (name == "auto") {
-    return Kind::kAuto;
+  std::string expected;
+  for (const KernelRow& row : kKernels) {
+    if (name == row.name) {
+      return row.kind;
+    }
+    expected += (expected.empty() ? "" : "|") + std::string(row.name);
   }
-  if (name == "scalar") {
-    return Kind::kScalar;
-  }
-  if (name == "avx2") {
-    return Kind::kAvx2;
-  }
-  if (name == "avx512") {
-    return Kind::kAvx512;
-  }
-  throw std::invalid_argument("unknown kernel '" + name +
-                              "' (expected auto|scalar|avx2|avx512)");
+  throw std::invalid_argument("unknown kernel '" + name + "' (expected " +
+                              expected + ")");
 }
 
 std::vector<Kind> available_kernels() {
-  std::vector<Kind> kinds{Kind::kScalar};
-  if (kernel_available(Kind::kAvx2)) {
-    kinds.push_back(Kind::kAvx2);
-  }
-  if (kernel_available(Kind::kAvx512)) {
-    kinds.push_back(Kind::kAvx512);
+  std::vector<Kind> kinds;
+  for (const KernelRow& row : kKernels) {
+    if (runnable(row.kind) != nullptr) {
+      kinds.push_back(row.kind);
+    }
   }
   return kinds;
 }
@@ -123,7 +120,7 @@ Kind resolve_kernel(Kind requested) {
   if (requested == Kind::kAuto) {
     return auto_resolution().kind;
   }
-  if (!kernel_available(requested)) {
+  if (runnable(requested) == nullptr) {
     throw std::runtime_error(
         std::string("frame-rate kernel '") + kind_name(requested) +
         "' not available on this build/CPU (set ELPC_SIMD=ON and check "
@@ -135,25 +132,13 @@ Kind resolve_kernel(Kind requested) {
 bool auto_kernel_env_forced() { return auto_resolution().env_forced; }
 
 CellKernelFn kernel_fn(Kind resolved) {
-  switch (resolved) {
-    case Kind::kScalar:
-      return scalar_cell_kernel();
-    case Kind::kAvx2:
-      if (kernel_available(Kind::kAvx2)) {
-        return avx2_cell_kernel();
-      }
-      break;
-    case Kind::kAvx512:
-      if (kernel_available(Kind::kAvx512)) {
-        return avx512_cell_kernel();
-      }
-      break;
-    case Kind::kAuto:
-      break;
+  const CellKernelFn fn = runnable(resolved);
+  if (fn == nullptr) {
+    throw std::runtime_error(std::string("kernel_fn: '") +
+                             kind_name(resolved) +
+                             "' is not a resolved, available kernel");
   }
-  throw std::runtime_error(std::string("kernel_fn: '") +
-                           kind_name(resolved) +
-                           "' is not a resolved, available kernel");
+  return fn;
 }
 
 }  // namespace elpc::core::kernels

@@ -1,8 +1,10 @@
 #pragma once
 // Frame-rate cell kernels — the innermost loop of the Eq. 5 DP
-// (core/elpc.cpp), extracted behind a function-pointer interface so it
-// can be compiled per-variant (scalar / AVX2 / AVX-512) with per-file
-// -m flags while the rest of the library stays portable.
+// (core/elpc.cpp) behind a function-pointer interface: the scalar
+// reference (framerate_kernel_scalar.cpp) and one vector template
+// (simd_cell.hpp) instantiated per ISA file, each built with its own -m
+// flag and exporting only its accessor (all else, the `static` helpers
+// below included, has internal linkage); dispatch.cpp holds the table.
 //
 // One call computes one DP cell's candidate list: it scans the cell's
 // in-edge span (CSR order), and for each edge scans the predecessor
@@ -87,8 +89,10 @@ struct CellInputs {
 
 /// Ordering criterion shared by every variant: bottleneck first, then
 /// (optionally) the sum.  Strict — equal keys keep the incumbent.
-inline bool candidate_before(double bn_a, double sum_a, double bn_b,
-                             double sum_b, bool sum_tiebreak) {
+/// `static`, like insert_candidate: each kernel TU keeps its own copy
+/// built with its -m flags, so the scalar path never runs an ISA TU's.
+static inline bool candidate_before(double bn_a, double sum_a, double bn_b,
+                                    double sum_b, bool sum_tiebreak) {
   if (bn_a != bn_b) {
     return bn_a < bn_b;
   }
@@ -98,11 +102,10 @@ inline bool candidate_before(double bn_a, double sum_a, double bn_b,
 /// Bounded insertion keeping cand[0..kept) sorted best-first; the
 /// single definition all variants share, so insertion order cannot
 /// diverge between them.  Returns the new kept count.
-inline std::size_t insert_candidate(FrameRateArena::Candidate* cand,
-                                    std::size_t kept, std::size_t beam,
-                                    double bn, double sum,
-                                    std::uint32_t node, std::uint32_t slot,
-                                    bool sum_tiebreak) {
+static inline std::size_t insert_candidate(
+    FrameRateArena::Candidate* cand, std::size_t kept, std::size_t beam,
+    double bn, double sum, std::uint32_t node, std::uint32_t slot,
+    bool sum_tiebreak) {
   std::size_t pos;
   if (kept < beam) {
     pos = kept++;
@@ -135,9 +138,8 @@ enum class Kind {
 };
 
 /// Number of Kind values (kAuto included).  Anything sized by kernel —
-/// the engine's per-kernel job counters, dispatch tables — must
-/// static_assert against this so adding a variant fails to compile
-/// instead of indexing out of bounds.
+/// per-kernel job counters, the dispatch table — static_asserts against
+/// this, so adding a variant fails to compile instead of overflowing.
 inline constexpr std::size_t kKindCount = 4;
 
 /// Portable reference implementation; always available.

@@ -58,6 +58,11 @@ enum class Objective { kMinDelay, kMaxFrameRate };
 /// not (propagation adds latency, not a throughput limit).
 [[nodiscard]] pipeline::CostOptions default_cost(Objective objective);
 
+/// Upper bound on SolveJob::repeats accepted from a job document: a
+/// bench knob, and an unbounded count would let one job hold an engine
+/// worker indefinitely.
+inline constexpr std::int64_t kMaxRepeats = 1000;
+
 /// One queued solve: which session, what pipeline, which objective.
 struct SolveJob {
   /// Caller-chosen identifier echoed in the result.

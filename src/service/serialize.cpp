@@ -62,9 +62,10 @@ SolveJob job_from_json(const util::Json& doc) {
   }
   if (const util::Json* repeats = doc.find("repeats")) {
     const std::int64_t n = repeats->as_int();
-    if (n < 1) {
+    if (n < 1 || n > kMaxRepeats) {
       throw std::invalid_argument("job '" + job.id +
-                                  "': repeats must be >= 1");
+                                  "': repeats must be in [1, " +
+                                  std::to_string(kMaxRepeats) + "]");
     }
     job.repeats = static_cast<std::size_t>(n);
   }

@@ -9,7 +9,8 @@
 //              "destination",
 //              optional: "algorithm" (default "ELPC"),
 //                        "include_link_delay" (default per objective),
-//                        "repeats" (default 1), "warmup" (default false),
+//                        "repeats" (1..kMaxRepeats, default 1),
+//                        "warmup" (default false),
 //                        "resolve_on_update" (default false)}]}
 //
 // Result document ({"results": [...]}, one entry per job, job order):

@@ -27,6 +27,12 @@ std::int64_t Json::as_int() const {
   if (std::abs(d - rounded) > 1e-9) {
     throw JsonError("Json: number is not integral");
   }
+  // The cast is undefined outside int64's range; [-2^63, 2^63) as
+  // doubles, written so NaN fails too.
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (!(rounded >= -kLimit && rounded < kLimit)) {
+    throw JsonError("Json: integer out of range");
+  }
   return static_cast<std::int64_t>(rounded);
 }
 

@@ -58,6 +58,7 @@ class Json {
   /// Typed accessors; throw JsonError on type mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
+  /// Integral numbers within int64's range; JsonError otherwise.
   [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const JsonArray& as_array() const;

@@ -265,14 +265,15 @@ TEST(KernelParity, DispatchNamesRoundTripAndValidate) {
 
 /// Full-solve parity: the DP must produce bit-equal answers under every
 /// kernel, across the one-word (k <= 64) and pooled (k > 64) layouts
-/// and with the beam below, at, and above the vector widths.
+/// and with the beam below, at, and above the vector widths — 8 is one
+/// full AVX-512 chunk with no tail, 16 a two-chunk row.
 TEST(KernelParity, MaxFrameRateSolvesBitIdenticalAcrossKernels) {
   if (simd_kernels().empty()) {
     GTEST_SKIP() << "no SIMD kernel available on this build/CPU";
   }
   for (const std::uint64_t seed : {11u, 22u, 33u}) {
     for (const std::size_t nodes : {12u, 80u}) {
-      for (const std::size_t beam : {1u, 4u, 9u}) {
+      for (const std::size_t beam : {1u, 4u, 8u, 9u, 16u}) {
         util::Rng rng(seed + nodes + beam);
         workload::Scenario s;
         s.pipeline = pipeline::random_pipeline(rng, 8, {});

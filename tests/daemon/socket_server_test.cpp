@@ -159,6 +159,13 @@ TEST(SocketServer, BadRequestsAnswerErrorsWithoutKillingTheDaemon) {
   EXPECT_NE(response.at("error").as_string().find("ticket"),
             std::string::npos);
 
+  // A ticket past int64's range answers an error instead of reaching
+  // an undefined double-to-int cast (before auth is even relevant).
+  util::Json poll_huge = util::JsonObject{};
+  poll_huge.set("verb", "poll");
+  poll_huge.set("ticket", 1e300);
+  EXPECT_FALSE(client.request(poll_huge).at("ok").as_bool());
+
   // Unknown verb and missing fields answer errors too.
   util::Json bad_verb = util::JsonObject{};
   bad_verb.set("verb", "frobnicate");

@@ -313,6 +313,25 @@ TEST(BatchSerialize, JobRoundTripsThroughJson) {
   EXPECT_EQ(back.pipeline.module_count(), job.pipeline.module_count());
 }
 
+TEST(BatchSerialize, RepeatsOutsideTheBoundRejected) {
+  SolveJob job;
+  job.id = "r";
+  job.network = "n";
+  job.pipeline = make_pipeline(3, 3);
+  job.source = 0;
+  job.destination = 1;
+  job.repeats = static_cast<std::size_t>(kMaxRepeats);
+  util::Json doc = to_json(job);
+  EXPECT_EQ(job_from_json(doc).repeats, job.repeats);
+
+  const auto over = static_cast<double>(kMaxRepeats + 1);
+  for (const double repeats : {0.0, over, 1e12}) {
+    doc.set("repeats", repeats);
+    EXPECT_THROW((void)job_from_json(doc), std::invalid_argument)
+        << "repeats=" << repeats;
+  }
+}
+
 TEST(BatchSerialize, ObjectiveDependentCostDefaults) {
   SolveJob job;
   job.id = "j";

@@ -107,6 +107,18 @@ TEST(JsonAccess, NonIntegralNumberRejectedByAsInt) {
   EXPECT_THROW((void)Json::parse("1.5").as_int(), JsonError);
 }
 
+/// as_int() range-checks before casting: past +-2^63 the cast would be
+/// undefined, so those throw instead; +-2^53 (exact doubles) parse.
+TEST(JsonAccess, OutOfRangeIntegerRejectedByAsInt) {
+  EXPECT_THROW((void)Json::parse("1e300").as_int(), JsonError);
+  EXPECT_THROW((void)Json::parse("-1e300").as_int(), JsonError);
+  EXPECT_THROW((void)Json::parse("9.3e18").as_int(), JsonError);
+  EXPECT_EQ(Json::parse("9007199254740992").as_int(),
+            std::int64_t{1} << 53);
+  EXPECT_EQ(Json::parse("-9007199254740992").as_int(),
+            -(std::int64_t{1} << 53));
+}
+
 TEST(JsonBuild, SetAndPushBack) {
   Json obj;
   obj.set("x", 1).set("y", "two");

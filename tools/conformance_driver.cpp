@@ -78,6 +78,8 @@ using namespace elpc;
 namespace wire = daemon::wire;
 
 constexpr std::uint64_t kNetSeed = 3;
+/// Token of the auth-enforcing test daemon (fuzz_auth).
+constexpr const char* kAuthToken = "conformance-secret";
 
 // ---------------------------------------------------------------------------
 // Failure ledger: every check funnels through here so the summary line
@@ -146,7 +148,7 @@ struct TestDaemon {
     options.tcp = tcp;
     options.tcp_port = 0;
     if (auth) {
-      options.auth_token = "conformance-secret";
+      options.auth_token = kAuthToken;
     }
     server = std::make_unique<daemon::SocketServer>(socket_path(tag), options);
     thread = std::thread([this]() { server->serve(); });
@@ -546,6 +548,24 @@ bool is_protocol_error(const std::string& line) {
   }
 }
 
+/// The daemon still does real work: a fresh client solves one job.
+void check_alive(const TestDaemon& daemon, bool tcp,
+                 const daemon::DaemonClientOptions& options,
+                 const std::string& label, Ledger& ledger) {
+  daemon::DaemonClient client(daemon.endpoint(tcp), options);
+  try {
+    client.register_network("net", make_network(kNetSeed));
+  } catch (const daemon::DaemonError&) {
+    // Already registered by an earlier leg.
+  }
+  const daemon::Ticket ticket = client.submit(
+      make_job("alive", 120, service::Objective::kMinDelay));
+  const daemon::JobStatusView status = client.wait_status(ticket);
+  ledger.check(status.state == "done", "daemon unhealthy after " + label +
+                                           ": final solve state " +
+                                           status.state);
+}
+
 void run_fuzz(std::uint64_t seed, std::int64_t iterations, Ledger& ledger) {
   for (const bool tcp : {false, true}) {
     const char* transport = tcp ? "tcp" : "unix";
@@ -690,18 +710,8 @@ void run_fuzz(std::uint64_t seed, std::int64_t iterations, Ledger& ledger) {
     }
 
     // After everything above the daemon still does real work.
-    daemon::DaemonClient client(daemon.endpoint(tcp));
-    try {
-      client.register_network("net", make_network(kNetSeed));
-    } catch (const daemon::DaemonError&) {
-      // Already registered by the torn-frame leg above.
-    }
-    const daemon::Ticket ticket = client.submit(
-        make_job("alive", 120, service::Objective::kMinDelay));
-    const daemon::JobStatusView status = client.wait_status(ticket);
-    ledger.check(status.state == "done",
-                 std::string("daemon unhealthy after fuzz (") + transport +
-                     "): final solve state " + status.state);
+    check_alive(daemon, tcp, {}, std::string("fuzz (") + transport + ")",
+                ledger);
   }
 
   // Pre-auth binary frames on an auth-enforcing daemon answer code
@@ -727,6 +737,30 @@ void run_fuzz(std::uint64_t seed, std::int64_t iterations, Ledger& ledger) {
     }
     ledger.check(unauthenticated,
                  "pre-auth binary frame: expected code=unauthenticated");
+
+    // A line of 100 000 '[' before auth once overflowed the parser's
+    // stack.  It must answer the ordinary malformed-request line, and
+    // the daemon must keep serving.
+    socket.send_line(std::string(100000, '['));
+    const std::optional<std::string> deep = socket.recv_line();
+    bool refused = false;
+    try {
+      const util::Json doc = util::Json::parse(deep.value());
+      const std::string& error = doc.at("error").as_string();
+      refused = !doc.at("ok").as_bool() &&
+                error.rfind("malformed request: ", 0) == 0 &&
+                error.find("nesting deeper than " +
+                           std::to_string(util::kMaxJsonDepth)) !=
+                    std::string::npos;
+    } catch (const std::exception&) {
+      // No line, or not the expected shape: refused stays false.
+    }
+    ledger.check(refused,
+                 "pre-auth 100000-deep frame: expected a malformed-request "
+                 "nesting error");
+    daemon::DaemonClientOptions options;
+    options.auth_token = kAuthToken;
+    check_alive(daemon, false, options, "pre-auth deep frame", ledger);
   }
 }
 
