@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -17,6 +18,25 @@ util::Json verb_frame(const std::string& verb) {
   util::Json frame = util::JsonObject{};
   frame.set("verb", verb);
   return frame;
+}
+
+util::Json ticket_frame(const std::string& verb, Ticket ticket) {
+  util::Json frame = verb_frame(verb);
+  frame.set("ticket", ticket);
+  return frame;
+}
+
+util::Json submit_frame(const service::SolveJob& job, int priority) {
+  util::Json frame = verb_frame("submit");
+  frame.set("job", service::to_json(job));
+  frame.set("priority", priority);
+  return frame;
+}
+
+/// Appends one request line to a pipelined write.
+void append_line(std::string& out, const util::Json& frame) {
+  out += frame.dump();
+  out += '\n';
 }
 
 }  // namespace
@@ -252,13 +272,16 @@ std::string DaemonClient::next_trace_id() {
          std::to_string(++trace_seq_);
 }
 
-util::Json DaemonClient::checked(util::Json frame) {
-  // Every typed-helper exchange gets a correlation id (unless the
-  // caller pre-stamped the frame): one retried request keeps ONE id, so
-  // a double-executed submit shows up as the same id twice server-side.
+void DaemonClient::stamp_trace(util::Json& frame) {
+  // One retried request keeps ONE id, so a double-executed submit shows
+  // up as the same id twice server-side.
   if (options_.auto_trace && !frame.contains("trace_id")) {
     frame.set("trace_id", next_trace_id());
   }
+}
+
+util::Json DaemonClient::checked(util::Json frame) {
+  stamp_trace(frame);
   util::Json response = request(frame);
   if (!response.at("ok").as_bool()) {
     throw DaemonError(response.at("error").as_string());
@@ -275,23 +298,16 @@ void DaemonClient::register_network(const std::string& id,
 }
 
 Ticket DaemonClient::submit(const service::SolveJob& job, int priority) {
-  util::Json frame = verb_frame("submit");
-  frame.set("job", service::to_json(job));
-  frame.set("priority", priority);
   return static_cast<Ticket>(
-      checked(std::move(frame)).at("ticket").as_int());
+      checked(submit_frame(job, priority)).at("ticket").as_int());
 }
 
 util::Json DaemonClient::poll(Ticket ticket) {
-  util::Json frame = verb_frame("poll");
-  frame.set("ticket", ticket);
-  return checked(std::move(frame));
+  return checked(ticket_frame("poll", ticket));
 }
 
 util::Json DaemonClient::wait(Ticket ticket) {
-  util::Json frame = verb_frame("wait");
-  frame.set("ticket", ticket);
-  return checked(std::move(frame));
+  return wait_status(ticket).to_json();
 }
 
 JobStatusView DaemonClient::poll_status(Ticket ticket) {
@@ -299,13 +315,148 @@ JobStatusView DaemonClient::poll_status(Ticket ticket) {
 }
 
 JobStatusView DaemonClient::wait_status(Ticket ticket) {
-  return JobStatusView::from_json(wait(ticket));
+  return wait_all({&ticket, 1}).front();
+}
+
+std::vector<Ticket> DaemonClient::submit_all(
+    std::span<const service::SolveJob> jobs, int priority) {
+  // Connecting is the one step retried: no frame of this call has left.
+  for (std::size_t attempt = 0; !socket_.valid(); ++attempt) {
+    try {
+      connect_socket();
+    } catch (const util::SocketTimeout&) {
+      throw;
+    } catch (const util::SocketError&) {
+      socket_.close();
+      if (attempt >= options_.max_retries) {
+        throw;
+      }
+      retry_backoff(attempt);
+    }
+  }
+  std::vector<Ticket> tickets;
+  tickets.reserve(jobs.size());
+  std::optional<std::string> rejected;  // the first ok=false answer
+  std::size_t sent = 0;
+  std::size_t answered = 0;
+  try {
+    while (answered < sent || (!rejected && sent < jobs.size())) {
+      // Refill once half the window has drained: one write carries the
+      // frames that bring it back to full.
+      if (!rejected && sent < jobs.size() &&
+          sent - answered <= kPipelineWindow / 2) {
+        std::string lines;
+        for (; sent < jobs.size() && sent - answered < kPipelineWindow;
+             ++sent) {
+          util::Json frame = submit_frame(jobs[sent], priority);
+          stamp_trace(frame);
+          append_line(lines, frame);
+        }
+        socket_.send_bytes(lines);
+        continue;
+      }
+      // Submit answers are synchronous: they arrive in request order.
+      const util::Json response = recv_response();
+      ++answered;
+      if (rejected) {
+        continue;  // draining the window behind the rejection
+      }
+      if (!response.at("ok").as_bool()) {
+        rejected = response.at("error").as_string();
+        continue;
+      }
+      tickets.push_back(static_cast<Ticket>(response.at("ticket").as_int()));
+    }
+  } catch (...) {
+    // Frames have left and their answers are unread: the stream cannot
+    // be resumed, and resending could double-submit.
+    socket_.close();
+    throw;
+  }
+  if (rejected) {
+    throw DaemonError(*rejected);
+  }
+  return tickets;
+}
+
+std::vector<JobStatusView> DaemonClient::wait_all(
+    std::span<const Ticket> tickets) {
+  std::vector<std::optional<JobStatusView>> views(tickets.size());
+  std::size_t answered = 0;
+  for (std::size_t attempt = 0;; ++attempt) {
+    // The waits in flight on this connection: (ticket, position).  At
+    // most kPipelineWindow entries, so a linear scan is the cheap match.
+    std::vector<std::pair<Ticket, std::size_t>> in_flight;
+    std::size_t next = 0;  // scan cursor for positions not yet sent
+    try {
+      if (!socket_.valid()) {
+        connect_socket();
+      }
+      while (answered < tickets.size()) {
+        if (next < tickets.size() && in_flight.size() <= kPipelineWindow / 2) {
+          std::string lines;
+          for (; next < tickets.size() && in_flight.size() < kPipelineWindow;
+               ++next) {
+            if (views[next].has_value()) {
+              continue;  // answered before a reconnect
+            }
+            util::Json frame = ticket_frame("wait", tickets[next]);
+            stamp_trace(frame);
+            append_line(lines, frame);
+            in_flight.emplace_back(tickets[next], next);
+          }
+          if (!lines.empty()) {
+            socket_.send_bytes(lines);
+          }
+          continue;
+        }
+        // Wait answers are out of band: they arrive in completion order
+        // and are matched to their request by ticket.
+        const util::Json response = recv_response();
+        if (!response.at("ok").as_bool()) {
+          throw DaemonError(response.at("error").as_string());
+        }
+        JobStatusView view = JobStatusView::from_json(response);
+        const auto match = std::find_if(
+            in_flight.begin(), in_flight.end(),
+            [&view](const auto& entry) { return entry.first == view.ticket; });
+        if (match == in_flight.end()) {
+          throw DaemonError("wait answered ticket " +
+                            std::to_string(view.ticket) +
+                            ", which no wait in flight asked for");
+        }
+        views[match->second] = std::move(view);
+        *match = in_flight.back();
+        in_flight.pop_back();
+        ++answered;
+      }
+      break;
+    } catch (const util::SocketTimeout&) {
+      socket_.close();
+      throw;
+    } catch (const util::SocketError&) {
+      // Waits are idempotent: reconnect and re-issue the unanswered.
+      socket_.close();
+      if (attempt >= options_.max_retries) {
+        throw;
+      }
+      retry_backoff(attempt);
+    } catch (...) {
+      // Answers to the other waits in flight would still arrive here.
+      socket_.close();
+      throw;
+    }
+  }
+  std::vector<JobStatusView> statuses;
+  statuses.reserve(views.size());
+  for (std::optional<JobStatusView>& view : views) {
+    statuses.push_back(std::move(*view));
+  }
+  return statuses;
 }
 
 bool DaemonClient::cancel(Ticket ticket) {
-  util::Json frame = verb_frame("cancel");
-  frame.set("ticket", ticket);
-  return checked(std::move(frame)).at("cancelled").as_bool();
+  return checked(ticket_frame("cancel", ticket)).at("cancelled").as_bool();
 }
 
 std::vector<util::Json> DaemonClient::apply_link_updates(
@@ -342,9 +493,7 @@ std::vector<service::SolveResult> DaemonClient::resolve_link_updates(
         util::Json frame = verb_frame("apply_link_updates");
         frame.set("network", network);
         frame.set("updates", service::link_updates_to_json(updates));
-        if (options_.auto_trace && !frame.contains("trace_id")) {
-          frame.set("trace_id", next_trace_id());
-        }
+        stamp_trace(frame);
         socket_.send_line(frame.dump());
         response = recv_response();
       }

@@ -1,8 +1,11 @@
 #pragma once
 // DaemonClient — the in-repo client of the mapping daemon's socket
 // protocol, used by `elpc client` and the end-to-end tests.  One client
-// holds one connection; requests on it are strictly request→response
-// (the protocol has no server pushes).
+// holds one connection.  The single-request helpers are request→
+// response; the pipelined helpers (submit_all, wait_all) keep up to
+// kPipelineWindow requests in flight on the same connection, which is
+// what lets `elpc client load` submit and await thousands of jobs
+// without paying one round trip each.
 //
 // Typed helpers cover every verb.  They throw DaemonError when the
 // server answers ok=false (carrying the server's diagnostic) and
@@ -18,7 +21,9 @@
 // executed).  Retrying a `submit` whose response was lost CAN
 // double-submit; callers needing exactly-once should reconcile via
 // `stats`/`poll`, which is what the chaos driver's invariants do.
+// submit_all never retries once a frame has left (see its comment).
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <random>
@@ -34,6 +39,12 @@
 #include "util/socket.hpp"
 
 namespace elpc::daemon {
+
+/// Requests the pipelined helpers (submit_all, wait_all) keep in flight
+/// on one connection.  Bounds the answers the daemon queues for a
+/// client that is still writing; windows of 16 and 512 load a 2000-job
+/// file no faster than 64.
+inline constexpr std::size_t kPipelineWindow = 64;
 
 /// The server answered ok=false; what() is the server's error text.
 class DaemonError : public std::runtime_error {
@@ -205,7 +216,36 @@ class DaemonClient {
   /// Typed poll/wait: the decoded status frame (result set once
   /// terminal); to_json() round-trips to the raw frame byte-for-byte.
   [[nodiscard]] JobStatusView poll_status(Ticket ticket);
+  /// wait_all({ticket}).front().
   [[nodiscard]] JobStatusView wait_status(Ticket ticket);
+  /// Pipelined submit: the i-th ticket belongs to jobs[i] (synchronous
+  /// answers arrive in request order).  At most kPipelineWindow submits
+  /// are in flight at once.
+  ///
+  /// Never resends a frame: a resend could double-submit (exactly-once
+  /// needs the idempotency key the protocol does not have yet).  Only
+  /// the connect before the first frame is retried; any later
+  /// SocketError closes the connection and is rethrown, and the jobs
+  /// already sent may or may not be queued.
+  ///
+  /// An ok=false answer (e.g. a malformed or rejected job) throws
+  /// DaemonError with the server's text after the rest of the window's
+  /// answers are read, so the connection stays in sync and usable.  No
+  /// frame is sent after the rejection is seen, but up to
+  /// kPipelineWindow - 1 jobs behind the rejected one may already be
+  /// queued; their tickets are not returned.
+  [[nodiscard]] std::vector<Ticket> submit_all(
+      std::span<const service::SolveJob> jobs, int priority = 0);
+  /// Pipelined wait: blocks until every ticket is answered and returns
+  /// the statuses in ticket order.  At most kPipelineWindow waits are in
+  /// flight at once; their out-of-band answers are correlated by the
+  /// `ticket` field.  A wait is idempotent, so a SocketError reconnects
+  /// (max_retries, backoff) and re-issues only the waits not yet
+  /// answered.  An ok=false answer (e.g. an unknown ticket) throws
+  /// DaemonError and closes the connection, because answers to the
+  /// other waits in flight would still arrive on it.
+  [[nodiscard]] std::vector<JobStatusView> wait_all(
+      std::span<const Ticket> tickets);
   [[nodiscard]] bool cancel(Ticket ticket);
   /// Returns the re-solved subscription result entries as raw JSON (the
   /// wire shape — what byte-compat comparisons diff).
@@ -251,6 +291,9 @@ class DaemonClient {
   /// request() + raise DaemonError on ok=false.  Stamps the auto trace
   /// id first (see DaemonClientOptions::auto_trace).
   util::Json checked(util::Json frame);
+  /// Stamps the auto trace id on `frame` unless it already carries one
+  /// or auto_trace is off.
+  void stamp_trace(util::Json& frame);
   /// Next generated id: "c<pid>-<seq>".
   [[nodiscard]] std::string next_trace_id();
   /// (Re)connects socket_ to endpoint_, negotiates the protocol (unless

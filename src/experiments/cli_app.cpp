@@ -556,7 +556,6 @@ int cmd_client(const std::vector<std::string>& args, std::ostream& out) {
         client.register_network(id, network);
       }
     }
-    std::vector<daemon::Ticket> tickets;
     for (service::SolveJob& job : spec.jobs) {
       if (parser.flag("incremental")) {
         job.resolve_on_update = true;
@@ -564,23 +563,28 @@ int cmd_client(const std::vector<std::string>& args, std::ostream& out) {
       if (parser.get_int("deadline-ms") > 0) {
         job.deadline_ms = parser.get_int("deadline-ms");
       }
-      tickets.push_back(client.submit(
-          job, static_cast<int>(parser.get_int("priority"))));
     }
+    // Pipelined: a window of submits, then a window of waits, in flight
+    // on the one connection instead of one round trip per job.
+    const std::vector<daemon::Ticket> tickets = client.submit_all(
+        spec.jobs, static_cast<int>(parser.get_int("priority")));
     if (!parser.flag("wait")) {
       for (std::size_t i = 0; i < tickets.size(); ++i) {
         out << "ticket " << tickets[i] << " " << spec.jobs[i].id << "\n";
       }
       return 0;
     }
+    // Typed waits: each result crosses the wire as whatever the
+    // negotiated protocol prefers (v1 JSON entry or a v2 binary result
+    // table) and re-serializes to the identical canonical bytes either
+    // way.  wait_all answers in ticket order, whatever order the jobs
+    // finish in.
+    const std::vector<daemon::JobStatusView> statuses =
+        client.wait_all(tickets);
     util::JsonArray entries;
     bool any_failed = false;
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-      // Typed wait: the result crosses the wire as whatever the
-      // negotiated protocol prefers (v1 JSON entry or a v2 binary
-      // result table) and re-serializes to the identical canonical
-      // bytes either way.
-      const daemon::JobStatusView status = client.wait_status(tickets[i]);
+    for (std::size_t i = 0; i < statuses.size(); ++i) {
+      const daemon::JobStatusView& status = statuses[i];
       if (status.shutting_down) {
         // The daemon released the wait because it is going down; the
         // job will never finish.  Fail this entry deterministically

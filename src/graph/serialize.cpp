@@ -1,6 +1,18 @@
 #include "graph/serialize.hpp"
 
+#include <stdexcept>
+
 namespace elpc::graph {
+
+NodeId node_id_from_json(const util::Json& value, std::string_view field) {
+  const std::int64_t id = value.as_int();
+  if (id < 0 || id > kMaxWireNodeId) {
+    throw std::invalid_argument("'" + std::string(field) +
+                                "' must be a node id in [0, 2^53), got " +
+                                value.dump());
+  }
+  return static_cast<NodeId>(id);
+}
 
 util::Json to_json(const Network& net) {
   util::JsonArray nodes;
@@ -39,8 +51,8 @@ Network network_from_json(const util::Json& doc) {
     LinkAttr attr;
     attr.bandwidth_mbps = l.at("bandwidth_mbps").as_number();
     attr.min_delay_s = l.at("min_delay_s").as_number();
-    net.add_link(static_cast<NodeId>(l.at("from").as_int()),
-                 static_cast<NodeId>(l.at("to").as_int()), attr);
+    net.add_link(node_id_from_json(l.at("from"), "from"),
+                 node_id_from_json(l.at("to"), "to"), attr);
   }
   net.validate();
   return net;

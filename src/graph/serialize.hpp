@@ -3,12 +3,25 @@
 // paper describes ("arbitrary in topology described in the form of an
 // adjacency matrix", Section 4.1).
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "graph/network.hpp"
 #include "util/json.hpp"
 
 namespace elpc::graph {
+
+/// Node ids on the wire are integers in [0, 2^53): past 2^53 a JSON
+/// number no longer names one integer.
+inline constexpr std::int64_t kMaxWireNodeId = (std::int64_t{1} << 53) - 1;
+
+/// Reads the node id `value` sent as `field` (a name for the message).
+/// Throws std::invalid_argument naming the field and the value as sent
+/// when it is negative or past kMaxWireNodeId, so -1 never wraps into a
+/// huge NodeId; util::JsonError when it is not an integer.
+[[nodiscard]] NodeId node_id_from_json(const util::Json& value,
+                                       std::string_view field);
 
 /// Serializes a network to a JSON object:
 /// {"nodes":[{"name","power"}...],

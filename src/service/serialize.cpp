@@ -50,9 +50,9 @@ SolveJob job_from_json(const util::Json& doc) {
   job.network = doc.at("network").as_string();
   job.objective = objective_from_name(doc.at("objective").as_string());
   job.pipeline = pipeline::pipeline_from_json(doc.at("pipeline"));
-  job.source = static_cast<graph::NodeId>(doc.at("source").as_int());
+  job.source = graph::node_id_from_json(doc.at("source"), "source");
   job.destination =
-      static_cast<graph::NodeId>(doc.at("destination").as_int());
+      graph::node_id_from_json(doc.at("destination"), "destination");
   if (const util::Json* algorithm = doc.find("algorithm")) {
     job.algorithm = algorithm->as_string();
   }
@@ -185,7 +185,7 @@ SolveResult result_entry_from_json(const util::Json& entry) {
   if (const util::Json* mapping = entry.find("mapping")) {
     std::vector<graph::NodeId> assignment;
     for (const util::Json& node : mapping->as_array()) {
-      assignment.push_back(static_cast<graph::NodeId>(node.as_int()));
+      assignment.push_back(graph::node_id_from_json(node, "mapping"));
     }
     if (!assignment.empty()) {
       r.result.mapping = mapping::Mapping(std::move(assignment));
@@ -208,8 +208,8 @@ util::Json to_json(const graph::LinkUpdate& update) {
 
 graph::LinkUpdate link_update_from_json(const util::Json& doc) {
   graph::LinkUpdate update;
-  update.from = static_cast<graph::NodeId>(doc.at("from").as_int());
-  update.to = static_cast<graph::NodeId>(doc.at("to").as_int());
+  update.from = graph::node_id_from_json(doc.at("from"), "from");
+  update.to = graph::node_id_from_json(doc.at("to"), "to");
   update.attr.bandwidth_mbps = doc.at("bandwidth_mbps").as_number();
   update.attr.min_delay_s = doc.at("min_delay_s").as_number();
   return update;

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -127,15 +128,15 @@ void dump_number(std::string& out, double d) {
     out += "null";
     return;
   }
-  if (d == std::nearbyint(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out += buf;
-    return;
-  }
+  // std::to_chars is specified to print what printf's "%lld" and
+  // "%.17g" print, without the format-string and locale machinery.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out += buf;
+  const std::to_chars_result r =
+      d == std::nearbyint(d) && std::abs(d) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d))
+          : std::to_chars(buf, buf + sizeof(buf), d,
+                          std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 /// Recursive-descent JSON parser over a string with a cursor.
@@ -347,9 +348,18 @@ class Parser {
     if (pos_ == start) {
       fail("invalid number");
     }
-    const std::string token = text_.substr(start, pos_ - start);
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double d = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, d);
+    if (r.ec == std::errc() && r.ptr == last) {
+      return Json(d);
+    }
+    // The rare rest keeps strtod's verdict: out-of-range magnitudes
+    // (1e400 -> inf, 1e-400 -> 0), a leading '+', and the rejections.
+    const std::string token(first, last);
     char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
+    d = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') {
       pos_ = start;
       fail("invalid number '" + token + "'");

@@ -20,9 +20,9 @@ Scenario scenario_from_json(const util::Json& doc) {
   scenario.name = doc.at("name").as_string();
   scenario.pipeline = pipeline::pipeline_from_json(doc.at("pipeline"));
   scenario.network = graph::network_from_json(doc.at("network"));
-  scenario.source = static_cast<graph::NodeId>(doc.at("source").as_int());
+  scenario.source = graph::node_id_from_json(doc.at("source"), "source");
   scenario.destination =
-      static_cast<graph::NodeId>(doc.at("destination").as_int());
+      graph::node_id_from_json(doc.at("destination"), "destination");
   if (scenario.source >= scenario.network.node_count() ||
       scenario.destination >= scenario.network.node_count()) {
     throw util::JsonError("scenario: endpoint out of range");

@@ -187,5 +187,96 @@ TEST(DaemonClient, ZeroRetriesSurfacesTheFirstFailure) {
   closing_server.join();
 }
 
+/// submit_all never resends: the first connection takes the frames and
+/// drops without answering, and the client (max_retries 3) must surface
+/// the SocketError instead of reconnecting and submitting again.  Any
+/// later connection would have its submits answered, so a resend would
+/// show as a returned ticket list.
+TEST(DaemonClient, SubmitAllNeverResendsAfterAFrameLeft) {
+  util::UnixListener listener(socket_path("noresend"));
+  int connections = 0;
+  std::thread dropping_server([&listener, &connections]() {
+    while (std::optional<util::UnixSocket> peer = listener.accept()) {
+      if (++connections == 1) {
+        (void)peer->recv_line();  // a submit arrived; hang up unanswered
+        continue;
+      }
+      while (peer->recv_line().has_value()) {
+        peer->send_line(R"({"ok": true, "ticket": 1})");
+      }
+    }
+  });
+
+  DaemonClientOptions options;
+  options.max_retries = 3;
+  options.backoff_ms = 1;
+  options.protocol = ProtocolPreference::kV1;  // fake server, no hello
+  {
+    DaemonClient client(listener.path(), options);
+    const std::vector<service::SolveJob> jobs = {make_job("a", 1),
+                                                 make_job("b", 2)};
+    EXPECT_THROW((void)client.submit_all(jobs), util::SocketError);
+  }
+  listener.close();
+  dropping_server.join();
+  EXPECT_EQ(connections, 1);
+}
+
+/// wait_all correlates out-of-band answers by ticket and, after a
+/// dropped connection, re-issues only the waits still unanswered: the
+/// first connection answers tickets 9 and 7 (out of order) and drops;
+/// the second must be asked for ticket 8 alone.
+TEST(DaemonClient, WaitAllReissuesOnlyUnansweredWaitsAfterReconnect) {
+  util::UnixListener listener(socket_path("rewait"));
+  const auto status_line = [](Ticket ticket) {
+    return R"({"ok": true, "priority": 0, "state": "done", "ticket": )" +
+           std::to_string(ticket) + "}";
+  };
+  const auto waited_ticket = [](const std::string& line) {
+    const util::Json frame = util::Json::parse(line);
+    EXPECT_EQ(frame.at("verb").as_string(), "wait");
+    return static_cast<Ticket>(frame.at("ticket").as_int());
+  };
+  std::thread flaky_server([&]() {
+    {
+      std::optional<util::UnixSocket> first = listener.accept();
+      ASSERT_TRUE(first.has_value());
+      std::vector<Ticket> asked;
+      for (int i = 0; i < 3; ++i) {
+        const std::optional<std::string> line = first->recv_line();
+        ASSERT_TRUE(line.has_value());
+        asked.push_back(waited_ticket(*line));
+      }
+      EXPECT_EQ(asked, (std::vector<Ticket>{7, 8, 9}));
+      first->send_line(status_line(9));
+      first->send_line(status_line(7));
+    }  // dropped with ticket 8 unanswered
+    std::optional<util::UnixSocket> second = listener.accept();
+    ASSERT_TRUE(second.has_value());
+    const std::optional<std::string> line = second->recv_line();
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(waited_ticket(*line), 8u);
+    second->send_line(status_line(8));
+    // Nothing else may arrive before the client hangs up.
+    EXPECT_FALSE(second->recv_line().has_value());
+  });
+
+  DaemonClientOptions options;
+  options.max_retries = 3;
+  options.backoff_ms = 1;
+  options.protocol = ProtocolPreference::kV1;
+  {
+    DaemonClient client(listener.path(), options);
+    const std::vector<Ticket> tickets = {7, 8, 9};
+    const std::vector<JobStatusView> statuses = client.wait_all(tickets);
+    ASSERT_EQ(statuses.size(), 3u);
+    for (std::size_t i = 0; i < statuses.size(); ++i) {
+      EXPECT_EQ(statuses[i].ticket, tickets[i]);
+      EXPECT_EQ(statuses[i].state, "done");
+    }
+  }
+  flaky_server.join();
+}
+
 }  // namespace
 }  // namespace elpc::daemon

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <initializer_list>
 #include <string>
 #include <thread>
@@ -594,6 +595,159 @@ TEST(SocketServer, EveryStatsFieldRendersToStatsAndMetrics) {
   }
   EXPECT_GT(keyed, 0u);
   EXPECT_GT(exported, 0u);
+}
+
+/// `count` small jobs with distinct ids and pipelines — more than one
+/// pipelined window's worth when count > kPipelineWindow.
+std::vector<service::SolveJob> many_jobs(const std::string& prefix,
+                                         std::size_t count) {
+  std::vector<service::SolveJob> jobs;
+  for (std::size_t i = 0; i < count; ++i) {
+    jobs.push_back(make_job(prefix + std::to_string(i), 300 + i,
+                            i % 2 == 0 ? service::Objective::kMinDelay
+                                       : service::Objective::kMaxFrameRate));
+  }
+  return jobs;
+}
+
+/// submit_all + wait_all across several windows: tickets come back one
+/// per job in job order, statuses in ticket order, and every result is
+/// byte-identical to the direct engine's — over Unix with v1 and over
+/// TCP with v2 (where each result crosses as a binary table).
+TEST(SocketServer, PipelinedHelpersWrapTheWindowOnBothTransports) {
+  SocketServerOptions options;
+  options.threads = 2;
+  options.tcp = true;
+  options.tcp_host = "127.0.0.1";
+  options.tcp_port = 0;
+  SocketServer server(socket_path("pipe"), options);
+  std::thread serve_thread([&server]() { server.serve(); });
+  ASSERT_GT(server.tcp_port(), 0);
+
+  const std::vector<service::SolveJob> jobs =
+      many_jobs("pipe", 2 * kPipelineWindow + 22);
+  service::BatchEngine direct;
+  direct.register_network("net", make_network(3));
+  const std::vector<service::SolveResult> expected = direct.solve(jobs);
+
+  DaemonClientOptions v1_options;
+  v1_options.protocol = ProtocolPreference::kV1;
+  DaemonClient unix_v1(server.socket_path(), v1_options);
+  unix_v1.register_network("net", make_network(3));
+  DaemonClientOptions v2_options;
+  v2_options.protocol = ProtocolPreference::kV2;
+  DaemonClient tcp_v2(DaemonEndpoint::tcp_at("127.0.0.1", server.tcp_port()),
+                      v2_options);
+  ASSERT_EQ(tcp_v2.protocol_version(), 2);
+
+  for (DaemonClient* client : {&unix_v1, &tcp_v2}) {
+    const std::vector<Ticket> tickets = client->submit_all(jobs);
+    ASSERT_EQ(tickets.size(), jobs.size());
+    const std::vector<JobStatusView> statuses = client->wait_all(tickets);
+    ASSERT_EQ(statuses.size(), tickets.size());
+    for (std::size_t i = 0; i < statuses.size(); ++i) {
+      EXPECT_EQ(statuses[i].ticket, tickets[i]);
+      ASSERT_TRUE(statuses[i].terminal()) << jobs[i].id;
+      EXPECT_EQ(service::result_entry_to_json(*statuses[i].result).dump(),
+                service::result_entry_to_json(expected[i]).dump())
+          << jobs[i].id << " over v" << client->protocol_version();
+    }
+  }
+
+  unix_v1.shutdown_server();
+  serve_thread.join();
+}
+
+/// With dispatch paused and one job per batch, the later-submitted,
+/// higher-priority jobs finish first, so the out-of-band wait answers
+/// arrive out of ticket order; wait_all still returns ticket order.
+TEST(SocketServer, WaitAllReturnsTicketOrderWhateverTheCompletionOrder) {
+  SocketServerOptions options;
+  options.threads = 1;
+  options.max_batch = 1;
+  options.start_paused = true;
+  SocketServer server(socket_path("order"), options);
+  std::thread serve_thread([&server]() { server.serve(); });
+
+  DaemonClient client(server.socket_path());
+  client.register_network("net", make_network(3));
+  const std::vector<service::SolveJob> jobs = many_jobs("order", 6);
+  const std::span<const service::SolveJob> all(jobs);
+  std::vector<Ticket> tickets = client.submit_all(all.first(3), 0);
+  for (const Ticket t : client.submit_all(all.last(3), 5)) {
+    tickets.push_back(t);
+  }
+
+  std::vector<JobStatusView> statuses;
+  std::thread waiter([&client, &tickets, &statuses]() {
+    statuses = client.wait_all(tickets);
+  });
+  // Give the waits time to park before dispatch opens; were they late,
+  // they would answer in request order and the test would merely pass.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  DaemonClient other(server.socket_path());
+  other.resume();
+  waiter.join();
+
+  ASSERT_EQ(statuses.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(statuses[i].ticket, tickets[i]);
+    ASSERT_TRUE(statuses[i].terminal());
+    EXPECT_EQ(statuses[i].result->job_id, jobs[i].id);
+    EXPECT_EQ(statuses[i].priority, i < 3 ? 0 : 5);
+  }
+
+  other.shutdown_server();
+  serve_thread.join();
+}
+
+/// A job the daemon rejects mid-window (source 2^53) throws DaemonError
+/// after the rest of the window is read: the same client's next request
+/// gets its own answer, and no frame left after the rejection was seen.
+TEST(SocketServer, SubmitAllRejectionMidWindowLeavesTheConnectionInSync) {
+  SocketServerOptions options;
+  options.start_paused = true;  // nothing finishes; counts stay exact
+  SocketServer server(socket_path("reject"), options);
+  std::thread serve_thread([&server]() { server.serve(); });
+
+  DaemonClient client(server.socket_path());
+  client.register_network("net", make_network(3));
+  std::vector<service::SolveJob> jobs = many_jobs("rej", 3 * kPipelineWindow);
+  const std::size_t bad = kPipelineWindow + 5;
+  // A negative node id is refused at the wire, not wrapped into a
+  // huge NodeId (the typed job cannot even hold -1; a raw frame can).
+  util::Json raw = util::JsonObject{};
+  raw.set("verb", "submit");
+  util::Json job_json = service::to_json(jobs[bad]);
+  job_json.set("source", -1);
+  raw.set("job", job_json);
+  const util::Json refused = client.request(raw);
+  EXPECT_FALSE(refused.at("ok").as_bool());
+  EXPECT_EQ(refused.at("error").as_string(),
+            "'source' must be a node id in [0, 2^53), got -1");
+
+  jobs[bad].source =  // 2^53: refused too
+      static_cast<graph::NodeId>(graph::kMaxWireNodeId) + 1;
+  const std::int64_t accepted =
+      client.stats().at("connections_accepted").as_int();
+  try {
+    (void)client.submit_all(jobs);
+    ADD_FAILURE() << "a rejected job did not throw";
+  } catch (const DaemonError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "'source' must be a node id in [0, 2^53), got "
+              "9007199254740992");
+  }
+  // Same connection: the window was drained, not abandoned.
+  const StatsView stats = client.stats_view();
+  EXPECT_EQ(stats.raw.at("connections_accepted").as_int(), accepted);
+  EXPECT_GE(stats.submitted, static_cast<std::int64_t>(bad));
+  EXPECT_LE(stats.submitted,
+            static_cast<std::int64_t>(bad + kPipelineWindow - 1));
+  EXPECT_EQ(stats.queued, stats.submitted);
+
+  client.shutdown_server();
+  serve_thread.join();
 }
 
 /// A client demanding v2 from a server that cannot speak it must fail

@@ -312,6 +312,67 @@ TEST(Cli, ServeAndClientLoadMatchBatchByteForByte) {
   EXPECT_EQ(loaded.out, batch.out);
 }
 
+/// examples/batch_jobs.json with its jobs repeated `copies` times under
+/// renamed ids ("<id>-r<copy>"): a bulk file that fills the client's
+/// pipelined window several times over.
+void write_repeated_example_jobs(const std::string& path,
+                                 std::size_t copies) {
+  const util::Json example = util::Json::parse(
+      util::read_text_file(std::string(ELPC_EXAMPLES_DIR) +
+                           "/batch_jobs.json"));
+  util::JsonArray jobs;
+  for (std::size_t copy = 0; copy < copies; ++copy) {
+    for (const util::Json& job : example.at("jobs").as_array()) {
+      util::Json renamed = job;
+      renamed.set("id",
+                  job.at("id").as_string() + "-r" + std::to_string(copy));
+      jobs.push_back(std::move(renamed));
+    }
+  }
+  util::Json doc = example;
+  doc.set("jobs", util::Json(std::move(jobs)));
+  util::write_text_file(path, doc.dump(2));
+}
+
+/// A 310-job load wraps the client's pipelined submit and wait windows;
+/// it must still print what `elpc batch` prints, byte for byte, both
+/// when it registers the networks and when it reuses them.
+TEST(Cli, PipelinedClientLoadOfABulkFileMatchesBatch) {
+  TempFile jobs("daemon_bulk_jobs.json");
+  write_repeated_example_jobs(jobs.path(), 31);
+  const std::string socket = ::testing::TempDir() + "/elpc_cli_bulk.sock";
+
+  CliRun served;
+  std::thread server([&served, &socket]() {
+    served = run({"serve", "--socket", socket, "--threads", "2"});
+  });
+  CliRun ping;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    ping = run({"client", "stats", "--socket", socket});
+    if (ping.code == 0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(ping.code, 0) << ping.err;
+  const CliRun first = run({"client", "load", "--socket", socket, "--jobs",
+                            jobs.path(), "--wait"});
+  const CliRun again = run({"client", "load", "--socket", socket, "--jobs",
+                            jobs.path(), "--wait", "--no-register"});
+  const CliRun down = run({"client", "shutdown", "--socket", socket});
+  EXPECT_EQ(down.code, 0) << down.err;
+  server.join();
+  ASSERT_EQ(first.code, 0) << first.err;
+  ASSERT_EQ(again.code, 0) << again.err;
+
+  const CliRun batch = run({"batch", "--jobs", jobs.path()});
+  ASSERT_EQ(batch.code, 0) << batch.err;
+  EXPECT_EQ(util::Json::parse(batch.out).at("results").as_array().size(),
+            310u);
+  EXPECT_EQ(first.out, batch.out);
+  EXPECT_EQ(again.out, batch.out);
+}
+
 TEST(FileIo, RoundTrip) {
   TempFile file("file_io.txt");
   util::write_text_file(file.path(), "hello\nworld");

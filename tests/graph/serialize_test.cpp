@@ -46,6 +46,19 @@ TEST(GraphJson, MalformedDocumentThrows) {
                std::invalid_argument);
 }
 
+TEST(GraphJson, NegativeLinkEndpointIsRejectedNotWrapped) {
+  const util::Json doc = util::Json::parse(
+      R"({"nodes":[{"name":"a","power":1},{"name":"b","power":1}],)"
+      R"("links":[{"from":0,"to":-1,"bandwidth_mbps":1,"min_delay_s":0}]})");
+  try {
+    (void)network_from_json(doc);
+    ADD_FAILURE() << "a link to node -1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "'to' must be a node id in [0, 2^53), got -1");
+  }
+}
+
 TEST(AdjacencyMatrix, MatchesTopology) {
   Network net;
   for (int i = 0; i < 3; ++i) {

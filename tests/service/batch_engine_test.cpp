@@ -332,6 +332,47 @@ TEST(BatchSerialize, RepeatsOutsideTheBoundRejected) {
   }
 }
 
+/// Node ids are range-checked where they enter: -1 must not wrap into
+/// a huge NodeId, and 2^53 is past the integers a JSON number names
+/// exactly.  The message names the field and the value as sent.
+TEST(BatchSerialize, NodeIdsOutsideTheWireRangeRejected) {
+  SolveJob job;
+  job.id = "n";
+  job.network = "n";
+  job.pipeline = make_pipeline(3, 3);
+  job.source = 0;
+  job.destination = 1;
+  const util::Json doc = to_json(job);
+  const double two_53 = 9007199254740992.0;
+  for (const char* field : {"source", "destination"}) {
+    util::Json edge = doc;
+    edge.set(field, two_53 - 1);
+    EXPECT_NO_THROW((void)job_from_json(edge)) << field;
+    for (const double id : {-1.0, two_53}) {
+      util::Json bad = doc;
+      bad.set(field, id);
+      try {
+        (void)job_from_json(bad);
+        ADD_FAILURE() << field << "=" << id << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "'" + std::string(field) +
+                      "' must be a node id in [0, 2^53), got " +
+                      util::Json(id).dump());
+      }
+    }
+  }
+
+  util::Json update = to_json(graph::LinkUpdate{0, 1, {10.0, 0.0}});
+  update.set("to", -1);
+  EXPECT_THROW((void)link_update_from_json(update), std::invalid_argument);
+
+  util::Json entry = util::Json::parse(
+      R"({"job":"j","network":"n","revision":0,"algorithm":"ELPC",)"
+      R"("objective":"delay","feasible":true,"mapping":[0,-1]})");
+  EXPECT_THROW((void)result_entry_from_json(entry), std::invalid_argument);
+}
+
 TEST(BatchSerialize, ObjectiveDependentCostDefaults) {
   SolveJob job;
   job.id = "j";

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace elpc::util {
 namespace {
 
@@ -152,6 +158,65 @@ TEST(JsonDump, IntegersPrintWithoutDecimalPoint) {
 
 TEST(JsonDump, StringsAreEscaped) {
   EXPECT_EQ(Json("a\"b\n").dump(), "\"a\\\"b\\n\"");
+}
+
+/// The number bytes and bit patterns are pinned: "%lld" for integral
+/// values below 1e15, "%.17g" otherwise, and correctly rounded parsing
+/// that round-trips every finite double.
+struct PinnedNumber {
+  double value;
+  const char* dumped;
+};
+
+const PinnedNumber kPinnedNumbers[] = {
+    {0.1, "0.10000000000000001"},
+    {-0.0, "0"},
+    {1e15 - 1, "999999999999999"},
+    {1e15, "1000000000000000"},
+    {1e15 + 1, "1000000000000001"},
+    {9007199254740992.0, "9007199254740992"},  // 2^53
+    {DBL_MIN, "2.2250738585072014e-308"},
+    {std::numeric_limits<double>::denorm_min(), "4.9406564584124654e-324"},
+    {DBL_MAX, "1.7976931348623157e+308"},
+};
+
+TEST(JsonNumbers, DumpBytesArePinned) {
+  for (const PinnedNumber& n : kPinnedNumbers) {
+    EXPECT_EQ(Json(n.value).dump(), n.dumped) << n.dumped;
+  }
+}
+
+TEST(JsonNumbers, ParseBitPatternsArePinned) {
+  for (const PinnedNumber& n : kPinnedNumbers) {
+    // -0.0 dumps as the integer 0, so it parses back as +0.0.
+    const double expected = n.value == 0.0 ? 0.0 : n.value;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(Json::parse(n.dumped).as_number()),
+              std::bit_cast<std::uint64_t>(expected))
+        << n.dumped;
+  }
+}
+
+TEST(JsonNumbers, OutOfRangeMagnitudesSaturate) {
+  const Json huge = Json::parse("1e400");
+  EXPECT_EQ(huge.as_number(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(huge.dump(), "null");
+  EXPECT_EQ(Json::parse("-1e400").as_number(),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(Json::parse("1e-400").as_number()),
+            std::uint64_t{0});
+}
+
+TEST(JsonNumbers, RejectedTokensKeepTheirMessages) {
+  for (const char* token : {"1e", "-", "1.2.3"}) {
+    try {
+      (void)Json::parse(token);
+      ADD_FAILURE() << token << " parsed";
+    } catch (const JsonError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("JSON parse error at offset 0: invalid number '") +
+                    token + "'");
+    }
+  }
 }
 
 TEST(JsonRoundTrip, ParseDumpParseIsIdentity) {
