@@ -59,7 +59,10 @@ util::Json JobStatusView::to_json() const {
   return frame;
 }
 
-JobStatusView JobStatusView::from_json(const util::Json& frame) {
+namespace {
+
+/// Every status field but the result.
+JobStatusView status_fields(const util::Json& frame) {
   JobStatusView view;
   view.ticket = static_cast<Ticket>(frame.at("ticket").as_int());
   view.state = frame.at("state").as_string();
@@ -70,6 +73,13 @@ JobStatusView JobStatusView::from_json(const util::Json& frame) {
   if (const util::Json* dying = frame.find("shutting_down")) {
     view.shutting_down = dying->as_bool();
   }
+  return view;
+}
+
+}  // namespace
+
+JobStatusView JobStatusView::from_json(const util::Json& frame) {
+  JobStatusView view = status_fields(frame);
   if (const util::Json* result = frame.find("result")) {
     view.result = service::result_entry_from_json(*result);
   }
@@ -170,24 +180,20 @@ void DaemonClient::connect_socket() {
   }
 }
 
-util::Json DaemonClient::recv_response() {
+DaemonClient::Received DaemonClient::recv_frame() {
   const std::optional<std::string> line = socket_.recv_line();
   if (!line.has_value()) {
     throw util::SocketError("daemon closed the connection mid-request");
   }
-  util::Json response = util::Json::parse(*line);
-  const util::Json* marker = response.find("payload");
+  Received received{util::Json::parse(*line), {}, {}};
+  const util::Json* marker = received.frame.find("payload");
   if (hello_.version < 2 || marker == nullptr || !marker->is_string()) {
-    return response;
+    return received;
   }
-  // v2 control line announcing an adjacent binary frame: read it,
-  // decode the result table, and reinflate the response into the v1
-  // JSON shape — raw-frame callers never see a protocol difference
-  // (and the reinflated bytes are identical: %.17g doubles round-trip,
-  // the binary f64s are bit-exact).
-  const std::string where = marker->as_string();
+  // v2 control line announcing an adjacent binary frame: read it and
+  // decode the result table.
+  std::string where = marker->as_string();
   const std::string header_bytes = socket_.recv_bytes(wire::kHeaderBytes);
-  std::vector<service::SolveResult> results;
   try {
     const std::optional<wire::FrameHeader> header =
         wire::parse_header(header_bytes);
@@ -197,7 +203,7 @@ util::Json DaemonClient::recv_response() {
           "unexpected binary response frame type " +
           std::to_string(static_cast<int>(header->type)));
     }
-    results = wire::decode_result_table(payload);
+    received.results = wire::decode_result_table(payload);
   } catch (const wire::WireFormatError& e) {
     // A malformed payload is a server-side defect, not a transient
     // transport fault — close (the stream position is unknown) but
@@ -206,30 +212,37 @@ util::Json DaemonClient::recv_response() {
     throw DaemonError(std::string("malformed v2 binary payload: ") +
                       e.what());
   }
-  util::JsonObject reinflated = response.as_object();
-  reinflated.erase("payload");
-  if (where == "result") {
-    if (results.size() != 1) {
-      socket_.close();
-      throw DaemonError("v2 result payload carried " +
-                        std::to_string(results.size()) +
-                        " entries where exactly 1 was announced");
-    }
-    reinflated.insert_or_assign(
-        "result", service::result_entry_to_json(results.front()));
-  } else if (where == "results") {
-    util::JsonArray entries;
-    entries.reserve(results.size());
-    for (const service::SolveResult& r : results) {
-      entries.push_back(service::result_entry_to_json(r));
-    }
-    reinflated.insert_or_assign("results",
-                                util::Json(std::move(entries)));
-  } else {
+  if (where == "result" && received.results.size() != 1) {
+    socket_.close();
+    throw DaemonError("v2 result payload carried " +
+                      std::to_string(received.results.size()) +
+                      " entries where exactly 1 was announced");
+  }
+  if (where != "result" && where != "results") {
     socket_.close();
     throw DaemonError("unknown v2 payload marker '" + where + "'");
   }
-  return util::Json(std::move(reinflated));
+  received.frame.erase("payload");
+  received.payload_field = std::move(where);
+  return received;
+}
+
+util::Json DaemonClient::recv_response() {
+  // The reinflated bytes equal the v1 frame's: %.17g doubles
+  // round-trip, and the binary f64s are bit-exact.
+  Received received = recv_frame();
+  if (received.payload_field == "result") {
+    received.frame.set("result",
+                       service::result_entry_to_json(received.results.front()));
+  } else if (received.payload_field == "results") {
+    util::JsonArray entries;
+    entries.reserve(received.results.size());
+    for (const service::SolveResult& r : received.results) {
+      entries.push_back(service::result_entry_to_json(r));
+    }
+    received.frame.set("results", util::Json(std::move(entries)));
+  }
+  return std::move(received.frame);
 }
 
 util::Json DaemonClient::request(const util::Json& frame) {
@@ -412,11 +425,20 @@ std::vector<JobStatusView> DaemonClient::wait_all(
         }
         // Wait answers are out of band: they arrive in completion order
         // and are matched to their request by ticket.
-        const util::Json response = recv_response();
+        // A v2 result table goes straight into the view; only a v1
+        // answer decodes its result from JSON.
+        Received received = recv_frame();
+        const util::Json& response = received.frame;
         if (!response.at("ok").as_bool()) {
           throw DaemonError(response.at("error").as_string());
         }
-        JobStatusView view = JobStatusView::from_json(response);
+        JobStatusView view;
+        if (received.payload_field == "result") {
+          view = status_fields(response);
+          view.result = std::move(received.results.front());
+        } else {
+          view = JobStatusView::from_json(response);
+        }
         const auto match = std::find_if(
             in_flight.begin(), in_flight.end(),
             [&view](const auto& entry) { return entry.first == view.ticket; });
@@ -475,18 +497,18 @@ std::vector<service::SolveResult> DaemonClient::resolve_link_updates(
       if (!socket_.valid()) {
         connect_socket();
       }
-      util::Json response;
+      Received received;
       if (hello_.version >= 2) {
         // The bulk data plane: the request leaves as one binary
         // link-update table frame, the response comes back as a control
-        // line plus a binary result table (recv_response reinflates).
+        // line plus a binary result table.
         const std::string table =
             wire::encode_link_update_table(network, updates);
         socket_.send_bytes(wire::encode_header(
             wire::FrameType::kLinkUpdateTable, 0,
             static_cast<std::uint32_t>(table.size())));
         socket_.send_bytes(table);
-        response = recv_response();
+        received = recv_frame();
       } else {
         // The connection of the moment speaks v1 (preference kV1, or a
         // fallback after reconnect): same verb as the raw helper.
@@ -495,10 +517,14 @@ std::vector<service::SolveResult> DaemonClient::resolve_link_updates(
         frame.set("updates", service::link_updates_to_json(updates));
         stamp_trace(frame);
         socket_.send_line(frame.dump());
-        response = recv_response();
+        received = recv_frame();
       }
+      const util::Json& response = received.frame;
       if (!response.at("ok").as_bool()) {
         throw DaemonError(response.at("error").as_string());
+      }
+      if (received.payload_field == "results") {
+        return std::move(received.results);
       }
       std::vector<service::SolveResult> results;
       for (const util::Json& entry : response.at("results").as_array()) {

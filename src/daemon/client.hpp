@@ -300,10 +300,22 @@ class DaemonClient {
   /// pinned to v1), and runs the auth handshake when a token is
   /// configured.
   void connect_socket();
+  /// One answer as received: the control frame and, when a v2 control
+  /// line announced a binary result table, the table decoded.  The
+  /// "payload" marker is then removed from `frame` and `payload_field`
+  /// names the member the results stand for ("result" holds exactly
+  /// one entry, "results" any number); otherwise `payload_field` is
+  /// empty.
+  struct Received {
+    util::Json frame;
+    std::string payload_field;
+    std::vector<service::SolveResult> results;
+  };
   /// Receives one response line and, when it carries a v2 "payload"
-  /// marker, the adjacent binary frame — returning the response
-  /// reinflated into its v1 JSON shape, so raw callers never see a
-  /// difference between protocols.
+  /// marker, the adjacent binary frame, decoded once.
+  [[nodiscard]] Received recv_frame();
+  /// recv_frame() reinflated into the v1 JSON shape, so raw callers
+  /// never see a difference between protocols.
   [[nodiscard]] util::Json recv_response();
   /// Sleeps the exponential-backoff-with-jitter step for `attempt` (the
   /// shared tail of every transparent-retry loop).

@@ -26,7 +26,7 @@ constexpr std::size_t kRecvBudgetBytes = 256u << 10;
 /// without more input: a complete text line, a complete binary frame,
 /// a malformed binary header, or a binary frame whose declared length
 /// already exceeds the cap (rejected without buffering it).
-bool has_actionable_frame(const std::string& buf,
+bool has_actionable_frame(std::string_view buf,
                           std::size_t max_line_bytes) {
   if (buf.empty()) {
     return false;
@@ -43,7 +43,7 @@ bool has_actionable_frame(const std::string& buf,
       return true;  // malformed magic/flags: actionable as an error
     }
   }
-  return buf.find('\n') != std::string::npos;
+  return buf.find('\n') != std::string_view::npos;
 }
 
 }  // namespace
@@ -379,6 +379,7 @@ void ConnectionMux::frame_violation(Worker& worker,
   // one error frame (best effort), then close — the stream can never
   // re-sync to a frame boundary.
   conn->read_buffer_.clear();
+  conn->read_offset_ = 0;
   conn->reading_paused_ = true;
   const std::uint32_t interest =
       conn->epollout_armed_ ? util::Poller::kWritable : 0;
@@ -399,8 +400,11 @@ void ConnectionMux::process_frames(Worker& worker,
                                    bool drain_all) {
   conn->in_ready_ = false;
   std::size_t handled = 0;
+  const auto unread = [&conn] {
+    return std::string_view(conn->read_buffer_).substr(conn->read_offset_);
+  };
   while (drain_all || handled < options_.max_frames_per_wake) {
-    std::string& buf = conn->read_buffer_;
+    const std::string_view buf = unread();
     if (buf.empty()) {
       break;
     }
@@ -436,19 +440,19 @@ void ConnectionMux::process_frames(Worker& worker,
                         "binary frame on a text-only endpoint");
         return;
       }
+      // Consumed before the handler runs; the view stays valid because
+      // only a read (never a handler) appends to the buffer.
+      conn->read_offset_ += total;
       callbacks_.on_binary_frame(
-          conn, *header,
-          std::string_view(buf.data() + wire::kHeaderBytes, header->length));
-      buf.erase(0, total);
+          conn, *header, buf.substr(wire::kHeaderBytes, header->length));
     } else {
       const std::size_t newline = buf.find('\n');
-      if (newline == std::string::npos) {
+      if (newline == std::string_view::npos) {
         break;
       }
-      std::string line = buf.substr(0, newline);
-      buf.erase(0, newline + 1);
+      conn->read_offset_ += newline + 1;
       if (callbacks_.on_frame) {
-        callbacks_.on_frame(conn, line);
+        callbacks_.on_frame(conn, buf.substr(0, newline));
       }
     }
     ++handled;
@@ -459,7 +463,8 @@ void ConnectionMux::process_frames(Worker& worker,
       }
     }
   }
-  if (has_actionable_frame(conn->read_buffer_, options_.max_line_bytes)) {
+  const std::string_view rest = unread();
+  if (has_actionable_frame(rest, options_.max_line_bytes)) {
     // More complete frames buffered: rotate to the back of the ready
     // ring instead of hogging this pass (round-robin fairness).
     if (!conn->in_ready_) {
@@ -468,18 +473,16 @@ void ConnectionMux::process_frames(Worker& worker,
     }
     return;
   }
-  if (!conn->read_buffer_.empty() &&
-      !wire::is_frame_start(
-          static_cast<unsigned char>(conn->read_buffer_[0])) &&
-      conn->read_buffer_.size() > options_.max_line_bytes) {
+  if (!rest.empty() &&
+      !wire::is_frame_start(static_cast<unsigned char>(rest[0])) &&
+      rest.size() > options_.max_line_bytes) {
     // Over-cap unterminated TEXT tail (binary declared lengths were
     // already bounded at header parse above).
     frame_violation(worker, conn,
                     "frame exceeds " +
                         std::to_string(options_.max_line_bytes) +
                         " bytes with no terminator (" +
-                        std::to_string(conn->read_buffer_.size()) +
-                        " buffered)");
+                        std::to_string(rest.size()) + " buffered)");
   }
 }
 
@@ -488,6 +491,9 @@ void ConnectionMux::handle_readable(Worker& worker,
   if (conn->reading_paused_) {
     return;
   }
+  // Drop what earlier passes consumed: one compaction per read.
+  conn->read_buffer_.erase(0, conn->read_offset_);
+  conn->read_offset_ = 0;
   switch (conn->socket_.recv_available(conn->read_buffer_, kRecvBudgetBytes)) {
     case util::StreamSocket::IoStatus::kOk:
       process_frames(worker, conn, /*drain_all=*/false);

@@ -104,7 +104,11 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
 
   // ---- owning-worker-only state (no locks) ----
   util::StreamSocket socket_;
+  /// Received bytes; [read_offset_, size) are not yet consumed.  Frames
+  /// are consumed by advancing the offset, and the consumed prefix is
+  /// dropped once per read instead of once per frame.
   std::string read_buffer_;
+  std::size_t read_offset_ = 0;
   /// Set after a frame-cap violation: the stream cannot re-sync, so the
   /// worker stops extracting (and polling for) input while the error
   /// frame drains.
@@ -149,7 +153,7 @@ struct MuxOptions {
 struct MuxCallbacks {
   /// One complete frame (terminator stripped), on the owning worker.
   std::function<void(const std::shared_ptr<MuxConnection>&,
-                     const std::string& line)>
+                     std::string_view line)>
       on_frame;
   /// One complete binary frame (header already parsed and validated),
   /// on the owning worker.  Null = the owner speaks no binary protocol:

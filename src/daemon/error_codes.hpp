@@ -31,5 +31,8 @@ inline constexpr const char* kProtocol = "protocol";
 /// `hello` found no overlap between the client's and the server's
 /// supported version ranges.  The connection stays open at v1.
 inline constexpr const char* kVersionMismatch = "version_mismatch";
+/// `register_network` named an id already registered with different
+/// content (the same content again is a no-op, answered ok).
+inline constexpr const char* kConflict = "conflict";
 
 }  // namespace elpc::daemon::codes

@@ -155,7 +155,7 @@ SocketServer::SocketServer(std::string socket_path,
   mux_options.max_write_queue_bytes = options_.max_write_queue_bytes;
   MuxCallbacks callbacks;
   callbacks.on_frame = [this](const std::shared_ptr<MuxConnection>& conn,
-                              const std::string& line) {
+                              std::string_view line) {
     on_frame(conn, line);
   };
   callbacks.on_binary_frame =
@@ -234,7 +234,7 @@ SocketServer::ConnCtx SocketServer::context(
 }
 
 void SocketServer::on_frame(const std::shared_ptr<MuxConnection>& conn,
-                            const std::string& line) {
+                            std::string_view line) {
   ConnCtx ctx = context(conn, line.size());
   util::Json request;
   try {
@@ -479,9 +479,13 @@ SocketServer::Answer SocketServer::verb_hello(const util::Json& request,
 
 SocketServer::Answer SocketServer::verb_register_network(
     const util::Json& request, ConnCtx& /*ctx*/) {
-  (void)engine_->register_network(
-      request.at("id").as_string(),
-      graph::network_from_json(request.at("network")));
+  try {
+    (void)engine_->register_network(
+        request.at("id").as_string(),
+        graph::network_from_json(request.at("network")));
+  } catch (const service::NetworkConflict& e) {
+    return error_response(e.what(), codes::kConflict);
+  }
   return ok_response();
 }
 

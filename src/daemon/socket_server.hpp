@@ -282,7 +282,7 @@ class SocketServer {
   /// The mux callbacks: one JSON-line request, one v2 binary request
   /// (decoded by the apply_link_updates handler).
   void on_frame(const std::shared_ptr<MuxConnection>& conn,
-                const std::string& line);
+                std::string_view line);
   void on_binary_frame(const std::shared_ptr<MuxConnection>& conn,
                        const wire::FrameHeader& header,
                        std::string_view payload);

@@ -96,6 +96,31 @@ void Network::update_link(NodeId from, NodeId to, const LinkAttr& attr) {
   ++version_;
 }
 
+bool Network::same_content(const Network& other) const {
+  if (node_count() != other.node_count() ||
+      link_count() != other.link_count()) {
+    return false;
+  }
+  const auto same_edge = [](const Edge& a, const Edge& b) {
+    return a.to == b.to && a.attr.bandwidth_mbps == b.attr.bandwidth_mbps &&
+           a.attr.min_delay_s == b.attr.min_delay_s;
+  };
+  for (NodeId v = 0; v < node_count(); ++v) {
+    if (nodes_[v].name != other.nodes_[v].name ||
+        nodes_[v].processing_power != other.nodes_[v].processing_power) {
+      return false;
+    }
+    // Out-edge rows are sorted by target, so insertion order drops out.
+    const std::span<const Edge> mine = out_edges(v);
+    const std::span<const Edge> theirs = other.out_edges(v);
+    if (!std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                    same_edge)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void Network::apply_link_updates(std::span<const LinkUpdate> updates) {
   // Validate the whole batch before touching anything: update_link
   // commits immediately, and a mid-batch throw must not leave the

@@ -115,6 +115,11 @@ class Network {
   /// leaving the network half-refreshed.
   void apply_link_updates(std::span<const LinkUpdate> updates);
 
+  /// True when both networks have the same nodes (names and powers, by
+  /// id) and the same links with the same attributes, whatever order the
+  /// links were added in.  Finalizes both (lazily, like any query).
+  [[nodiscard]] bool same_content(const Network& other) const;
+
   /// Builds the CSR adjacency view.  Idempotent and cheap when already
   /// built; called lazily by the adjacency accessors.  Must be invoked
   /// (directly or via any query) before the Network is shared across

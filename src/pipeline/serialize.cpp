@@ -4,12 +4,12 @@ namespace elpc::pipeline {
 
 util::Json to_json(const Pipeline& pipeline) {
   util::JsonArray modules;
+  modules.reserve(pipeline.modules().size());
   for (const ModuleSpec& m : pipeline.modules()) {
-    util::Json node;
-    node.set("name", m.name);
-    node.set("complexity", m.complexity);
-    node.set("output_mb", m.output_mb);
-    modules.push_back(std::move(node));
+    // Members in key order: one allocation, no sort.
+    modules.emplace_back(util::JsonObject({{"complexity", m.complexity},
+                                           {"name", m.name},
+                                           {"output_mb", m.output_mb}}));
   }
   util::Json doc;
   doc.set("modules", util::Json(std::move(modules)));

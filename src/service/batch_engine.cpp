@@ -104,17 +104,34 @@ util::Histogram& BatchEngine::solve_histogram(const std::string& family,
 
 NetworkSession& BatchEngine::register_network(std::string id,
                                               graph::Network network) {
+  const auto same_or_conflict = [&](NetworkSession& existing,
+                                    const graph::Network& offered)
+      -> NetworkSession& {
+    if (!existing.snapshot()->same_content(offered)) {
+      throw NetworkConflict("BatchEngine: network '" + existing.id() +
+                            "' already registered with different content");
+    }
+    return existing;
+  };
+  if (NetworkSession* existing = find_session(id)) {
+    return same_or_conflict(*existing, network);
+  }
   auto session = std::make_unique<NetworkSession>(
       id, std::move(network), options_.session_history_bytes,
       options_.revision_lease_ms);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] =
-      sessions_.emplace(std::move(id), std::move(session));
-  if (!inserted) {
-    throw std::invalid_argument("BatchEngine: network '" + it->first +
-                                "' already registered");
+  NetworkSession* winner = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // try_emplace leaves `session` alone when the id is taken.
+    const auto [it, inserted] = sessions_.try_emplace(std::move(id));
+    if (inserted) {
+      it->second = std::move(session);
+      return *it->second;
+    }
+    winner = it->second.get();
   }
-  return *it->second;
+  // A concurrent registration of the same id got in first.
+  return same_or_conflict(*winner, *session->snapshot());
 }
 
 NetworkSession* BatchEngine::find_session(const std::string& id) const {

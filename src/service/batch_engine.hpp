@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -290,6 +291,13 @@ struct EngineStats {
   std::uint64_t lease_expirations = 0;
 };
 
+/// register_network found `id` taken by a network with different
+/// content.
+class NetworkConflict : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 class BatchEngine {
  public:
   explicit BatchEngine(BatchEngineOptions options = {});
@@ -297,8 +305,10 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  /// Registers (and finalizes) a network under `id`; throws
-  /// std::invalid_argument on duplicates.
+  /// Registers (and finalizes) a network under `id`.  Registering an
+  /// id again with the same content as its current revision
+  /// (graph::Network::same_content) is a no-op returning the existing
+  /// session; different content throws NetworkConflict.
   NetworkSession& register_network(std::string id, graph::Network network);
 
   [[nodiscard]] bool has_network(const std::string& id) const;

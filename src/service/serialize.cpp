@@ -136,6 +136,7 @@ util::Json result_entry_to_json(const SolveResult& r, bool include_timing) {
       entry.set("frame_rate", r.result.frame_rate());
     }
     util::JsonArray assignment;
+    assignment.reserve(r.result.mapping.assignment().size());
     for (const graph::NodeId v : r.result.mapping.assignment()) {
       assignment.push_back(v);
     }

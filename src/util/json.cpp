@@ -1,9 +1,9 @@
 #include "util/json.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
+#include <iterator>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace elpc::util {
@@ -58,20 +58,108 @@ const JsonObject& Json::as_object() const {
   return std::get<JsonObject>(value_);
 }
 
-const Json& Json::at(const std::string& key) const {
+namespace {
+
+/// First member of the sorted `members` whose key is not less than `key`.
+template <typename Members>
+auto key_lower_bound(Members& members, std::string_view key) {
+  return std::lower_bound(
+      members.begin(), members.end(), key,
+      [](const JsonObject::value_type& member, std::string_view k) {
+        return std::string_view(member.first) < k;
+      });
+}
+
+}  // namespace
+
+JsonObject::JsonObject(std::vector<value_type> members)
+    : members_(std::move(members)) {
+  const auto key_less = [](const value_type& a, const value_type& b) {
+    return a.first < b.first;
+  };
+  const auto key_not_less = [](const value_type& a, const value_type& b) {
+    return !(a.first < b.first);
+  };
+  // Canonical input (every dump() of ours) is already strictly sorted.
+  if (std::adjacent_find(members_.begin(), members_.end(), key_not_less) ==
+      members_.end()) {
+    return;
+  }
+  // Stable, so among equal keys input order survives and the last one
+  // is the value kept.
+  std::stable_sort(members_.begin(), members_.end(), key_less);
+  auto out = members_.begin();
+  for (auto it = members_.begin(); it != members_.end(); ++it) {
+    const auto next = std::next(it);
+    if (next != members_.end() && next->first == it->first) {
+      continue;  // a later duplicate overrides this one
+    }
+    if (out != it) {
+      *out = std::move(*it);
+    }
+    ++out;
+  }
+  members_.erase(out, members_.end());
+}
+
+JsonObject::const_iterator JsonObject::find(std::string_view key) const {
+  const auto it = key_lower_bound(members_, key);
+  return it != members_.end() && it->first == key ? it : members_.end();
+}
+
+Json& JsonObject::operator[](std::string_view key) {
+  const auto it = key_lower_bound(members_, key);
+  if (it != members_.end() && it->first == key) {
+    return it->second;
+  }
+  return members_.emplace(it, std::string(key), Json())->second;
+}
+
+Json& JsonObject::insert_or_assign(std::string_view key, Json value) {
+  // Builders mostly add keys in sorted order: append without a search.
+  if (members_.empty() || std::string_view(members_.back().first) < key) {
+    return members_.emplace_back(std::string(key), std::move(value)).second;
+  }
+  const auto it = key_lower_bound(members_, key);
+  if (it->first == key) {
+    it->second = std::move(value);
+    return it->second;
+  }
+  return members_.emplace(it, std::string(key), std::move(value))->second;
+}
+
+bool JsonObject::emplace(std::string_view key, Json value) {
+  const auto it = key_lower_bound(members_, key);
+  if (it != members_.end() && it->first == key) {
+    return false;
+  }
+  members_.emplace(it, std::string(key), std::move(value));
+  return true;
+}
+
+std::size_t JsonObject::erase(std::string_view key) {
+  const auto it = key_lower_bound(members_, key);
+  if (it == members_.end() || it->first != key) {
+    return 0;
+  }
+  members_.erase(it);
+  return 1;
+}
+
+const Json& Json::at(std::string_view key) const {
   const auto& obj = as_object();
   const auto it = obj.find(key);
   if (it == obj.end()) {
-    throw JsonError("Json: missing key '" + key + "'");
+    throw JsonError("Json: missing key '" + std::string(key) + "'");
   }
   return it->second;
 }
 
-bool Json::contains(const std::string& key) const {
-  return is_object() && as_object().count(key) > 0;
+bool Json::contains(std::string_view key) const {
+  return find(key) != nullptr;
 }
 
-const Json* Json::find(const std::string& key) const {
+const Json* Json::find(std::string_view key) const {
   if (!is_object()) {
     return nullptr;
   }
@@ -80,12 +168,16 @@ const Json* Json::find(const std::string& key) const {
   return it == obj.end() ? nullptr : &it->second;
 }
 
-Json& Json::set(const std::string& key, Json value) {
+Json& Json::set(std::string_view key, Json value) {
   if (!is_object()) {
     value_ = JsonObject{};
   }
-  std::get<JsonObject>(value_)[key] = std::move(value);
+  std::get<JsonObject>(value_).insert_or_assign(key, std::move(value));
   return *this;
+}
+
+std::size_t Json::erase(std::string_view key) {
+  return is_object() ? std::get<JsonObject>(value_).erase(key) : 0;
 }
 
 Json& Json::push_back(Json value) {
@@ -98,27 +190,37 @@ Json& Json::push_back(Json value) {
 
 namespace {
 
-void dump_string(std::string& out, const std::string& s) {
+void dump_string(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char* escape = nullptr;
+    switch (s[i]) {
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '\t': escape = "\\t"; break;
+      case '\r': escape = "\\r"; break;
+      case '\b': escape = "\\b"; break;
+      case '\f': escape = "\\f"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
+        if (static_cast<unsigned char>(s[i]) >= 0x20) {
+          continue;
         }
     }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    if (escape != nullptr) {
+      out += escape;
+    } else {
+      // The other control characters, as printf's "\\u%04x" prints them.
+      static constexpr char kHex[] = "0123456789abcdef";
+      const auto c = static_cast<unsigned char>(s[i]);
+      const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+      out.append(code, sizeof(code));
+    }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
@@ -139,12 +241,50 @@ void dump_number(std::string& out, double d) {
   out.append(buf, r.ptr);
 }
 
+/// Scratch stacks shared by one thread's parses.  The members and
+/// elements of the containers still open collect here; a container
+/// that closes moves its own out into an exact-size vector, so each
+/// container costs one allocation.
+struct ParseScratch {
+  std::vector<JsonObject::value_type> members;
+  std::vector<Json> elements;
+};
+
+/// Entries a thread keeps between parses; past this a parse hands the
+/// scratch memory back, so one large document does not pin its peak.
+constexpr std::size_t kScratchKeep = 256;
+
+template <typename T>
+void release_scratch(std::vector<T>& stack) {
+  stack.clear();
+  if (stack.capacity() > kScratchKeep) {
+    std::vector<T>().swap(stack);
+  }
+}
+
+/// The six characters isspace accepts in the C locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
 /// Recursive-descent JSON parser over a string with a cursor.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  Parser(std::string_view text, ParseScratch& scratch)
+      : text_(text), scratch_(scratch) {}
 
   Json parse_document() {
+    // What a failed parse leaves on the stacks is dropped on the way out.
+    struct Release {
+      ParseScratch& scratch;
+      ~Release() {
+        release_scratch(scratch.members);
+        release_scratch(scratch.elements);
+      }
+    } release{scratch_};
     Json v = parse_value();
     skip_ws();
     if (pos_ != text_.size()) {
@@ -160,8 +300,7 @@ class Parser {
   }
 
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+    while (pos_ < text_.size() && is_space(text_[pos_])) {
       ++pos_;
     }
   }
@@ -186,13 +325,9 @@ class Parser {
     }
   }
 
-  bool consume_literal(const char* lit) {
-    std::size_t len = 0;
-    while (lit[len] != '\0') {
-      ++len;
-    }
-    if (text_.compare(pos_, len, lit) == 0) {
-      pos_ += len;
+  bool consume_literal(std::string_view lit) {
+    if (text_.substr(pos_, lit.size()) == lit) {
+      pos_ += lit.size();
       return true;
     }
     return false;
@@ -228,20 +363,33 @@ class Parser {
     }
   }
 
+  /// Moves stack[base, end) out into an exact-size vector.
+  template <typename T>
+  static std::vector<T> pop_from(std::vector<T>& stack, std::size_t base) {
+    const auto first = stack.begin() + static_cast<std::ptrdiff_t>(base);
+    std::vector<T> out(std::make_move_iterator(first),
+                       std::make_move_iterator(stack.end()));
+    stack.erase(first, stack.end());
+    return out;
+  }
+
   Json parse_object() {
     expect('{');
-    JsonObject obj;
     skip_ws();
     if (peek() == '}') {
       take();
-      return Json(std::move(obj));
+      return Json(JsonObject{});
     }
+    std::vector<JsonObject::value_type>& stack = scratch_.members;
+    const std::size_t base = stack.size();
     while (true) {
       skip_ws();
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj[std::move(key)] = parse_value();
+      // Parsed before the push: nested containers use the same stack.
+      Json value = parse_value();
+      stack.emplace_back(std::move(key), std::move(value));
       skip_ws();
       const char c = take();
       if (c == '}') {
@@ -252,19 +400,22 @@ class Parser {
         fail("expected ',' or '}' in object");
       }
     }
-    return Json(std::move(obj));
+    // Sorts and drops earlier duplicates only when out of order.
+    return Json(JsonObject(pop_from(stack, base)));
   }
 
   Json parse_array() {
     expect('[');
-    JsonArray arr;
     skip_ws();
     if (peek() == ']') {
       take();
-      return Json(std::move(arr));
+      return Json(JsonArray{});
     }
+    std::vector<Json>& stack = scratch_.elements;
+    const std::size_t base = stack.size();
     while (true) {
-      arr.push_back(parse_value());
+      Json element = parse_value();
+      stack.push_back(std::move(element));
       skip_ws();
       const char c = take();
       if (c == ']') {
@@ -275,60 +426,64 @@ class Parser {
         fail("expected ',' or ']' in array");
       }
     }
-    return Json(std::move(arr));
+    return Json(pop_from(stack, base));
   }
 
   std::string parse_string() {
     expect('"');
     std::string out;
     while (true) {
-      const char c = take();
-      if (c == '"') {
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t run_end = pos_;
+      while (run_end < text_.size() && text_[run_end] != '"' &&
+             text_[run_end] != '\\') {
+        ++run_end;
+      }
+      out.append(text_.data() + pos_, run_end - pos_);
+      pos_ = run_end;
+      if (take() == '"') {
         break;
       }
-      if (c == '\\') {
-        const char esc = take();
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = take();
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code += static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code += static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code += static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail("invalid \\u escape");
-              }
-            }
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
+      const char esc = take();
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = take();
+            code <<= 4;
+            if (h >= '0' && h <= '9') {
+              code += static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              code += static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              code += static_cast<unsigned>(h - 'A' + 10);
             } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
+              fail("invalid \\u escape");
             }
-            break;
           }
-          default:
-            fail("invalid escape character");
+          // One BMP code point to UTF-8; surrogate halves are not joined.
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
         }
-      } else {
-        out += c;
+        default:
+          fail("invalid escape character");
       }
     }
     return out;
@@ -340,9 +495,9 @@ class Parser {
       take();
     }
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+           (is_digit(text_[pos_]) || text_[pos_] == '.' ||
+            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
+            text_[pos_] == '-')) {
       ++pos_;
     }
     if (pos_ == start) {
@@ -367,7 +522,8 @@ class Parser {
     return Json(d);
   }
 
-  const std::string& text_;
+  const std::string_view text_;
+  ParseScratch& scratch_;
   std::size_t pos_ = 0;
   int depth_ = 0;  // containers open at pos_
 };
@@ -375,14 +531,11 @@ class Parser {
 }  // namespace
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad =
-      indent > 0 ? std::string(static_cast<std::size_t>(indent * (depth + 1)), ' ')
-                 : std::string();
-  const std::string close_pad =
-      indent > 0 ? std::string(static_cast<std::size_t>(indent * depth), ' ')
-                 : std::string();
-  const char* nl = indent > 0 ? "\n" : "";
-  const char* colon = indent > 0 ? ": " : ":";
+  const bool pretty = indent > 0;
+  const std::size_t pad =
+      pretty ? static_cast<std::size_t>(indent * (depth + 1)) : 0;
+  const std::size_t close_pad =
+      pretty ? static_cast<std::size_t>(indent * depth) : 0;
 
   if (is_null()) {
     out += "null";
@@ -399,16 +552,20 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       return;
     }
     out += '[';
-    out += nl;
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      out += pad;
+      if (pretty) {
+        out += '\n';
+        out.append(pad, ' ');
+      }
       arr[i].dump_to(out, indent, depth + 1);
       if (i + 1 < arr.size()) {
         out += ',';
       }
-      out += nl;
     }
-    out += close_pad;
+    if (pretty) {
+      out += '\n';
+      out.append(close_pad, ' ');
+    }
     out += ']';
   } else {
     const auto& obj = as_object();
@@ -417,19 +574,23 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       return;
     }
     out += '{';
-    out += nl;
     std::size_t i = 0;
     for (const auto& [key, value] : obj) {
-      out += pad;
+      if (pretty) {
+        out += '\n';
+        out.append(pad, ' ');
+      }
       dump_string(out, key);
-      out += colon;
+      out += pretty ? ": " : ":";
       value.dump_to(out, indent, depth + 1);
       if (++i < obj.size()) {
         out += ',';
       }
-      out += nl;
     }
-    out += close_pad;
+    if (pretty) {
+      out += '\n';
+      out.append(close_pad, ' ');
+    }
     out += '}';
   }
 }
@@ -440,8 +601,9 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-Json Json::parse(const std::string& text) {
-  Parser parser(text);
+Json Json::parse(std::string_view text) {
+  thread_local ParseScratch scratch;
+  Parser parser(text, scratch);
   return parser.parse_document();
 }
 

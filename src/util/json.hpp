@@ -3,14 +3,32 @@
 //
 // Used to persist scenarios (pipeline + network + endpoints) and
 // experiment results so that a reproduced table can be diffed across
-// runs.  Supports the full JSON grammar except \u escapes beyond the
-// Basic Latin range (which the library never emits).
+// runs, and for every daemon wire frame.  Supports the full JSON
+// grammar.  A \uXXXX escape is decoded to the UTF-8 bytes of that one
+// BMP code point; a surrogate pair is not joined, so each half becomes
+// its own 3-byte sequence (the library never emits \u escapes above
+// U+001F).
+//
+// Objects are flat: one vector of (key, value) members kept sorted by
+// key, in std::string's operator< order (unsigned bytes), so dump()
+// prints keys sorted and output is canonical and diffable.  A vector
+// costs one allocation per object where a node-based map costs one per
+// member.
+//
+// Reference invalidation: a vector-backed object moves its members when
+// it grows or shrinks.  Any Json* or Json& into an object (from find,
+// at, operator[], insert_or_assign, or iteration) is invalidated by the
+// next insert or erase on that same object (set, operator[] of a new
+// key, emplace, insert_or_assign of a new key, erase).  Assigning to an
+// existing key does not invalidate.  Arrays follow std::vector's rules
+// (push_back may invalidate element references).  Re-look the member up
+// after mutating its parent instead of holding the old pointer.
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -19,8 +37,42 @@ namespace elpc::util {
 class Json;
 
 using JsonArray = std::vector<Json>;
-/// std::map keeps object keys sorted, giving canonical, diffable output.
-using JsonObject = std::map<std::string, Json>;
+
+/// A JSON object: members sorted by key, keys unique.  Keeps the subset
+/// of std::map's interface the codebase uses; iteration is const-only,
+/// so keys cannot be edited out of order through an iterator.
+class JsonObject {
+ public:
+  using value_type = std::pair<std::string, Json>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  JsonObject() = default;
+  /// Members in any order; sorted here, and when a key repeats the last
+  /// value wins (what a sequence of obj[key] = value assignments gives).
+  explicit JsonObject(std::vector<value_type> members);
+
+  [[nodiscard]] const_iterator begin() const;
+  [[nodiscard]] const_iterator end() const;
+  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] bool empty() const;
+
+  /// end() when absent.
+  [[nodiscard]] const_iterator find(std::string_view key) const;
+  [[nodiscard]] std::size_t count(std::string_view key) const;
+  /// The member, inserted as null when absent.
+  Json& operator[](std::string_view key);
+  /// Inserts or overwrites; returns the stored value.
+  Json& insert_or_assign(std::string_view key, Json value);
+  /// Inserts only when absent (never overwrites); true when inserted.
+  bool emplace(std::string_view key, Json value);
+  /// Removes the member; the count removed (0 or 1).
+  std::size_t erase(std::string_view key);
+
+  friend bool operator==(const JsonObject& a, const JsonObject& b);
+
+ private:
+  std::vector<value_type> members_;
+};
 
 /// Deepest array/object nesting Json::parse accepts; deeper documents
 /// are rejected with JsonError.  No schema in this codebase nests deeper
@@ -65,24 +117,29 @@ class Json {
   [[nodiscard]] const JsonObject& as_object() const;
 
   /// Object member access; throws JsonError when absent or not an object.
-  [[nodiscard]] const Json& at(const std::string& key) const;
+  [[nodiscard]] const Json& at(std::string_view key) const;
   /// True when this is an object containing `key`.
-  [[nodiscard]] bool contains(const std::string& key) const;
+  [[nodiscard]] bool contains(std::string_view key) const;
   /// Pointer to the member, or nullptr when absent (or not an object) —
   /// single-lookup access to optional fields.
-  [[nodiscard]] const Json* find(const std::string& key) const;
+  [[nodiscard]] const Json* find(std::string_view key) const;
 
-  /// Mutable object/array builders.
-  Json& set(const std::string& key, Json value);
+  /// Mutable object/array builders.  set() overwrites an existing key
+  /// and appends without moving members when `key` sorts last.
+  Json& set(std::string_view key, Json value);
   Json& push_back(Json value);
+  /// Removes an object member; the count removed (0 when absent or not
+  /// an object).
+  std::size_t erase(std::string_view key);
 
   /// Serializes canonically (sorted keys, shortest round-trip numbers).
   /// With `indent > 0`, pretty-prints using that many spaces per level.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
   /// Parses a complete JSON document; trailing non-whitespace, and
-  /// nesting deeper than kMaxJsonDepth, are errors.
-  [[nodiscard]] static Json parse(const std::string& text);
+  /// nesting deeper than kMaxJsonDepth, are errors.  Duplicate object
+  /// keys keep the last value.
+  [[nodiscard]] static Json parse(std::string_view text);
 
   friend bool operator==(const Json& a, const Json& b) {
     return a.value_ == b.value_;
@@ -100,5 +157,21 @@ class Json {
                JsonObject>
       value_;
 };
+
+// JsonObject's inline members need Json complete.
+inline JsonObject::const_iterator JsonObject::begin() const {
+  return members_.begin();
+}
+inline JsonObject::const_iterator JsonObject::end() const {
+  return members_.end();
+}
+inline std::size_t JsonObject::size() const { return members_.size(); }
+inline bool JsonObject::empty() const { return members_.empty(); }
+inline std::size_t JsonObject::count(std::string_view key) const {
+  return find(key) == end() ? 0 : 1;
+}
+inline bool operator==(const JsonObject& a, const JsonObject& b) {
+  return a.members_ == b.members_;
+}
 
 }  // namespace elpc::util

@@ -132,6 +132,7 @@ StreamSocket::~StreamSocket() { close(); }
 StreamSocket::StreamSocket(StreamSocket&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       buffer_(std::move(other.buffer_)),
+      buffer_offset_(std::exchange(other.buffer_offset_, 0)),
       max_line_bytes_(other.max_line_bytes_) {}
 
 StreamSocket& StreamSocket::operator=(StreamSocket&& other) noexcept {
@@ -139,6 +140,7 @@ StreamSocket& StreamSocket::operator=(StreamSocket&& other) noexcept {
     close();
     fd_ = std::exchange(other.fd_, -1);
     buffer_ = std::move(other.buffer_);
+    buffer_offset_ = std::exchange(other.buffer_offset_, 0);
     max_line_bytes_ = other.max_line_bytes_;
   }
   return *this;
@@ -240,13 +242,19 @@ void StreamSocket::send_bytes(const std::string& bytes) {
   }
 }
 
+void StreamSocket::compact_buffer() {
+  buffer_.erase(0, buffer_offset_);
+  buffer_offset_ = 0;
+}
+
 std::string StreamSocket::recv_bytes(std::size_t count) {
   if (!valid()) {
     throw SocketError("recv_bytes on closed socket");
   }
   // The recv_line read-ahead buffer may already hold (part of) these
   // bytes — binary frames share the stream with JSON lines.
-  while (buffer_.size() < count) {
+  while (buffer_.size() - buffer_offset_ < count) {
+    compact_buffer();
     char chunk[16384];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {
@@ -265,8 +273,8 @@ std::string StreamSocket::recv_bytes(std::size_t count) {
     }
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
-  std::string bytes = buffer_.substr(0, count);
-  buffer_.erase(0, count);
+  std::string bytes = buffer_.substr(buffer_offset_, count);
+  buffer_offset_ += count;
   return bytes;
 }
 
@@ -275,19 +283,24 @@ std::optional<std::string> StreamSocket::recv_line() {
     throw SocketError("recv_line on closed socket");
   }
   (void)FaultInjector::instance().maybe_stall("socket_recv_slow");
+  std::size_t scan_from = buffer_offset_;  // no '\n' before this
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scan_from);
     if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
+      std::string line =
+          buffer_.substr(buffer_offset_, newline - buffer_offset_);
+      buffer_offset_ = newline + 1;
       return line;
     }
-    if (buffer_.size() > max_line_bytes_) {
+    const std::size_t buffered = buffer_.size() - buffer_offset_;
+    if (buffered > max_line_bytes_) {
       throw SocketFrameError(
           "frame exceeds " + std::to_string(max_line_bytes_) +
-          " bytes with no terminator (" + std::to_string(buffer_.size()) +
+          " bytes with no terminator (" + std::to_string(buffered) +
           " buffered)");
     }
+    compact_buffer();
+    scan_from = buffer_.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {

@@ -149,8 +149,15 @@ class StreamSocket {
   void close() noexcept;
 
  private:
+  /// Drops the consumed prefix of buffer_; called once per read, so a
+  /// burst of buffered lines is not shifted down once per line.
+  void compact_buffer();
+
   int fd_ = -1;
-  std::string buffer_;  // bytes received past the last returned line
+  /// Bytes received; [buffer_offset_, size) are past the last returned
+  /// line or payload.
+  std::string buffer_;
+  std::size_t buffer_offset_ = 0;
   std::size_t max_line_bytes_ = kDefaultMaxLineBytes;
 };
 

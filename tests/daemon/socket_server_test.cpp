@@ -425,6 +425,28 @@ TEST(SocketServer, HelloEdgeCasesAnswerStableCodes) {
   EXPECT_EQ(stats.at("protocol_max").as_int(), wire::kProtocolVersionMax);
 }
 
+/// Re-registering an id with the same network answers ok and changes
+/// nothing; a different network under that id answers code "conflict"
+/// and the first registration stays in force.
+TEST(SocketServer, ReRegistrationIsANoOpAndDifferentContentConflicts) {
+  SocketServer server(socket_path("rereg"), SocketServerOptions{});
+  const auto registration = [](std::uint64_t seed) {
+    util::Json frame = util::JsonObject{};
+    frame.set("verb", "register_network");
+    frame.set("id", "net");
+    frame.set("network", graph::to_json(make_network(seed)));
+    return frame;
+  };
+  EXPECT_TRUE(server.handle(registration(3)).at("ok").as_bool());
+  EXPECT_TRUE(server.handle(registration(3)).at("ok").as_bool());
+  const util::Json conflict = server.handle(registration(5));
+  EXPECT_FALSE(conflict.at("ok").as_bool());
+  EXPECT_EQ(conflict.at("code").as_string(), "conflict");
+  EXPECT_NE(conflict.at("error").as_string().find("different content"),
+            std::string::npos);
+  EXPECT_TRUE(server.handle(registration(3)).at("ok").as_bool());
+}
+
 /// Sends `request` on a raw v1 connection and returns the one line it
 /// answers.
 std::string framed_line(util::StreamSocket& raw, const util::Json& request) {
@@ -480,14 +502,17 @@ TEST(SocketServer, DirectHandleMatchesTheFramedV1Line) {
   same(util::Json(util::JsonObject{}));  // no verb at all
 
   // register_network is stateful: each path registers its own id, then
-  // both refuse the same duplicate.
-  const auto registration = [](const std::string& id) {
+  // both answer the same re-registration (a no-op) and the same
+  // conflicting one.
+  const auto registration = [](const std::string& id, std::uint64_t seed) {
     return frame_of("register_network",
-                    {{"id", id}, {"network", graph::to_json(make_network(3))}});
+                    {{"id", id},
+                     {"network", graph::to_json(make_network(seed))}});
   };
-  EXPECT_EQ(server.handle(registration("direct")).dump(),
-            framed_line(raw, registration("net")));
-  same(registration("net"));
+  EXPECT_EQ(server.handle(registration("direct", 3)).dump(),
+            framed_line(raw, registration("net", 3)));
+  same(registration("net", 3));
+  same(registration("net", 5));
   same(frame_of("register_network", {{"id", "broken"}}));
   const util::Json job =
       service::to_json(make_job("parity", 90, service::Objective::kMinDelay));

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "graph/generators.hpp"
+#include "graph/serialize.hpp"
 #include "pipeline/generator.hpp"
 #include "service/serialize.hpp"
 #include "util/file_io.hpp"
@@ -267,6 +268,23 @@ TEST(Cli, ClientRequiresVerbAndSocket) {
   EXPECT_NE(r.err.find("--socket"), std::string::npos);
 }
 
+/// Starts `elpc serve --socket <socket>` on its own thread and returns
+/// it once the daemon answers `client stats`.  The test shuts the daemon
+/// down with `client shutdown` and joins the thread; `served` holds the
+/// serve run's outcome after that.
+std::thread serve_until_up(const std::string& socket, CliRun& served) {
+  std::thread server([&served, socket]() {
+    served = run({"serve", "--socket", socket, "--threads", "2"});
+  });
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    if (run({"client", "stats", "--socket", socket}).code == 0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return server;
+}
+
 TEST(Cli, ServeAndClientLoadMatchBatchByteForByte) {
   TempFile jobs("daemon_jobs.json");
   write_batch_jobs(jobs.path());
@@ -276,21 +294,7 @@ TEST(Cli, ServeAndClientLoadMatchBatchByteForByte) {
   // The daemon on its own thread; the client drives it to shutdown, so
   // the thread joins cleanly.
   CliRun served;
-  std::thread server([&served, &socket]() {
-    served = run({"serve", "--socket", socket, "--threads", "2"});
-  });
-  // The listener binds inside the serve thread; ping with a read-only
-  // verb until it is up, then load exactly once (a retried load would
-  // re-register its networks).
-  CliRun ping;
-  for (int attempt = 0; attempt < 500; ++attempt) {
-    ping = run({"client", "stats", "--socket", socket});
-    if (ping.code == 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_EQ(ping.code, 0) << ping.err;
+  std::thread server = serve_until_up(socket, served);
   const CliRun loaded = run({"client", "load", "--socket", socket, "--jobs",
                              jobs.path(), "--wait"});
   ASSERT_EQ(loaded.code, 0) << loaded.err;
@@ -343,18 +347,7 @@ TEST(Cli, PipelinedClientLoadOfABulkFileMatchesBatch) {
   const std::string socket = ::testing::TempDir() + "/elpc_cli_bulk.sock";
 
   CliRun served;
-  std::thread server([&served, &socket]() {
-    served = run({"serve", "--socket", socket, "--threads", "2"});
-  });
-  CliRun ping;
-  for (int attempt = 0; attempt < 500; ++attempt) {
-    ping = run({"client", "stats", "--socket", socket});
-    if (ping.code == 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_EQ(ping.code, 0) << ping.err;
+  std::thread server = serve_until_up(socket, served);
   const CliRun first = run({"client", "load", "--socket", socket, "--jobs",
                             jobs.path(), "--wait"});
   const CliRun again = run({"client", "load", "--socket", socket, "--jobs",
@@ -371,6 +364,52 @@ TEST(Cli, PipelinedClientLoadOfABulkFileMatchesBatch) {
             310u);
   EXPECT_EQ(first.out, batch.out);
   EXPECT_EQ(again.out, batch.out);
+}
+
+/// Loading with registration twice against one daemon re-registers the
+/// same networks: a no-op, so both loads print what `elpc batch` prints.
+/// The same id with a different network is refused with the conflict
+/// code's text, and the registered network is left as it was.
+TEST(Cli, ClientLoadRegisteringTwiceMatchesBatchBothTimes) {
+  TempFile jobs("daemon_reregister_jobs.json");
+  write_batch_jobs(jobs.path());
+  TempFile other("daemon_conflict_jobs.json");
+  util::Json changed = util::Json::parse(util::read_text_file(jobs.path()));
+  util::Rng rng(32);
+  util::Json entry = util::JsonObject{};
+  entry.set("id", "net");
+  entry.set("network",
+            graph::to_json(graph::random_connected_network(rng, 7, 30, {})));
+  changed.set("networks", util::Json(util::JsonArray{std::move(entry)}));
+  util::write_text_file(other.path(), changed.dump(2));
+  const std::string socket = ::testing::TempDir() + "/elpc_cli_rereg.sock";
+
+  CliRun served;
+  std::thread server = serve_until_up(socket, served);
+  const CliRun first = run({"client", "load", "--socket", socket, "--jobs",
+                            jobs.path(), "--wait"});
+  const CliRun again = run({"client", "load", "--socket", socket, "--jobs",
+                            jobs.path(), "--wait"});
+  const CliRun conflict = run({"client", "load", "--socket", socket,
+                               "--jobs", other.path(), "--wait"});
+  const CliRun after = run({"client", "load", "--socket", socket, "--jobs",
+                            jobs.path(), "--wait"});
+  const CliRun down = run({"client", "shutdown", "--socket", socket});
+  EXPECT_EQ(down.code, 0) << down.err;
+  server.join();
+
+  const CliRun batch = run({"batch", "--jobs", jobs.path()});
+  ASSERT_EQ(batch.code, 0) << batch.err;
+  ASSERT_EQ(first.code, 0) << first.err;
+  ASSERT_EQ(again.code, 0) << again.err;
+  EXPECT_EQ(first.out, batch.out);
+  EXPECT_EQ(again.out, batch.out);
+  EXPECT_NE(conflict.code, 0);
+  EXPECT_NE(conflict.err.find("already registered with different content"),
+            std::string::npos)
+      << conflict.err;
+  ASSERT_EQ(after.code, 0) << after.err;
+  EXPECT_EQ(after.out, batch.out);
 }
 
 TEST(FileIo, RoundTrip) {

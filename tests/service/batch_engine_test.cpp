@@ -166,6 +166,46 @@ TEST(BatchEngine, DuplicateRegistrationThrows) {
                std::invalid_argument);
 }
 
+/// The same content again is a no-op returning the registered session,
+/// in any link order; different content throws NetworkConflict.  The
+/// comparison is against the current revision.
+TEST(BatchEngine, ReRegistrationComparesContent) {
+  BatchEngine engine;
+  NetworkSession& first = engine.register_network("shared",
+                                                  make_network(5, 12, 70));
+  EXPECT_EQ(&engine.register_network("shared", make_network(5, 12, 70)),
+            &first);
+
+  const graph::Network original = make_network(5, 12, 70);
+  graph::Network reordered;
+  for (graph::NodeId v = 0; v < original.node_count(); ++v) {
+    reordered.add_node(original.node(v));
+  }
+  for (graph::NodeId v = original.node_count(); v-- > 0;) {
+    for (const graph::Edge& e : original.out_edges(v)) {
+      reordered.add_link(e.from, e.to, e.attr);
+    }
+  }
+  EXPECT_EQ(&engine.register_network("shared", std::move(reordered)),
+            &first);
+
+  EXPECT_THROW(engine.register_network("shared", make_network(6, 12, 70)),
+               NetworkConflict);
+  graph::Network retuned = make_network(5, 12, 70);
+  const graph::Edge edge = retuned.out_edges(0).front();
+  graph::LinkAttr attr = edge.attr;
+  attr.bandwidth_mbps *= 2.0;
+  retuned.update_link(edge.from, edge.to, attr);
+  EXPECT_THROW(engine.register_network("shared", retuned), NetworkConflict);
+
+  // After a delta the current revision is the retuned network.
+  const graph::LinkUpdate update{edge.from, edge.to, attr};
+  (void)engine.apply_link_updates("shared", {&update, 1});
+  EXPECT_EQ(&engine.register_network("shared", std::move(retuned)), &first);
+  EXPECT_THROW(engine.register_network("shared", make_network(5, 12, 70)),
+               NetworkConflict);
+}
+
 TEST(BatchEngine, DeltaUpdatesResolveSubscribedJobs) {
   BatchEngine engine;
   graph::Network net = make_network(9, 12, 70);
