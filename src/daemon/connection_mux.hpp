@@ -15,8 +15,8 @@
 //     of max_frames_per_wake frames per connection per pass — a chatty
 //     pipeliner is rotated behind its neighbours, never ahead of them.
 //   * The write side is a per-connection buffer any thread may append
-//     to (send_line — completion callbacks land here from dispatcher
-//     threads); the owning worker flushes it, arming EPOLLOUT only
+//     to (send_line — completion callbacks land here from engine
+//     worker threads); the owning worker flushes it, arming EPOLLOUT only
 //     while the kernel buffer is full.  A consumer that stops reading
 //     grows that buffer; at max_write_queue_bytes it is disconnected
 //     with a diagnostic ("backpressure") rather than allowed to pin

@@ -1,6 +1,7 @@
 #include "daemon/job_manager.hpp"
 
 #include <algorithm>
+#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -63,18 +64,19 @@ JobManager::JobManager(service::BatchEngine& engine,
                                       "Jobs cancelled before completing")),
       timed_out_c_(&metrics_->counter("elpc_jobs_timed_out_total",
                                       "Jobs expired by their deadline")),
+      queue_wait_ms_(*metrics_, "elpc_queue_wait_ms",
+                     "Submission to dispatch (ms), by kernel x objective x "
+                     "incremental"),
+      e2e_ms_(*metrics_, "elpc_e2e_ms",
+              "Submission to terminal state (ms), by kernel x objective x "
+              "incremental"),
       paused_(options.start_paused),
-      dispatcher_([this]() { dispatch_loop(); }) {}
+      pulls_(engine.pool()),
+      expirer_([this]() { expiry_loop(); }) {}
 
 JobManager::~JobManager() { stop(); }
 
 Ticket JobManager::submit(service::SolveJob job, int priority) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (draining_) {
-    throw std::runtime_error(
-        "JobManager: draining — new submissions are rejected");
-  }
-  const Ticket ticket = next_ticket_++;
   Record record;
   record.job = std::move(job);
   record.priority = priority;
@@ -87,11 +89,89 @@ Ticket JobManager::submit(service::SolveJob job, int priority) {
                       std::chrono::milliseconds(record.job.deadline_ms);
     record.has_deadline = true;
   }
-  records_.emplace(ticket, std::move(record));
-  queue_.push_back(ticket);
-  submitted_c_->add();
-  dispatch_cv_.notify_one();
+  Ticket ticket = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (draining_) {
+      throw std::runtime_error(
+          "JobManager: draining — new submissions are rejected");
+    }
+    ticket = next_ticket_++;
+    if (record.has_deadline && record.deadline < next_expiry_) {
+      expiry_cv_.notify_one();
+    }
+    queue_.emplace(-std::int64_t{priority}, ticket);
+    records_.emplace(ticket, std::move(record));
+    submitted_c_->add();
+  }
+  // Posted after the unlock: the worker it wakes takes mutex_ first
+  // thing, and must not wake only to block on it.
+  pulls_.submit([this]() { pull(); });
   return ticket;
+}
+
+void JobManager::pull() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Pop the best queued job, expiring overdue ones met on the way (the
+  // expiry thread may not have reached them yet).
+  const Clock::time_point now = Clock::now();
+  Ticket ticket = 0;
+  while (ticket == 0 && !paused_ && !stopping_ && !queue_.empty()) {
+    ticket = queue_.begin()->second;
+    queue_.erase(queue_.begin());
+    Record& record = records_.at(ticket);
+    if (record.has_deadline && record.deadline <= now) {
+      record.result = unsolved_result(record.job, service::kTimedOutError);
+      mark_terminal(std::exchange(ticket, 0), record, JobState::kTimedOut);
+    }
+  }
+  if (ticket == 0) {
+    return;  // paused, stopping, or nothing queued: the pull retires idle
+  }
+  // The record stays put while RUNNING: map nodes are stable and only
+  // terminal records are evicted.
+  Record& record = records_.at(ticket);
+  record.state = JobState::kRunning;
+  record.dispatched_at = now;
+  record.dispatched = true;
+  ++running_count_;
+  // A one-job batch runs on this pool thread (no pool hop), outside the
+  // manager mutex so poll/submit/cancel stay responsive.  The deadline
+  // check here (submission clock) is stricter than the engine's own
+  // solve-entry clock and therefore fires first.
+  const std::vector<service::SolveJob> jobs{record.job};
+  lock.unlock();
+  service::SolveResult result;
+  try {
+    result = std::move(engine_->solve(jobs, [this, &record](std::size_t) {
+      const std::lock_guard<std::mutex> guard(mutex_);
+      if (record.cancel_requested) {
+        return service::JobSignal::kCancel;
+      }
+      if (record.has_deadline && Clock::now() >= record.deadline) {
+        return service::JobSignal::kTimeout;
+      }
+      return service::JobSignal::kNone;
+    }).front());
+  } catch (const std::exception& e) {
+    // Batch-level rejection (e.g. the job names an unregistered network):
+    // the job fails with the engine's diagnostic.
+    result = unsolved_result(jobs.front(), e.what());
+  }
+  const std::string& error = result.error;
+  const JobState state =
+      error.empty()                       ? JobState::kDone
+      : error == service::kCancelledError ? JobState::kCancelled
+      : error == service::kTimedOutError  ? JobState::kTimedOut
+                                          : JobState::kFailed;
+  // Traced before re-locking: the span's histograms and rings synchronize
+  // themselves, and the record fields it reads are fixed while RUNNING,
+  // so the submit path never waits on span assembly.
+  trace_terminal(ticket, record, result, state);
+  lock.lock();
+  --running_count_;
+  record.result = std::move(result);
+  mark_terminal(ticket, record, state, /*traced=*/true);
 }
 
 JobStatus JobManager::status_of(Ticket ticket, const Record& record) const {
@@ -115,36 +195,13 @@ JobStatus JobManager::poll(Ticket ticket) const {
 }
 
 JobStatus JobManager::wait(Ticket ticket) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (records_.find(ticket) == records_.end()) {
-    throw std::out_of_range("JobManager: unknown ticket " +
-                            std::to_string(ticket));
-  }
-  // Re-find per wake: the retention cap may evict the record while this
-  // thread sleeps, so a held iterator could dangle.  A stopped manager
-  // will never run the remaining queue; return the non-terminal status
-  // instead of blocking forever.
-  done_cv_.wait(lock, [&]() {
-    const auto it = records_.find(ticket);
-    if (it == records_.end()) {
-      return true;  // evicted — it was terminal
-    }
-    const JobState s = it->second.state;
-    return s == JobState::kDone || s == JobState::kFailed ||
-           s == JobState::kCancelled || s == JobState::kTimedOut ||
-           stopping_;
-  });
-  const auto it = records_.find(ticket);
-  if (it == records_.end()) {
-    throw std::out_of_range(
-        "JobManager: ticket " + std::to_string(ticket) +
-        " completed but its record was evicted (max_retained_results)");
-  }
-  JobStatus status = status_of(ticket, it->second);
-  // Released by stop() with the job still pending: tell the caller the
-  // state will never advance, so retrying wait() is pointless.
-  status.shutting_down = stopping_ && !status.terminal();
-  return status;
+  // The parked form of wait_async: released at the terminal transition
+  // (before any eviction could drop the record) or by stop().
+  std::promise<JobStatus> answer;
+  std::future<JobStatus> status = answer.get_future();
+  wait_async(ticket,
+             [&answer](const JobStatus& s) { answer.set_value(s); });
+  return status.get();
 }
 
 void JobManager::wait_async(Ticket ticket,
@@ -199,15 +256,13 @@ bool JobManager::cancel(Ticket ticket) {
   Record& record = it->second;
   switch (record.state) {
     case JobState::kQueued:
-      queue_.erase(std::find(queue_.begin(), queue_.end(), ticket));
+      queue_.erase({-std::int64_t{record.priority}, ticket});
       record.result = unsolved_result(record.job, service::kCancelledError);
       record.cancel_requested = true;
       mark_terminal(ticket, record, JobState::kCancelled);
-      fire_idle_watchers_if_idle();
-      done_cv_.notify_all();
       return true;
     case JobState::kRunning:
-      record.cancel_requested = true;  // engine checks at the job boundary
+      record.cancel_requested = true;  // the engine's next check stops it
       return true;
     case JobState::kDone:
     case JobState::kFailed:
@@ -225,8 +280,17 @@ void JobManager::pause() {
 
 void JobManager::resume() {
   const std::lock_guard<std::mutex> lock(mutex_);
+  reopen();
+}
+
+void JobManager::reopen() {
+  if (!paused_) {
+    return;
+  }
   paused_ = false;
-  dispatch_cv_.notify_one();
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    pulls_.submit([this]() { pull(); });
+  }
 }
 
 JobManagerStats JobManager::stats() const {
@@ -249,7 +313,7 @@ JobManager::DrainBaseline JobManager::begin_drain(std::int64_t timeout_ms) {
   draining_ = true;
   // A paused manager would sit on its queue forever; draining means
   // "finish the work", so the gate lifts.
-  paused_ = false;
+  reopen();
   const bool bounded = timeout_ms > 0;
   if (bounded) {
     // The drain budget becomes a deadline on everything in flight or
@@ -273,7 +337,7 @@ JobManager::DrainBaseline JobManager::begin_drain(std::int64_t timeout_ms) {
   baseline.failed = failed_c_->value();
   baseline.cancelled = cancelled_c_->value();
   baseline.timed_out = timed_out_c_->value();
-  dispatch_cv_.notify_all();
+  expiry_cv_.notify_all();
   return baseline;
 }
 
@@ -341,64 +405,21 @@ void JobManager::stop() {
     }
     waiters_.clear();
     fire_idle_watchers_if_idle();  // stopping_ counts as released
-    dispatch_cv_.notify_all();
+    expiry_cv_.notify_all();
     done_cv_.notify_all();
   }
-  if (dispatcher_.joinable()) {
-    dispatcher_.join();
+  // Pulls still queued in the pool retire at once (stopping_); running
+  // ones finish their job first.  None may run after `this` dies.
+  pulls_.wait();
+  if (expirer_.joinable()) {
+    expirer_.join();
   }
 }
 
-std::vector<Ticket> JobManager::pop_batch() {
-  // Highest priority first, FIFO within a priority (tickets increase
-  // monotonically, so the ticket is the submission order).
-  std::sort(queue_.begin(), queue_.end(), [this](Ticket a, Ticket b) {
-    const int pa = records_.at(a).priority;
-    const int pb = records_.at(b).priority;
-    return pa != pb ? pa > pb : a < b;
-  });
-  const std::size_t take = options_.max_batch == 0
-                               ? queue_.size()
-                               : std::min(options_.max_batch, queue_.size());
-  std::vector<Ticket> batch(queue_.begin(),
-                            queue_.begin() + static_cast<std::ptrdiff_t>(take));
-  queue_.erase(queue_.begin(),
-               queue_.begin() + static_cast<std::ptrdiff_t>(take));
+void JobManager::trace_terminal(Ticket ticket, const Record& record,
+                                const service::SolveResult& result,
+                                JobState state) {
   const Clock::time_point now = Clock::now();
-  for (const Ticket ticket : batch) {
-    Record& record = records_.at(ticket);
-    record.state = JobState::kRunning;
-    record.dispatched_at = now;
-    record.dispatched = true;
-  }
-  running_count_ += batch.size();
-  return batch;
-}
-
-void JobManager::mark_terminal(Ticket ticket, Record& record,
-                               JobState state) {
-  record.state = state;
-  switch (state) {
-    case JobState::kDone:
-      done_c_->add();
-      break;
-    case JobState::kFailed:
-      failed_c_->add();
-      break;
-    case JobState::kCancelled:
-      cancelled_c_->add();
-      break;
-    case JobState::kTimedOut:
-      timed_out_c_->add();
-      break;
-    case JobState::kQueued:
-    case JobState::kRunning:
-      break;  // not terminal; callers never pass these
-  }
-  // The ticket's trace span: assembled here because every terminal
-  // transition passes through, whatever path took it there.
-  const Clock::time_point now = Clock::now();
-  const service::SolveResult& result = record.result;
   TraceSpan span;
   span.ticket = ticket;
   span.job_id = record.job.id;
@@ -428,28 +449,39 @@ void JobManager::mark_terminal(Ticket ticket, Record& record,
   // Terminal instant on the profiler's clock, so the exporter can place
   // this span on the same timeline as the phase events it parents.
   span.end_mono_ns = util::monotonic_ns();
-  const util::MetricLabels labels{
-      {"kernel", span.kernel},
-      {"objective", span.objective},
-      {"incremental", span.incremental ? "1" : "0"}};
-  metrics_
-      ->histogram("elpc_queue_wait_ms",
-                  "Submission to dispatch (ms), by kernel x objective x "
-                  "incremental",
-                  labels)
-      .record(span.queue_wait_ms);
-  metrics_
-      ->histogram("elpc_e2e_ms",
-                  "Submission to terminal state (ms), by kernel x objective "
-                  "x incremental",
-                  labels)
-      .record(span.e2e_ms);
+  queue_wait_ms_.child(result).record(span.queue_wait_ms);
+  e2e_ms_.child(result).record(span.e2e_ms);
   if (options_.slowlog != nullptr && options_.slow_ms > 0 &&
       span.e2e_ms >= static_cast<double>(options_.slow_ms)) {
     options_.slowlog->add(span);
   }
   if (options_.tracelog != nullptr) {
     options_.tracelog->add(span);  // every terminal span, fast or slow
+  }
+}
+
+void JobManager::mark_terminal(Ticket ticket, Record& record,
+                               JobState state, bool traced) {
+  if (!traced) {
+    trace_terminal(ticket, record, record.result, state);
+  }
+  record.state = state;
+  switch (state) {
+    case JobState::kDone:
+      done_c_->add();
+      break;
+    case JobState::kFailed:
+      failed_c_->add();
+      break;
+    case JobState::kCancelled:
+      cancelled_c_->add();
+      break;
+    case JobState::kTimedOut:
+      timed_out_c_->add();
+      break;
+    case JobState::kQueued:
+    case JobState::kRunning:
+      break;  // not terminal; callers never pass these
   }
   // Completion callbacks fire before the eviction sweep below could
   // drop this (or any) record out from under a registered waiter.
@@ -468,122 +500,36 @@ void JobManager::mark_terminal(Ticket ticket, Record& record,
       terminal_order_.pop_front();
     }
   }
+  fire_idle_watchers_if_idle();
+  done_cv_.notify_all();
 }
 
-bool JobManager::expire_overdue_queued() {
-  const Clock::time_point now = Clock::now();
-  bool any = false;
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    Record& record = records_.at(*it);
-    if (record.has_deadline && record.deadline <= now) {
-      record.result = unsolved_result(record.job, service::kTimedOutError);
-      mark_terminal(*it, record, JobState::kTimedOut);
-      it = queue_.erase(it);
-      any = true;
+void JobManager::expiry_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!stopping_) {
+    // Overdue queued jobs expire regardless of the pause gate: a paused
+    // (or busy) engine must not hold a deadline job in limbo past its
+    // budget.
+    const Clock::time_point now = Clock::now();
+    next_expiry_ = Clock::time_point::max();
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      const Ticket ticket = it->second;
+      Record& record = records_.at(ticket);
+      if (!record.has_deadline) {
+        ++it;
+      } else if (record.deadline > now) {
+        next_expiry_ = std::min(next_expiry_, record.deadline);
+        ++it;
+      } else {
+        it = queue_.erase(it);
+        record.result = unsolved_result(record.job, service::kTimedOutError);
+        mark_terminal(ticket, record, JobState::kTimedOut);
+      }
+    }
+    if (next_expiry_ == Clock::time_point::max()) {
+      expiry_cv_.wait(lock);
     } else {
-      ++it;
-    }
-  }
-  return any;
-}
-
-JobManager::Clock::time_point JobManager::earliest_queued_deadline() const {
-  Clock::time_point earliest = Clock::time_point::max();
-  for (const Ticket ticket : queue_) {
-    const Record& record = records_.at(ticket);
-    if (record.has_deadline && record.deadline < earliest) {
-      earliest = record.deadline;
-    }
-  }
-  return earliest;
-}
-
-void JobManager::dispatch_loop() {
-  for (;;) {
-    std::vector<Ticket> batch;
-    std::vector<service::SolveJob> jobs;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      for (;;) {
-        if (stopping_) {
-          return;
-        }
-        // Overdue queued jobs expire here regardless of the pause gate:
-        // a paused (or busy) dispatcher must not hold a deadline job in
-        // limbo past its budget.
-        if (expire_overdue_queued()) {
-          fire_idle_watchers_if_idle();
-          done_cv_.notify_all();
-        }
-        if (!paused_ && !queue_.empty()) {
-          break;
-        }
-        const Clock::time_point next = earliest_queued_deadline();
-        if (next == Clock::time_point::max()) {
-          dispatch_cv_.wait(lock);
-        } else {
-          dispatch_cv_.wait_until(lock, next);
-        }
-      }
-      batch = pop_batch();
-      jobs.reserve(batch.size());
-      for (const Ticket ticket : batch) {
-        jobs.push_back(records_.at(ticket).job);
-      }
-    }
-
-    // The solve runs outside the manager mutex: poll/submit/cancel stay
-    // responsive for the whole batch.  The signal predicate re-takes it
-    // per check — uncontended in the common case.  The deadline check
-    // here (submission-clock) is stricter than the engine's own
-    // solve-entry clock and therefore fires first.
-    std::vector<service::SolveResult> results;
-    std::string batch_error;
-    try {
-      results = engine_->solve(jobs, [this, &batch](std::size_t i) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const Record& record = records_.at(batch[i]);
-        if (record.cancel_requested) {
-          return service::JobSignal::kCancel;
-        }
-        if (record.has_deadline && Clock::now() >= record.deadline) {
-          return service::JobSignal::kTimeout;
-        }
-        return service::JobSignal::kNone;
-      });
-    } catch (const std::exception& e) {
-      // Batch-level rejection (e.g. a job naming an unregistered
-      // network aborts the engine batch up front): every job of the
-      // batch fails with the same diagnostic.
-      batch_error = e.what();
-    }
-
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      running_count_ -= batch.size();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        Record& record = records_.at(batch[i]);
-        JobState state;
-        if (!batch_error.empty()) {
-          state = JobState::kFailed;
-          record.result = unsolved_result(record.job, batch_error);
-        } else if (results[i].error == service::kCancelledError) {
-          state = JobState::kCancelled;
-          record.result = std::move(results[i]);
-        } else if (results[i].error == service::kTimedOutError) {
-          state = JobState::kTimedOut;
-          record.result = std::move(results[i]);
-        } else if (!results[i].error.empty()) {
-          state = JobState::kFailed;
-          record.result = std::move(results[i]);
-        } else {
-          state = JobState::kDone;
-          record.result = std::move(results[i]);
-        }
-        mark_terminal(batch[i], record, state);
-      }
-      fire_idle_watchers_if_idle();
-      done_cv_.notify_all();
+      expiry_cv_.wait_until(lock, next_expiry_);
     }
   }
 }

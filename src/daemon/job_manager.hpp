@@ -13,30 +13,32 @@
 //   poll(ticket)           -> QUEUED / RUNNING / DONE / FAILED /
 //                             CANCELLED, plus the result once terminal
 //   cancel(ticket)         -> removes a queued job outright; a running
-//                             job is flagged and skipped at the next job
-//                             boundary within its shard (a solve already
-//                             past its boundary check runs to
-//                             completion)
+//                             job is flagged and stops at its next DP
+//                             column check
 //   wait(ticket)           -> blocks until terminal (the daemon's `wait`
 //                             verb; poll is the non-blocking form)
 //
-// One dispatcher thread drains the queue: each cycle it pops up to
-// max_batch highest-priority jobs, marks them RUNNING, and runs them as
-// one engine batch (which shards over the engine's pool — the dispatcher
-// serializes admission, not solving).  Results are identical to calling
-// BatchEngine::solve directly with the same jobs: the manager adds
-// scheduling, never configuration (pinned by tests/daemon/).
+// Pull dispatch: each submit posts one pull task to the engine's pool.
+// A pull pops the best job queued when it runs, marks it RUNNING, and
+// solves it as a one-job engine batch on its own pool thread: every
+// engine worker serves its own job, a finishing worker moves straight on
+// to the next, and a job's waiters fire the moment it is done.  Results
+// are identical to calling BatchEngine::solve directly with the same
+// jobs: the manager adds scheduling, never configuration (pinned by
+// tests/daemon/).
 //
 // pause()/resume() gate dispatch (drain-for-maintenance, deterministic
-// tests); stop() (and the destructor) finishes the in-flight batch,
-// leaves still-queued jobs QUEUED, and joins the dispatcher.
+// tests); stop() (and the destructor) waits out the running jobs and
+// every posted pull, leaves still-queued jobs QUEUED, and joins the
+// expiry thread.
 //
 // Deadlines: a job submitted with deadline_ms > 0 gets an absolute
 // deadline measured FROM SUBMISSION — queue wait counts against the
-// budget.  An overdue queued job is expired by the dispatcher without
-// running (even while paused); a running one is stopped by the engine's
-// per-column abort probe.  Either way it reaches the terminal kTimedOut
-// state and its result carries service::kTimedOutError.
+// budget.  An overdue queued job is expired without running, by the
+// manager's one expiry thread (even while paused) or by the pull that
+// pops it; a running one is stopped by the engine's per-column abort
+// probe.  Either way it reaches the terminal kTimedOut state and its
+// result carries service::kTimedOutError.
 //
 // drain(): the graceful path to a safe kill — permanently closes
 // admission (submit throws), lifts any pause, imposes the drain budget
@@ -51,14 +53,16 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <span>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "daemon/trace.hpp"
 #include "service/batch_engine.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace elpc::daemon {
 
@@ -97,16 +101,11 @@ struct JobStatus {
   bool shutting_down = false;
 
   [[nodiscard]] bool terminal() const {
-    return state == JobState::kDone || state == JobState::kFailed ||
-           state == JobState::kCancelled || state == JobState::kTimedOut;
+    return state != JobState::kQueued && state != JobState::kRunning;
   }
 };
 
 struct JobManagerOptions {
-  /// Jobs per dispatch cycle (0 = drain everything queued).  1 gives
-  /// strict priority order end to end; larger batches amortize engine
-  /// sharding over more jobs at the cost of coarser preemption.
-  std::size_t max_batch = 0;
   /// Start with dispatch gated (resume() opens it) — submissions queue
   /// up but nothing runs.  Used by tests and maintenance restarts.
   bool start_paused = false;
@@ -186,7 +185,9 @@ class JobManager {
   /// completion keeps working.
   [[nodiscard]] JobStatus poll(Ticket ticket) const;
 
-  /// Blocks until the job reaches a terminal state and returns it.
+  /// Blocks until the job reaches a terminal state and returns it (or,
+  /// once stop() runs, its pending status with shutting_down set).
+  /// Throws std::out_of_range like poll().
   JobStatus wait(Ticket ticket);
 
   /// Non-parking wait: registers `callback` to run exactly once with the
@@ -194,7 +195,8 @@ class JobManager {
   /// handler thread blocked in wait().  Fires inline (from this call)
   /// when the job is already terminal or the manager is stopping;
   /// otherwise from whichever thread drives the terminal transition
-  /// (dispatcher, a cancel caller) or from stop(), with shutting_down
+  /// (the solving pool worker, the expiry thread, a cancel caller) or
+  /// from stop(), with shutting_down
   /// set when the state will never advance.  Callbacks run with the
   /// manager mutex held: they must not call back into the JobManager
   /// (send a frame, signal an event loop — nothing re-entrant).  Throws
@@ -205,14 +207,14 @@ class JobManager {
 
   /// True when the request was accepted: a queued job is cancelled
   /// outright (terminal immediately); a running one is flagged, and the
-  /// engine skips it if its shard has not yet passed the job boundary —
-  /// poll() then reports kCancelled, or kDone if the solve won the race.
+  /// engine stops it at its next check — poll() then reports kCancelled,
+  /// or kDone if the solve won the race.
   /// False — a no-op — when the job was already terminal.  Throws
   /// std::out_of_range for a ticket that was never issued.
   bool cancel(Ticket ticket);
 
-  /// Gate / reopen dispatch.  Pausing does not interrupt the in-flight
-  /// batch; it stops the next one from starting.
+  /// Gate / reopen dispatch.  Pausing does not interrupt running jobs;
+  /// it stops queued ones from starting.
   void pause();
   void resume();
 
@@ -225,8 +227,8 @@ class JobManager {
   /// stragglers finish as kTimedOut), and drain() returns within the
   /// budget plus a small unwind grace either way.  timeout_ms <= 0
   /// waits indefinitely.  Safe to call more than once; later calls just
-  /// re-wait.  Does NOT stop the dispatcher — call stop() (or destroy
-  /// the manager) once the report says drained.
+  /// re-wait.  Does NOT stop the manager — call stop() (or destroy it)
+  /// once the report says drained.
   DrainReport drain(std::int64_t timeout_ms);
 
   /// Counter snapshot taken when a drain started; drain_progress diffs
@@ -258,8 +260,9 @@ class JobManager {
   /// True once drain() has closed admission.
   [[nodiscard]] bool draining() const;
 
-  /// Stops the dispatcher: finishes the in-flight batch, leaves queued
-  /// jobs QUEUED, joins the thread.  Idempotent; the destructor calls it.
+  /// Stops dispatch: waits out running jobs and every posted pull (even
+  /// one not yet started), leaves queued jobs QUEUED, joins the expiry
+  /// thread.  Idempotent; the destructor calls it.
   void stop();
 
  private:
@@ -274,7 +277,7 @@ class JobManager {
     /// meaningful only when has_deadline.
     Clock::time_point deadline{};
     bool has_deadline = false;
-    /// Trace phase timestamps: stamped at submit() and pop_batch().  A
+    /// Trace phase timestamps: stamped at submit() and at dispatch.  A
     /// job that turns terminal without ever dispatching (queue cancel,
     /// queue expiry) leaves dispatched = false and its whole lifetime
     /// counts as queue wait.
@@ -284,35 +287,36 @@ class JobManager {
     service::SolveResult result;
   };
 
-  void dispatch_loop();
-  /// Pops the next batch by (priority desc, ticket asc) and marks it
-  /// RUNNING.  Caller holds mutex_.
-  [[nodiscard]] std::vector<Ticket> pop_batch();
-  /// Expires queued jobs whose deadline has passed (terminal kTimedOut
-  /// without running; works while paused — a gated queue must not hold
-  /// deadline jobs in limbo).  Returns whether any expired.  Caller
-  /// holds mutex_ and notifies done_cv_ on true.
-  bool expire_overdue_queued();
-  /// Earliest deadline among queued jobs, or time_point::max().  Caller
-  /// holds mutex_.
-  [[nodiscard]] Clock::time_point earliest_queued_deadline() const;
-  /// Marks a record terminal: bumps the cumulative counter, assembles
-  /// the ticket's TraceSpan (feeding the queue-wait / end-to-end
-  /// histograms, and the slowlog when it qualifies), queues the record
-  /// for retention-cap eviction, prunes over-cap records.  EVERY
-  /// terminal transition funnels through here — dispatcher results,
-  /// queue-side cancels, queue expiry — so histogram sample totals equal
-  /// terminal tickets by construction (the chaos driver's conservation
+  /// One pull task: pops the best queued job and solves it on this thread.
+  void pull();
+  /// The expiry thread: sleeps until the earliest queued deadline (or a
+  /// new, earlier one) and expires overdue queued jobs, paused or not.
+  void expiry_loop();
+  /// Feeds the ticket's terminal TraceSpan to the latency histograms,
+  /// the slowlog and the trace ring.  Needs no mutex_ (they synchronize
+  /// themselves) while nothing writes the record fields it reads.
+  void trace_terminal(Ticket ticket, const Record& record,
+                      const service::SolveResult& result, JobState state);
+  /// Marks a record terminal: bumps the cumulative counter, traces it
+  /// (unless the caller already did, `traced`), queues the record for
+  /// retention-cap eviction, prunes over-cap records.  EVERY terminal
+  /// transition funnels through here — solve results, queue-side
+  /// cancels, queue expiry — so histogram sample totals equal terminal
+  /// tickets by construction (the chaos driver's conservation
   /// invariant).  Also fires the ticket's wait_async callbacks (before
-  /// any eviction can drop the record).  Caller holds mutex_ and
-  /// notifies done_cv_ afterwards.
-  void mark_terminal(Ticket ticket, Record& record, JobState state);
+  /// any eviction can drop the record), then the idle watchers and
+  /// done_cv_.  Caller holds mutex_, ticket already off queue_/running.
+  void mark_terminal(Ticket ticket, Record& record, JobState state,
+                     bool traced = false);
   /// Builds the poll()-shaped status for a record.  Caller holds mutex_.
   [[nodiscard]] JobStatus status_of(Ticket ticket,
                                     const Record& record) const;
   /// Fires and clears the idle watchers when idle-or-stopping holds.
-  /// Caller holds mutex_; call wherever done_cv_ gets notified.
+  /// Caller holds mutex_.
   void fire_idle_watchers_if_idle();
+  /// Lifts the pause gate and posts a pull per queued job (pulls that ran
+  /// while paused retired idle).  Caller holds mutex_.
+  void reopen();
 
   service::BatchEngine* engine_;
   const JobManagerOptions options_;
@@ -326,10 +330,12 @@ class JobManager {
   util::Counter* failed_c_;
   util::Counter* cancelled_c_;
   util::Counter* timed_out_c_;
+  service::SolveHistograms queue_wait_ms_;
+  service::SolveHistograms e2e_ms_;
 
   mutable std::mutex mutex_;
-  std::condition_variable dispatch_cv_;  // queue non-empty / resume / stop
-  std::condition_variable done_cv_;      // any job reached terminal state
+  std::condition_variable expiry_cv_;  // earlier deadline / drain / stop
+  std::condition_variable done_cv_;    // a job turned terminal
   std::map<Ticket, Record> records_;
   /// Pending wait_async callbacks, fired (and erased) at the ticket's
   /// terminal transition or at stop().
@@ -337,17 +343,20 @@ class JobManager {
       waiters_;
   /// Pending notify_when_idle callbacks.
   std::vector<std::function<void()>> idle_watchers_;
-  std::vector<Ticket> queue_;  // tickets in QUEUED state, unordered
+  std::set<std::pair<std::int64_t, Ticket>> queue_;  // (−priority, ticket)
   /// Terminal tickets in completion order — the eviction queue for
   /// max_retained_results.
   std::deque<Ticket> terminal_order_;
   Ticket next_ticket_ = 1;
   std::size_t running_count_ = 0;
+  /// The expiry thread's wake-up; submit only notifies it when earlier.
+  Clock::time_point next_expiry_ = Clock::time_point::max();
   bool paused_ = false;
   bool draining_ = false;
   bool stopping_ = false;
 
-  std::thread dispatcher_;  // last member: joins before state tears down
+  util::JobGroup pulls_;  // one pull per submit; stop() waits for all
+  std::thread expirer_;  // last member: joins before state tears down
 };
 
 }  // namespace elpc::daemon

@@ -122,7 +122,6 @@ SocketServer::SocketServer(std::string socket_path,
   }
   service::BatchEngineOptions engine_options;
   engine_options.threads = options_.threads;
-  engine_options.shards = options_.threads;
   engine_options.factory = std::move(options_.factory);
   engine_options.session_history_bytes = options_.session_history_bytes;
   engine_options.kernel = options_.kernel;
@@ -135,7 +134,6 @@ SocketServer::SocketServer(std::string socket_path,
   engine_ = std::make_unique<service::BatchEngine>(engine_options);
 
   JobManagerOptions manager_options;
-  manager_options.max_batch = options_.max_batch;
   manager_options.start_paused = options_.start_paused;
   manager_options.metrics = &metrics_;
   manager_options.slowlog = &slowlog_;
@@ -562,7 +560,8 @@ SocketServer::Answer SocketServer::verb_poll(const util::Json& request,
 SocketServer::Answer SocketServer::verb_wait(const util::Json& request,
                                              ConnCtx& ctx) {
   // Completion-driven: no thread parks.  The callback may fire inline
-  // (already terminal), from the dispatcher, or from stop().
+  // (already terminal), from the engine worker that finished the job, or
+  // from stop().
   Sink sink = completion_sink(ctx);
   manager_->wait_async(ticket_field(request),
                        [sink = std::move(sink)](const JobStatus& status) {

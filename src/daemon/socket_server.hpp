@@ -88,7 +88,6 @@ struct SocketServerOptions {
   /// construction; `stats` reports the result and per-kernel job counts).
   core::kernels::Kind kernel = core::kernels::Kind::kAuto;
   /// Forwarded to the owned JobManager.
-  std::size_t max_batch = 0;
   bool start_paused = false;
   /// Mapper resolution for the engine (empty = built-in "ELPC" only;
   /// the CLI installs the full registry).
@@ -226,7 +225,7 @@ class SocketServer {
   /// Per-connection protocol state, attached to MuxConnection::
   /// user_state.  The flags are worker-only; the quota counters are
   /// atomics because completion callbacks decrement them from
-  /// dispatcher threads.
+  /// engine worker threads.
   struct ConnState {
     bool authenticated = false;
     /// Negotiated wire protocol version (1 until a successful `hello`).

@@ -169,7 +169,7 @@ int cmd_batch(const std::vector<std::string>& args, std::ostream& out) {
   util::ArgParser parser("elpc batch");
   parser.add_string("jobs", "", "batch job file (schema: src/service/serialize.hpp)");
   parser.add_string("out", "", "write results JSON here (default: stdout)");
-  parser.add_int("threads", 0, "worker threads / shards (0 = hardware)");
+  parser.add_int("threads", 0, "engine worker threads (0 = hardware)");
   parser.add_string("kernel", "auto",
                     "frame-rate kernel (auto|scalar|avx2|avx512; auto = "
                     "ELPC_FORCE_KERNEL env, else widest supported)");
@@ -202,7 +202,6 @@ int cmd_batch(const std::vector<std::string>& args, std::ostream& out) {
   }
   service::BatchEngineOptions engine_options;
   engine_options.threads = static_cast<std::size_t>(threads);
-  engine_options.shards = engine_options.threads;
   engine_options.factory = engine_mapper_factory();
   engine_options.kernel =
       core::kernels::kind_from_name(parser.get_string("kernel"));
@@ -240,10 +239,7 @@ int cmd_batch(const std::vector<std::string>& args, std::ostream& out) {
 int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   util::ArgParser parser("elpc serve");
   parser.add_string("socket", "", "Unix-domain socket path (required)");
-  parser.add_int("threads", 0, "engine worker threads / shards (0 = hardware)");
-  parser.add_int("max-batch", 0,
-                 "jobs per dispatch cycle (0 = drain the queue; 1 = strict "
-                 "priority order)");
+  parser.add_int("threads", 0, "engine worker threads (0 = hardware)");
   parser.add_int("session-cache-bytes", 0,
                  "per-session revision-history budget in bytes "
                  "(0 = keep no unpinned history)");
@@ -303,7 +299,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
     throw std::invalid_argument("elpc serve: --socket is required");
   }
   if (parser.get_int("session-cache-bytes") < 0 ||
-      parser.get_int("threads") < 0 || parser.get_int("max-batch") < 0 ||
+      parser.get_int("threads") < 0 ||
       parser.get_int("lease-ms") < 0 || parser.get_int("lease-grace-ms") < 0 ||
       parser.get_int("slow-ms") < 0 || parser.get_int("slowlog-capacity") < 0 ||
       parser.get_int("tracelog-capacity") < 0 ||
@@ -316,7 +312,6 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
 
   daemon::SocketServerOptions options;
   options.threads = static_cast<std::size_t>(parser.get_int("threads"));
-  options.max_batch = static_cast<std::size_t>(parser.get_int("max-batch"));
   options.session_history_bytes =
       static_cast<std::size_t>(parser.get_int("session-cache-bytes"));
   options.kernel = core::kernels::kind_from_name(parser.get_string("kernel"));
@@ -755,7 +750,7 @@ int cmd_fuzz(const std::vector<std::string>& args, std::ostream& out) {
   util::ArgParser parser("elpc fuzz");
   parser.add_int("seed", 7, "rng stream for topologies, jobs, and updates");
   parser.add_int("rounds", 20, "link-update rounds across the topologies");
-  parser.add_int("threads", 2, "engine worker threads / shards");
+  parser.add_int("threads", 2, "engine worker threads");
   parser.add_flag("incremental",
                   "enable checkpoint column-reuse re-solves (the output "
                   "must not change)");
@@ -771,7 +766,6 @@ int cmd_fuzz(const std::vector<std::string>& args, std::ostream& out) {
 
   service::BatchEngineOptions engine_options;
   engine_options.threads = static_cast<std::size_t>(parser.get_int("threads"));
-  engine_options.shards = engine_options.threads;
   engine_options.factory = engine_mapper_factory();
   engine_options.incremental = parser.flag("incremental");
   service::BatchEngine engine(engine_options);

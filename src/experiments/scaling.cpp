@@ -27,7 +27,7 @@ std::vector<ScalingPoint> run_scaling_study(const ScalingConfig& config) {
 
   // One engine for the whole study: networks are registered (and
   // finalized) once per scale, the worker pool and DP arena exist once,
-  // and the timed repeats run inside the engine.  A single shard keeps
+  // and the timed repeats run inside the engine.  A single worker keeps
   // the measurements serial and uncontended, exactly like the old
   // hand-rolled timing loop this replaces.  The factory deliberately
   // does NOT use the engine's serving configuration for ELPC: the study
@@ -36,7 +36,6 @@ std::vector<ScalingPoint> run_scaling_study(const ScalingConfig& config) {
   // what the checked-in perf trajectory has always measured.
   service::BatchEngineOptions engine_options;
   engine_options.threads = 1;
-  engine_options.shards = 1;
   engine_options.factory = [](const service::SolveJob& job,
                               const service::MapperContext&) {
     return make_mapper(job.algorithm);

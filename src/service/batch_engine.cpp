@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -44,10 +45,22 @@ mapping::MapperPtr builtin_factory(const SolveJob& job,
       "resolves the full registry)");
 }
 
+constexpr const char* kSolveHistogramHelp =
+    "Latency histogram in milliseconds, labelled kernel x objective x "
+    "incremental";
+
 }  // namespace
 
 BatchEngine::BatchEngine(BatchEngineOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      owned_metrics_(options_.metrics != nullptr
+                         ? nullptr
+                         : std::make_unique<util::MetricsRegistry>()),
+      metrics_(options_.metrics != nullptr ? options_.metrics
+                                           : owned_metrics_.get()),
+      solve_ms_(*metrics_, "elpc_solve_ms", kSolveHistogramHelp),
+      staleness_ms_(*metrics_, "elpc_resolve_staleness_ms",
+                    kSolveHistogramHelp) {
   // An incremental engine with a zero-byte session budget would evict
   // every checkpoint the moment its solve released it; give it a real
   // budget unless the caller chose one explicitly.
@@ -65,16 +78,10 @@ BatchEngine::BatchEngine(BatchEngineOptions options)
   }
   // Resolve the kernel once, up front: a forced-but-unavailable kernel
   // fails engine construction loudly instead of failing the first job,
-  // and every shard/job sees the same concrete kind.
+  // and every job sees the same concrete kind.
   kernel_ = core::kernels::resolve_kernel(options_.kernel);
   // Counters resolve their registry slot once here; the solve path then
   // pays one relaxed atomic add per event, never a registry lookup.
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<util::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   kernel_jobs_ = &metrics_->counter(
       "elpc_kernel_jobs_total", "ELPC frame-rate solves served, by kernel",
       {{"kernel", core::kernels::kind_name(kernel_)}});
@@ -89,17 +96,23 @@ BatchEngine::BatchEngine(BatchEngineOptions options)
       "DP columns replayed from checkpoints instead of recomputed");
 }
 
-util::Histogram& BatchEngine::solve_histogram(const std::string& family,
-                                              const SolveResult& out) const {
-  static const char* kHelp =
-      "Latency histogram in milliseconds, labelled kernel x objective x "
-      "incremental";
-  return metrics_->histogram(
-      family, kHelp,
-      {{"kernel", out.kernel.empty() ? "none" : out.kernel},
-       {"objective",
-        out.objective == Objective::kMinDelay ? "delay" : "framerate"},
-       {"incremental", out.incremental ? "1" : "0"}});
+util::Histogram& SolveHistograms::child(const SolveResult& result) {
+  const bool served = !result.kernel.empty();
+  const bool delay = result.objective == Objective::kMinDelay;
+  std::atomic<util::Histogram*>& slot = children_[(served ? 4 : 0) +
+                                                  (delay ? 0 : 2) +
+                                                  (result.incremental ? 1 : 0)];
+  if (util::Histogram* cached = slot.load(std::memory_order_acquire)) {
+    return *cached;
+  }
+  // Idempotent resolve-or-create: racing first uses store one handle.
+  util::Histogram& child = registry_->histogram(
+      family_, help_,
+      {{"kernel", served ? result.kernel : "none"},
+       {"objective", delay ? "delay" : "framerate"},
+       {"incremental", result.incremental ? "1" : "0"}});
+  slot.store(&child, std::memory_order_release);
+  return child;
 }
 
 NetworkSession& BatchEngine::register_network(std::string id,
@@ -185,7 +198,7 @@ std::vector<SolveResult> BatchEngine::solve(const std::vector<SolveJob>& jobs,
   const CancelFn effective =
       with_deadlines(std::span<const SolveJob>(jobs), snapshots,
                      std::span<const IncrementalBinding>(bindings), cancelled);
-  std::vector<SolveResult> results = run_sharded(
+  std::vector<SolveResult> results = run_jobs(
       std::span<const SolveJob>(jobs), snapshots, bindings, effective);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -264,13 +277,13 @@ std::vector<SolveResult> BatchEngine::apply_link_updates(
     }
   }
   // Subscribed jobs keep their deadlines on re-solves too (measured from
-  // the re-solve's start), so a delta storm cannot wedge a shard.
+  // the re-solve's start), so a delta storm cannot wedge a worker.
   const CancelFn effective =
       with_deadlines(std::span<const SolveJob>(subscribed), snapshots,
                      std::span<const IncrementalBinding>(bindings), nullptr);
   std::vector<SolveResult> results =
-      run_sharded(std::span<const SolveJob>(subscribed), snapshots, bindings,
-                  effective, &delta_landed);
+      run_jobs(std::span<const SolveJob>(subscribed), snapshots, bindings,
+               effective, &delta_landed);
   {
     // Re-pin exactly the subscriptions this call re-solved, releasing
     // their hold on the previous revision.  Matching on the captured
@@ -381,7 +394,7 @@ EngineStats BatchEngine::stats() const {
   return stats;
 }
 
-std::vector<SolveResult> BatchEngine::run_sharded(
+std::vector<SolveResult> BatchEngine::run_jobs(
     std::span<const SolveJob> jobs,
     std::span<const NetworkSession::Current> snapshots,
     std::span<const IncrementalBinding> bindings, const CancelFn& cancelled,
@@ -390,84 +403,91 @@ std::vector<SolveResult> BatchEngine::run_sharded(
   if (jobs.empty()) {
     return results;
   }
-  const std::size_t shards = std::min(
-      jobs.size(),
-      options_.shards == 0 ? pool_->worker_count() : options_.shards);
-  util::JobGroup group(*pool_);
-  for (std::size_t s = 0; s < shards; ++s) {
-    group.submit([this, s, shards, jobs, snapshots, bindings, &cancelled,
-                  staleness_epoch, &results]() {
-      // One timeline slice per shard: everything the worker does for its
-      // job range (arena acquire, each solve) nests under it.
-      const util::ProfileScope dispatch_phase("dispatch", "engine", s);
-      // One arena per live shard; leases recycle through the pool, so
-      // the engine never holds more arenas than its peak shard count.
-      const core::ArenaPool::Lease lease = arenas_.acquire();
-      MapperContext ctx;
-      ctx.arena = lease.get();
-      ctx.kernel = kernel_;
-      const std::size_t lo = s * jobs.size() / shards;
-      const std::size_t hi = (s + 1) * jobs.size() / shards;
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (cancelled) {
-          const JobSignal signal = cancelled(i);
-          if (signal != JobSignal::kNone) {
-            // The job-boundary check: skipped jobs report a uniform
-            // marker instead of a solver outcome.
-            const char* marker = signal == JobSignal::kTimeout
-                                     ? kTimedOutError
-                                     : kCancelledError;
-            results[i].job_id = jobs[i].id;
-            results[i].network = jobs[i].network;
-            results[i].algorithm = jobs[i].algorithm;
-            results[i].objective = jobs[i].objective;
-            results[i].network_revision = snapshots[i].revision;
-            results[i].shard = s;
-            results[i].error = marker;
-            results[i].result = mapping::MapResult::infeasible(marker);
-            continue;
-          }
+  std::atomic<std::size_t> cursor{0};  // next unclaimed job index
+  const auto participate = [&](std::size_t slot) {
+    // One timeline slice per participant: everything it does for the
+    // batch (arena acquire, each solve) nests under it.
+    const util::ProfileScope dispatch_phase("dispatch", "engine", slot);
+    // One arena per participant that claims work; leases recycle through
+    // the pool, so the engine never holds more arenas than its peak
+    // number of concurrent participants.
+    std::optional<core::ArenaPool::Lease> lease;
+    MapperContext ctx;
+    ctx.kernel = kernel_;
+    for (std::size_t i = cursor++; i < jobs.size(); i = cursor++) {
+      if (cancelled) {
+        const JobSignal signal = cancelled(i);
+        if (signal != JobSignal::kNone) {
+          // The job-boundary check: skipped jobs report a uniform
+          // marker instead of a solver outcome.
+          const char* marker = signal == JobSignal::kTimeout
+                                   ? kTimedOutError
+                                   : kCancelledError;
+          results[i].job_id = jobs[i].id;
+          results[i].network = jobs[i].network;
+          results[i].algorithm = jobs[i].algorithm;
+          results[i].objective = jobs[i].objective;
+          results[i].network_revision = snapshots[i].revision;
+          results[i].shard = slot;
+          results[i].error = marker;
+          results[i].result = mapping::MapResult::infeasible(marker);
+          continue;
         }
-        // The same signal, re-polled once per DP column inside the
-        // solve: a deadline or late cancel stops the job within one
-        // column's work instead of running it to completion.  The probe
-        // doubles as the trace layer's per-column tick (dp_columns) —
-        // one increment of a local folded into an existing call, never a
-        // new hot-loop branch (probe-free solves stay probe-free).
-        core::AbortProbe abort;
-        std::uint64_t dp_columns = 0;
-        if (cancelled) {
-          abort = [&cancelled, i, &dp_columns]() {
-            ++dp_columns;
-            switch (cancelled(i)) {
-              case JobSignal::kCancel:
-                return core::SolveAbort::kCancelled;
-              case JobSignal::kTimeout:
-                return core::SolveAbort::kTimedOut;
-              case JobSignal::kNone:
-                break;
-            }
-            return core::SolveAbort::kNone;
-          };
-        }
-        solve_one(jobs[i], snapshots[i], ctx, s,
-                  bindings.empty() ? nullptr : &bindings[i], abort,
-                  staleness_epoch, results[i]);
-        results[i].dp_columns = dp_columns;
       }
-    });
+      // The same signal, re-polled once per DP column inside the
+      // solve: a deadline or late cancel stops the job within one
+      // column's work instead of running it to completion.  The probe
+      // doubles as the trace layer's per-column tick (dp_columns) —
+      // one increment of a local folded into an existing call, never a
+      // new hot-loop branch (probe-free solves stay probe-free).
+      if (!lease) {
+        ctx.arena = lease.emplace(arenas_.acquire()).get();
+      }
+      core::AbortProbe abort;
+      std::uint64_t dp_columns = 0;
+      if (cancelled) {
+        abort = [&cancelled, i, &dp_columns]() {
+          ++dp_columns;
+          switch (cancelled(i)) {
+            case JobSignal::kCancel:
+              return core::SolveAbort::kCancelled;
+            case JobSignal::kTimeout:
+              return core::SolveAbort::kTimedOut;
+            case JobSignal::kNone:
+              break;
+          }
+          return core::SolveAbort::kNone;
+        };
+      }
+      solve_one(jobs[i], snapshots[i], ctx, slot,
+                bindings.empty() ? nullptr : &bindings[i], abort,
+                staleness_epoch, results[i]);
+      results[i].dp_columns = dp_columns;
+    }
+  };
+  // The caller is participant 0: a one-job batch never leaves its thread.
+  const std::size_t participants =
+      std::min(jobs.size(), pool_->worker_count());
+  if (participants == 1) {
+    participate(0);
+    return results;
   }
+  util::JobGroup group(*pool_);
+  for (std::size_t slot = 1; slot < participants; ++slot) {
+    group.submit([&participate, slot]() { participate(slot); });
+  }
+  participate(0);
   group.wait();
   return results;
 }
 
 void BatchEngine::solve_one(
     const SolveJob& job, const NetworkSession::Current& snap,
-    const MapperContext& ctx, std::size_t shard,
+    const MapperContext& ctx, std::size_t slot,
     const IncrementalBinding* binding, const core::AbortProbe& abort,
     const std::chrono::steady_clock::time_point* staleness_epoch,
     SolveResult& out) {
-  // Fault point "engine_stall": the shard thread wedges right here,
+  // Fault point "engine_stall": the solving thread wedges right here,
   // snapshot pinned, before any abort probe can fire — exactly the hung
   // solve the lease machinery exists to survive.
   (void)util::FaultInjector::instance().maybe_stall("engine_stall");
@@ -481,7 +501,7 @@ void BatchEngine::solve_one(
   out.network = job.network;
   out.algorithm = job.algorithm;
   out.objective = job.objective;
-  out.shard = shard;
+  out.shard = slot;
   out.network_revision = snap.revision;
   // Which kernel serves the job: the frame-rate row kernel only runs
   // under ELPC's max_frame_rate DP, so only those jobs report (and
@@ -596,12 +616,12 @@ void BatchEngine::solve_one(
   out.columns_total = inc_stats.columns_total;
   out.columns_reused = inc_stats.columns_reused;
   if (out.error.empty()) {
-    solve_histogram("elpc_solve_ms", out).record(out.mean_runtime_ms);
+    solve_ms_.child(out).record(out.mean_runtime_ms);
     if (staleness_epoch != nullptr) {
-      solve_histogram("elpc_resolve_staleness_ms", out)
-          .record(std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - *staleness_epoch)
-                      .count());
+      staleness_ms_.child(out).record(
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - *staleness_epoch)
+              .count());
     }
   }
 }

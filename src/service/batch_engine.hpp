@@ -5,17 +5,19 @@
 //
 // Cost amortization, by lifetime:
 //   * per engine   — one worker pool (never one pool per suite run) and
-//     one ArenaPool whose arenas cycle between shards;
+//     one ArenaPool whose arenas cycle between participants;
 //   * per network  — one NetworkSession: registered once, finalized
 //     once, shared read-only by every job and every revision delta
 //     (see network_session.hpp);
-//   * per batch    — jobs are split into contiguous shards; each shard
-//     leases one arena and solves its jobs serially on one worker.
+//   * per batch    — min(jobs, workers) participants, the calling thread
+//     one of them, each lease one arena and pull job indices from a
+//     shared cursor: a heavy job never strands the rest behind it, and a
+//     one-job batch runs on the caller's thread with no pool hop.
 //
 // Determinism: results are indexed by job order, each job is solved by
-// an identical mapper configuration regardless of shard count, and the
-// serialized result form (service/serialize.hpp) excludes timing and
-// shard metadata by default — so the same job list produces
+// an identical mapper configuration whichever participant runs it, and
+// the serialized result form (service/serialize.hpp) excludes timing and
+// participant metadata by default — so the same job list produces
 // byte-identical JSON on 1 worker and on N, and values bit-identical to
 // direct Mapper calls.  Pinned by tests/service/batch_engine_test.cpp.
 //
@@ -123,6 +125,7 @@ struct SolveResult {
   /// kernel never runs under.
   std::string kernel;
   double mean_runtime_ms = 0.0;
+  /// Participant slot that ran the job (0 = the calling thread).
   std::size_t shard = 0;
   /// Solve-phase attribution for trace spans (also non-canonical — the
   /// incremental path is bit-identical to a full solve, so whether it
@@ -137,10 +140,10 @@ struct SolveResult {
   std::uint64_t dp_columns = 0;
 };
 
-/// Per-shard context the mapper factory may use: the shard's leased DP
-/// arena (single-threaded for the shard's lifetime) and the engine's
-/// resolved frame-rate kernel (never kAuto; identical for every shard,
-/// so results cannot depend on scheduling).  The incremental fields are
+/// Per-participant context the mapper factory may use: its leased DP
+/// arena (single-threaded while leased) and the engine's resolved
+/// frame-rate kernel (never kAuto; identical for every participant, so
+/// results cannot depend on scheduling).  The incremental fields are
 /// per-JOB: set only for a subscribed ELPC frame-rate job on an engine
 /// with incremental re-solves enabled, after its checkpoint entry's
 /// solve lock was won (see network_session.hpp).  None of them ever
@@ -163,23 +166,21 @@ struct MapperContext {
 };
 
 /// Resolves a job's algorithm name to a mapper instance.  Called once
-/// per (job, run) inside the shard; must be thread-safe (pure).
+/// per (job, run) on a participant's thread; must be thread-safe.
 using MapperFactory =
     std::function<mapping::MapperPtr(const SolveJob&, const MapperContext&)>;
 
-/// The ELPC mapper as the engine configures it: shard-leased arena, DP
-/// column sweep off (shards already own the machine's parallelism —
+/// The ELPC mapper as the engine configures it: leased arena, DP column
+/// sweep off (participants already own the machine's parallelism —
 /// results are identical either way).  Exposed so custom factories keep
 /// the same configuration for "ELPC".
 [[nodiscard]] mapping::MapperPtr make_engine_elpc(const MapperContext& ctx);
 
 struct BatchEngineOptions {
   /// Worker threads of the engine-owned pool when `pool` is null
-  /// (0 = hardware concurrency).  Ignored with an external pool.
+  /// (0 = hardware concurrency).  Ignored with an external pool.  Worker
+  /// count never changes results, only scheduling.
   std::size_t threads = 0;
-  /// Shards per batch (0 = the pool's worker count).  Shard count never
-  /// changes results, only scheduling.
-  std::size_t shards = 0;
   /// External pool to share with other engines/suites; not owned.
   util::ThreadPool* pool = nullptr;
   /// Algorithm resolution; empty = built-in factory ("ELPC" only; other
@@ -244,11 +245,10 @@ inline constexpr const char* kTimedOutError = "deadline exceeded";
 /// column.
 enum class JobSignal { kNone = 0, kCancel, kTimeout };
 
-/// Checked at job boundaries inside a shard AND once per DP column
-/// during the solve: a non-kNone answer for `job_index` skips (or
-/// aborts) the job, marking its result with kCancelledError or
-/// kTimedOutError.  Must be thread-safe; called concurrently — and
-/// frequently — from every shard.
+/// Checked at each job's start AND once per DP column during the solve:
+/// a non-kNone answer for `job_index` skips (or aborts) the job, marking
+/// its result with kCancelledError or kTimedOutError.  Must be
+/// thread-safe; called concurrently — and frequently — by participants.
 using CancelFn = std::function<JobSignal(std::size_t job_index)>;
 
 /// Aggregate serving counters across the engine and all its sessions
@@ -298,6 +298,27 @@ class NetworkConflict : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+/// One engine's latency histogram family labelled kernel × objective ×
+/// incremental, each child's handle cached on first use: recording skips
+/// the registry mutex and the label formatting.  Children are still
+/// created on first use, so the exported series set is unchanged.  A
+/// result's kernel is the engine's or none, so "served" keys the kernel.
+class SolveHistograms {
+ public:
+  SolveHistograms(util::MetricsRegistry& registry, std::string family,
+                  std::string help)
+      : registry_(&registry), family_(std::move(family)),
+        help_(std::move(help)) {}
+
+  [[nodiscard]] util::Histogram& child(const SolveResult& result);
+
+ private:
+  util::MetricsRegistry* registry_;
+  std::string family_;
+  std::string help_;
+  std::array<std::atomic<util::Histogram*>, 8> children_{};
+};
+
 class BatchEngine {
  public:
   explicit BatchEngine(BatchEngineOptions options = {});
@@ -317,8 +338,9 @@ class BatchEngine {
   /// absent.
   [[nodiscard]] NetworkSession& session(const std::string& id) const;
 
-  /// Solves a batch: shards the jobs over the pool, one arena lease per
-  /// shard, and returns results in job order.  Jobs naming an
+  /// Solves a batch: the caller and up to workers − 1 pool tasks pull
+  /// jobs one at a time, one arena lease per participant, and results
+  /// come back in job order.  Jobs naming an
   /// unregistered network throw std::invalid_argument before anything
   /// runs; per-job solver failures are captured in SolveResult::error.
   /// Jobs with resolve_on_update are additionally retained as
@@ -326,8 +348,8 @@ class BatchEngine {
   /// its subscription instead of duplicating it, and re-submitting with
   /// resolve_on_update off removes it (the unsubscribe path).
   ///
-  /// `cancelled`, when set, is checked at the job boundary within the
-  /// shard and then once per DP column while the job solves: kCancel
+  /// `cancelled`, when set, is checked when the job starts and then once
+  /// per DP column while it solves: kCancel
   /// marks the result kCancelledError, kTimeout kTimedOutError, and a
   /// job skipped or aborted either way never touches the subscription
   /// table.  This is the hook the daemon's JobManager uses.  Jobs with
@@ -345,10 +367,13 @@ class BatchEngine {
   /// Jobs currently retained for delta-driven re-solves.
   [[nodiscard]] std::size_t subscription_count() const;
 
-  /// Arenas the engine ever constructed (bounded by peak shard count).
+  /// Arenas the engine ever constructed (bounded by peak participants).
   [[nodiscard]] std::size_t arenas_created() const {
     return arenas_.created();
   }
+
+  /// The pool solves run on; JobManager posts its pull tasks here.
+  [[nodiscard]] util::ThreadPool& pool() const { return *pool_; }
 
   /// Serving counters: session/subscription counts plus session-cache
   /// occupancy and evictions summed over all sessions (each session runs
@@ -399,21 +424,17 @@ class BatchEngine {
   /// `staleness_epoch`, when non-null, marks the instant the triggering
   /// delta landed: each job records (its completion − epoch) into the
   /// elpc_resolve_staleness_ms histogram (the apply_link_updates path).
-  std::vector<SolveResult> run_sharded(
+  std::vector<SolveResult> run_jobs(
       std::span<const SolveJob> jobs,
       std::span<const NetworkSession::Current> snapshots,
       std::span<const IncrementalBinding> bindings, const CancelFn& cancelled,
       const std::chrono::steady_clock::time_point* staleness_epoch = nullptr);
   void solve_one(const SolveJob& job, const NetworkSession::Current& snap,
-                 const MapperContext& ctx, std::size_t shard,
+                 const MapperContext& ctx, std::size_t slot,
                  const IncrementalBinding* binding,
                  const core::AbortProbe& abort,
                  const std::chrono::steady_clock::time_point* staleness_epoch,
                  SolveResult& out);
-  /// Histogram child for one solve's label set (kernel × objective ×
-  /// incremental); `family` is e.g. "elpc_solve_ms".
-  [[nodiscard]] util::Histogram& solve_histogram(const std::string& family,
-                                                 const SolveResult& out) const;
   /// Fuses the caller's signal with per-job engine-side deadlines
   /// (measured from now) into one CancelFn; returns `user` unchanged
   /// when no job carries a deadline.  Also extends each deadline job's
@@ -435,7 +456,7 @@ class BatchEngine {
   /// Metrics live in the registry (the caller's via options.metrics, or
   /// owned_metrics_) — one source of truth; EngineStats is populated from
   /// these.  Counter references are resolved once at construction, so
-  /// shards pay one relaxed atomic add each.
+  /// participants pay one relaxed atomic add each.
   std::unique_ptr<util::MetricsRegistry> owned_metrics_;
   util::MetricsRegistry* metrics_ = nullptr;
   /// ELPC frame-rate solves served by the engine's (fixed) kernel.
@@ -444,6 +465,8 @@ class BatchEngine {
   util::Counter* incremental_hits_ = nullptr;
   util::Counter* incremental_misses_ = nullptr;
   util::Counter* incremental_columns_reused_ = nullptr;
+  SolveHistograms solve_ms_;
+  SolveHistograms staleness_ms_;
   mutable std::mutex mutex_;  // guards sessions_ and subscriptions_
   std::map<std::string, std::unique_ptr<NetworkSession>> sessions_;
   std::vector<Subscription> subscriptions_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -74,12 +77,13 @@ TEST(JobManager, AsyncResultsBitIdenticalToDirectSolve) {
 }
 
 TEST(JobManager, DispatchFollowsPriorityThenSubmissionOrder) {
-  // Record the order jobs reach the mapper factory.  max_batch = 1 makes
-  // dispatch strictly one job per cycle, so the recorded order is the
+  // Record the order jobs reach the mapper factory.  A one-worker engine
+  // runs strictly one job at a time, so the recorded order is the
   // scheduling order; start_paused lets all submissions queue first.
   std::mutex order_mutex;
   std::vector<std::string> order;
   service::BatchEngineOptions engine_options;
+  engine_options.threads = 1;
   engine_options.factory = [&order, &order_mutex](
                                const service::SolveJob& job,
                                const service::MapperContext& ctx) {
@@ -93,7 +97,6 @@ TEST(JobManager, DispatchFollowsPriorityThenSubmissionOrder) {
   engine.register_network("net", make_network(3));
 
   JobManagerOptions manager_options;
-  manager_options.max_batch = 1;
   manager_options.start_paused = true;
   JobManager manager(engine, manager_options);
 
@@ -112,6 +115,62 @@ TEST(JobManager, DispatchFollowsPriorityThenSubmissionOrder) {
   // Highest priority first; FIFO between the two priority-5 jobs.
   const std::vector<std::string> expected = {"job1", "job2", "job3", "job0"};
   EXPECT_EQ(order, expected);
+}
+
+TEST(JobManager, LaterJobFinishesWhileAnEarlierOneIsStillRunning) {
+  // No batch barrier: with two engine workers, job B (submitted after A
+  // started) runs on the idle worker and completes — its wait_async
+  // answer included — while A is still held inside its solve.
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool a_started = false;
+  bool a_released = false;
+  service::BatchEngineOptions engine_options;
+  engine_options.threads = 2;
+  engine_options.factory = [&](const service::SolveJob& job,
+                               const service::MapperContext& ctx) {
+    if (job.id == "A") {
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      a_started = true;
+      gate_cv.notify_all();
+      gate_cv.wait(lock, [&a_released]() { return a_released; });
+    }
+    return service::make_engine_elpc(ctx);
+  };
+  service::BatchEngine engine(engine_options);
+  engine.register_network("net", make_network(3));
+  const auto release_a = [&]() {
+    const std::lock_guard<std::mutex> lock(gate_mutex);
+    a_released = true;
+    gate_cv.notify_all();
+  };
+
+  // Outlives the manager: a late answer (the failure mode) must still
+  // land on a live promise.
+  std::promise<JobState> b_answer;
+  std::future<JobState> b_state = b_answer.get_future();
+  JobManager manager(engine);
+  const Ticket a =
+      manager.submit(make_job("A", 11, service::Objective::kMaxFrameRate));
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    ASSERT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(10),
+                                 [&a_started]() { return a_started; }));
+  }
+  const Ticket b =
+      manager.submit(make_job("B", 12, service::Objective::kMinDelay));
+  manager.wait_async(b, [&b_answer](const JobStatus& status) {
+    b_answer.set_value(status.state);
+  });
+  const bool b_answered =
+      b_state.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  const JobState a_state_meanwhile = manager.poll(a).state;
+  release_a();  // unblock A whatever happened, so the manager can stop
+
+  ASSERT_TRUE(b_answered) << "job B waited behind job A";
+  EXPECT_EQ(b_state.get(), JobState::kDone);
+  EXPECT_EQ(a_state_meanwhile, JobState::kRunning);
+  EXPECT_EQ(manager.wait(a).state, JobState::kDone);
 }
 
 TEST(JobManager, CancelQueuedRemovesJobBeforeItEverRuns) {

@@ -62,8 +62,7 @@ std::string socket_path(const std::string& tag) {
 /// stats → shutdown; results bit-identical to direct BatchEngine::solve.
 TEST(SocketServer, EndToEndFlowMatchesDirectEngine) {
   SocketServerOptions options;
-  options.threads = 2;
-  options.max_batch = 1;       // strict priority order
+  options.threads = 1;          // one engine worker: strict priority order
   options.start_paused = true;  // queue everything before dispatching
   SocketServer server(socket_path("e2e"), options);
   std::thread serve_thread([&server]() { server.serve(); });
@@ -683,13 +682,12 @@ TEST(SocketServer, PipelinedHelpersWrapTheWindowOnBothTransports) {
   serve_thread.join();
 }
 
-/// With dispatch paused and one job per batch, the later-submitted,
+/// With dispatch paused and one engine worker, the later-submitted,
 /// higher-priority jobs finish first, so the out-of-band wait answers
 /// arrive out of ticket order; wait_all still returns ticket order.
 TEST(SocketServer, WaitAllReturnsTicketOrderWhateverTheCompletionOrder) {
   SocketServerOptions options;
   options.threads = 1;
-  options.max_batch = 1;
   options.start_paused = true;
   SocketServer server(socket_path("order"), options);
   std::thread serve_thread([&server]() { server.serve(); });

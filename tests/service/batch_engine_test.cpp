@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/elpc.hpp"
@@ -105,7 +107,6 @@ TEST(BatchEngine, CanonicalJsonByteIdenticalAcrossShardCounts) {
   {
     BatchEngineOptions options;
     options.threads = 1;
-    options.shards = 1;
     BatchEngine engine(options);
     engine.register_network("shared", make_network(5, 12, 70));
     serial_doc = results_to_json(engine.solve(jobs)).dump(2);
@@ -113,7 +114,6 @@ TEST(BatchEngine, CanonicalJsonByteIdenticalAcrossShardCounts) {
   {
     BatchEngineOptions options;
     options.threads = 4;
-    options.shards = 4;
     BatchEngine engine(options);
     engine.register_network("shared", make_network(5, 12, 70));
     sharded_doc = results_to_json(engine.solve(jobs)).dump(2);
@@ -124,7 +124,6 @@ TEST(BatchEngine, CanonicalJsonByteIdenticalAcrossShardCounts) {
 TEST(BatchEngine, ArenaLeasesAreBoundedByShardCount) {
   BatchEngineOptions options;
   options.threads = 4;
-  options.shards = 4;
   BatchEngine engine(options);
   engine.register_network("shared", make_network(5, 12, 70));
   const std::vector<SolveJob> jobs = shared_network_jobs();
@@ -134,6 +133,63 @@ TEST(BatchEngine, ArenaLeasesAreBoundedByShardCount) {
   // Leases recycle across batches: repeated solves never grow the pool
   // past the peak concurrent shard count.
   EXPECT_LE(engine.arenas_created(), 4u);
+}
+
+TEST(BatchEngine, SkewedBatchByteIdenticalAcrossThreadCounts) {
+  // One 40-module, 400-node frame-rate job among the small ones: pulled
+  // one job at a time, the heavy job's worker falls behind while the
+  // others take the rest — the results must not notice.
+  std::vector<SolveJob> jobs = shared_network_jobs();
+  SolveJob heavy;
+  heavy.id = "heavy";
+  heavy.network = "large";
+  heavy.pipeline = make_pipeline(31, 40);
+  heavy.source = 0;
+  heavy.destination = 399;
+  heavy.objective = Objective::kMaxFrameRate;
+  heavy.cost = default_cost(heavy.objective);
+  jobs.insert(jobs.begin() + 1, heavy);
+
+  const auto solve_on = [&jobs](std::size_t threads) {
+    BatchEngineOptions options;
+    options.threads = threads;
+    BatchEngine engine(options);
+    engine.register_network("shared", make_network(5, 12, 70));
+    engine.register_network("large", make_network(9, 400, 4000));
+    return results_to_json(engine.solve(jobs)).dump(2);
+  };
+  const std::string serial_doc = solve_on(1);
+  EXPECT_NE(serial_doc.find("\"heavy\""), std::string::npos);
+  EXPECT_EQ(serial_doc, solve_on(4));
+}
+
+TEST(BatchEngine, OneJobSolveRunsOnTheCallersThread) {
+  // Zero pool hops for a single job: the factory runs on the thread that
+  // called solve(), even with idle workers available.
+  std::mutex ids_mutex;
+  std::vector<std::thread::id> factory_threads;
+  BatchEngineOptions options;
+  options.threads = 4;
+  options.factory = [&](const SolveJob&, const MapperContext& ctx) {
+    {
+      const std::lock_guard<std::mutex> lock(ids_mutex);
+      factory_threads.push_back(std::this_thread::get_id());
+    }
+    return make_engine_elpc(ctx);
+  };
+  BatchEngine engine(options);
+  engine.register_network("shared", make_network(5, 12, 70));
+  const std::vector<SolveJob> jobs = shared_network_jobs();
+  for (int round = 0; round < 3; ++round) {
+    const std::vector<SolveResult> results = engine.solve({jobs[round]});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].error.empty()) << results[0].error;
+    EXPECT_EQ(results[0].shard, 0u);
+  }
+  ASSERT_EQ(factory_threads.size(), 3u);
+  for (const std::thread::id id : factory_threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 TEST(BatchEngine, UnknownNetworkRejectsWholeBatchUpFront) {
