@@ -157,7 +157,7 @@ class IncrementalCheckpoint {
   [[nodiscard]] ParentRec* parents() noexcept { return parents_.data(); }
 
   /// Heap footprint in bytes (capacities, matching what the allocator
-  /// holds) — what the session cache budget charges for this checkpoint.
+  /// holds) — what the session checkpoint budget charges for it.
   [[nodiscard]] std::size_t approx_bytes() const noexcept {
     return bottleneck_.capacity() * sizeof(double) +
            sum_.capacity() * sizeof(double) +

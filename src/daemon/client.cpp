@@ -102,7 +102,6 @@ StatsView StatsView::from_json(util::Json frame) {
   view.subscriptions = field("subscriptions");
   view.pinned_revisions = field("pinned_revisions");
   view.pinned_bytes = field("pinned_bytes");
-  view.lease_expirations = field("lease_expirations");
   view.connections = field("connections");
   view.connections_v1 = field("connections_v1");
   view.connections_v2 = field("connections_v2");
@@ -586,7 +585,6 @@ DrainOutcome DaemonClient::drain_report(std::int64_t timeout_ms) {
   report.running = frame.at("running").as_int();
   report.pinned_revisions = frame.at("pinned_revisions").as_int();
   report.pinned_bytes = frame.at("pinned_bytes").as_int();
-  report.lease_expirations = frame.at("lease_expirations").as_int();
   return report;
 }
 

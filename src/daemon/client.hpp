@@ -133,7 +133,6 @@ struct DrainOutcome {
   std::int64_t running = 0;
   std::int64_t pinned_revisions = 0;
   std::int64_t pinned_bytes = 0;
-  std::int64_t lease_expirations = 0;
 };
 
 /// Typed view of the `stats` frame: the counters in-repo consumers
@@ -151,7 +150,6 @@ struct StatsView {
   std::int64_t subscriptions = 0;
   std::int64_t pinned_revisions = 0;
   std::int64_t pinned_bytes = 0;
-  std::int64_t lease_expirations = 0;
   std::int64_t connections = 0;
   std::int64_t connections_v1 = 0;
   std::int64_t connections_v2 = 0;
@@ -281,7 +279,7 @@ class DaemonClient {
   /// write to disk; the siblings carry ring accounting.
   [[nodiscard]] util::Json trace();
   /// Graceful drain (see JobManager::drain); returns the report frame
-  /// ("drained", "completed", "timed_out", pin/lease counters).
+  /// ("drained", "completed", "timed_out", pin counters).
   [[nodiscard]] util::Json drain(std::int64_t timeout_ms);
   /// Typed drain report.
   [[nodiscard]] DrainOutcome drain_report(std::int64_t timeout_ms);

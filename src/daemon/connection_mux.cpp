@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "util/log.hpp"
+#include "util/profiler.hpp"
 
 namespace elpc::daemon {
 
@@ -304,6 +305,10 @@ void ConnectionMux::flush_writes(Worker& worker,
           << "mux: disconnecting " << conn->transport_ << " conn "
           << conn->id_ << ": " << conn->close_reason_;
     } else {
+      // The write syscalls themselves; socket_server's `write_enqueue`
+      // phase only times handing the bytes to this queue.
+      const util::ProfileScope write_phase("socket_write", "daemon",
+                                           conn->write_queue_.size());
       switch (conn->socket_.send_pending(conn->write_queue_,
                                          conn->write_front_offset_)) {
         case util::StreamSocket::IoStatus::kOk:

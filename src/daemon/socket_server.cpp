@@ -123,11 +123,9 @@ SocketServer::SocketServer(std::string socket_path,
   service::BatchEngineOptions engine_options;
   engine_options.threads = options_.threads;
   engine_options.factory = std::move(options_.factory);
-  engine_options.session_history_bytes = options_.session_history_bytes;
+  engine_options.checkpoint_budget_bytes = options_.checkpoint_budget_bytes;
   engine_options.kernel = options_.kernel;
   engine_options.incremental = options_.incremental;
-  engine_options.revision_lease_ms = options_.revision_lease_ms;
-  engine_options.lease_grace_ms = options_.lease_grace_ms;
   // One registry across the engine, the manager, and the server's own
   // gauges: the daemon's single metrics source of truth.
   engine_options.metrics = &metrics_;
@@ -344,7 +342,7 @@ void SocketServer::Sink::operator()(Reply reply) const {
 void SocketServer::send(MuxConnection& conn, Reply reply, int version) {
   if (version < 2 || reply.payload == nullptr) {
     const std::string line = inline_results(std::move(reply)).dump();
-    const util::ProfileScope write_phase("socket_write", "daemon");
+    const util::ProfileScope write_phase("write_enqueue", "daemon");
     conn.send_line(line);
     return;
   }
@@ -357,7 +355,7 @@ void SocketServer::send(MuxConnection& conn, Reply reply, int version) {
                                              reply.results.size());
     frame = wire::encode_result_table(reply.results);
   }
-  const util::ProfileScope write_phase("socket_write", "daemon");
+  const util::ProfileScope write_phase("write_enqueue", "daemon");
   conn.send_line_with_frame(reply.control.dump(),
                             wire::FrameType::kResultTable, std::move(frame));
 }
@@ -699,9 +697,7 @@ SocketServer::Answer SocketServer::verb_drain(const util::Json& request,
       return;
     }
     const DrainReport report = manager_->drain_progress(baseline);
-    // stats() sweeps every session cache — the final flush that also
-    // force-releases expired leases — so the pin counts below reflect
-    // the post-drain steady state, not stale bookkeeping.
+    // Read after the drain: only revisions a solve still holds count.
     const service::EngineStats engine = engine_->stats();
     util::Json response = ok_response();
     response.set("drained", report.drained);
@@ -711,7 +707,6 @@ SocketServer::Answer SocketServer::verb_drain(const util::Json& request,
     response.set("running", report.running);
     response.set("pinned_revisions", engine.pinned_revisions);
     response.set("pinned_bytes", engine.pinned_bytes);
-    response.set("lease_expirations", engine.lease_expirations);
     sink(Reply{std::move(response)});
   };
   if (timeout_ms > 0) {

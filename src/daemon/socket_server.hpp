@@ -79,7 +79,7 @@ namespace elpc::daemon {
 struct SocketServerOptions {
   /// Forwarded to the owned BatchEngine.
   std::size_t threads = 0;
-  std::size_t session_history_bytes = 0;
+  std::size_t checkpoint_budget_bytes = 0;
   /// Incremental delta-driven re-solves for subscribed frame-rate jobs
   /// (service::BatchEngineOptions::incremental); `stats` reports
   /// hits/misses and columns reused.
@@ -92,11 +92,6 @@ struct SocketServerOptions {
   /// Mapper resolution for the engine (empty = built-in "ELPC" only;
   /// the CLI installs the full registry).
   service::MapperFactory factory;
-  /// Pinned-revision lease (service::BatchEngineOptions::
-  /// revision_lease_ms); 0 = leases off.
-  std::int64_t revision_lease_ms = 0;
-  /// Lease headroom per deadline job beyond its deadline_ms.
-  std::int64_t lease_grace_ms = 1000;
   /// Fault-injection spec applied at construction (the ELPC_FAULTS
   /// format, util::FaultInjector::configure); empty = leave the
   /// process-global injector as it is.  Chaos/CI use only.

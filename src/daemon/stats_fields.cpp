@@ -106,13 +106,8 @@ const std::vector<SocketServer::StatsField>& SocketServer::stats_fields() {
       {"arenas_created", "elpc_arenas_created_total",
        ELPC_STAT(s.engine.arenas_created), "DP arenas ever constructed", {},
        true},
-      {"cached_revisions", "elpc_cached_revisions",
-       ELPC_STAT(s.engine.cached_revisions), "Superseded revisions in cache"},
       {"cached_bytes", "elpc_cached_bytes", ELPC_STAT(s.engine.cached_bytes),
-       "Revision cache occupancy, bytes"},
-      {"cache_evictions", "elpc_cache_evictions_total",
-       ELPC_STAT(s.engine.cache_evictions), "Revision cache evictions", {},
-       true},
+       "Network bytes held: current plus pinned revisions"},
       {"incremental_hits", nullptr, ELPC_STAT(s.engine.incremental_hits)},
       {"incremental_misses", nullptr, ELPC_STAT(s.engine.incremental_misses)},
       {"incremental_columns_reused", nullptr,
@@ -124,16 +119,13 @@ const std::vector<SocketServer::StatsField>& SocketServer::stats_fields() {
       {"checkpoint_evictions", "elpc_checkpoint_evictions_total",
        ELPC_STAT(s.engine.checkpoint_evictions), "Checkpoint evictions", {},
        true},
-      // Leak diagnostic: steady state == subscriptions; monotonic growth
-      // means a hung solve pins its revision forever.
+      // Leak diagnostic: 0 with no solve in flight; monotonic growth
+      // means a hung solve holds its revision forever.
       {"pinned_revisions", "elpc_pinned_revisions",
        ELPC_STAT(s.engine.pinned_revisions),
        "Superseded revisions pinned by references"},
       {"pinned_bytes", "elpc_pinned_bytes", ELPC_STAT(s.engine.pinned_bytes),
        "Pinned revision bytes"},
-      {"lease_expirations", "elpc_lease_expirations_total",
-       ELPC_STAT(s.engine.lease_expirations),
-       "Pins force-released by lease expiry", {}, true},
       {"kernel", nullptr, ELPC_STAT(s.engine.kernel)},
       {"connections", nullptr, ELPC_STAT(s.live)},
       {"connections_unix", "elpc_connections", ELPC_STAT(s.live_unix),

@@ -40,7 +40,7 @@ const char* kUsage =
     "  elpc map --in scenario.json --algorithm ELPC --objective framerate\n"
     "  elpc batch --jobs jobs.json --out results.json --threads 4\n"
     "  elpc serve --socket /tmp/elpc.sock --threads 4 --incremental "
-    "--lease-ms 60000 --slow-ms 50 --profile\n"
+    "--slow-ms 50 --profile\n"
     "  elpc serve --socket /tmp/elpc.sock --tcp 0.0.0.0:7447 "
     "--auth-token SECRET --max-inflight-jobs 64\n"
     "  elpc client <load|poll|wait|cancel|update|stats|metrics|slowlog|"
@@ -241,21 +241,15 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   parser.add_string("socket", "", "Unix-domain socket path (required)");
   parser.add_int("threads", 0, "engine worker threads (0 = hardware)");
   parser.add_int("session-cache-bytes", 0,
-                 "per-session revision-history budget in bytes "
-                 "(0 = keep no unpinned history)");
+                 "per-session budget in bytes for incremental DP "
+                 "checkpoints no solve holds, evicted LRU (0 = 64 MiB "
+                 "with --incremental)");
   parser.add_string("kernel", "auto",
                     "frame-rate kernel (auto|scalar|avx2|avx512; auto = "
                     "ELPC_FORCE_KERNEL env, else widest supported)");
   parser.add_flag("incremental",
                   "retain DP checkpoints for subscribed frame-rate jobs "
                   "and re-solve deltas by column reuse (bit-identical)");
-  parser.add_int("lease-ms", 0,
-                 "pinned-revision lease in milliseconds (0 = pins hold "
-                 "forever; >0 lets the cache reclaim entries a hung solve "
-                 "pinned past the lease)");
-  parser.add_int("lease-grace-ms", 1000,
-                 "extra lease headroom per deadline job beyond its "
-                 "deadline_ms");
   parser.add_string("faults", "",
                     "fault-injection spec, point=prob[:param_ms],... "
                     "(chaos/CI only; also settable via ELPC_FAULTS)");
@@ -300,7 +294,6 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   }
   if (parser.get_int("session-cache-bytes") < 0 ||
       parser.get_int("threads") < 0 ||
-      parser.get_int("lease-ms") < 0 || parser.get_int("lease-grace-ms") < 0 ||
       parser.get_int("slow-ms") < 0 || parser.get_int("slowlog-capacity") < 0 ||
       parser.get_int("tracelog-capacity") < 0 ||
       parser.get_int("io-workers") < 1 ||
@@ -312,12 +305,10 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
 
   daemon::SocketServerOptions options;
   options.threads = static_cast<std::size_t>(parser.get_int("threads"));
-  options.session_history_bytes =
+  options.checkpoint_budget_bytes =
       static_cast<std::size_t>(parser.get_int("session-cache-bytes"));
   options.kernel = core::kernels::kind_from_name(parser.get_string("kernel"));
   options.incremental = parser.flag("incremental");
-  options.revision_lease_ms = parser.get_int("lease-ms");
-  options.lease_grace_ms = parser.get_int("lease-grace-ms");
   options.faults = parser.get_string("faults");
   options.fault_seed =
       static_cast<std::uint64_t>(parser.get_int("fault-seed"));

@@ -214,7 +214,7 @@ class Network {
   /// Approximate heap footprint in bytes (node/link storage, lookup
   /// index, CSR views, name payloads).  Counts capacities, not sizes, so
   /// it tracks what the allocator actually holds.  Used by the service
-  /// layer's session-cache budgets; O(nodes + links).
+  /// layer's memory stats (cached/pinned bytes); O(nodes + links).
   [[nodiscard]] std::size_t approx_bytes() const;
 
   /// Checks all invariants hold (cheap; used by tests and loaders).

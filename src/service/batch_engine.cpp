@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -49,6 +48,37 @@ constexpr const char* kSolveHistogramHelp =
     "Latency histogram in milliseconds, labelled kernel x objective x "
     "incremental";
 
+/// Fuses the caller's signal with per-job engine-side deadlines
+/// (measured from now) into one CancelFn; returns `user` unchanged when
+/// no job carries a deadline.
+CancelFn with_deadlines(std::span<const SolveJob> jobs, const CancelFn& user) {
+  using Clock = std::chrono::steady_clock;
+  const bool any_deadline =
+      std::any_of(jobs.begin(), jobs.end(),
+                  [](const SolveJob& job) { return job.deadline_ms > 0; });
+  if (!any_deadline) {
+    return user;
+  }
+  const Clock::time_point start = Clock::now();
+  auto deadlines = std::make_shared<std::vector<Clock::time_point>>(
+      jobs.size(), Clock::time_point::max());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (jobs[i].deadline_ms > 0) {
+      (*deadlines)[i] = start + std::chrono::milliseconds(jobs[i].deadline_ms);
+    }
+  }
+  return [user, deadlines](std::size_t i) {
+    if (user) {
+      const JobSignal signal = user(i);
+      if (signal != JobSignal::kNone) {
+        return signal;
+      }
+    }
+    return Clock::now() >= (*deadlines)[i] ? JobSignal::kTimeout
+                                           : JobSignal::kNone;
+  };
+}
+
 }  // namespace
 
 BatchEngine::BatchEngine(BatchEngineOptions options)
@@ -64,8 +94,8 @@ BatchEngine::BatchEngine(BatchEngineOptions options)
   // An incremental engine with a zero-byte session budget would evict
   // every checkpoint the moment its solve released it; give it a real
   // budget unless the caller chose one explicitly.
-  if (options_.incremental && options_.session_history_bytes == 0) {
-    options_.session_history_bytes = kIncrementalDefaultHistoryBytes;
+  if (options_.incremental && options_.checkpoint_budget_bytes == 0) {
+    options_.checkpoint_budget_bytes = kIncrementalDefaultCheckpointBytes;
   }
   if (options_.pool != nullptr) {
     pool_ = options_.pool;
@@ -130,8 +160,7 @@ NetworkSession& BatchEngine::register_network(std::string id,
     return same_or_conflict(*existing, network);
   }
   auto session = std::make_unique<NetworkSession>(
-      id, std::move(network), options_.session_history_bytes,
-      options_.revision_lease_ms);
+      id, std::move(network), options_.checkpoint_budget_bytes);
   NetworkSession* winner = nullptr;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -196,8 +225,7 @@ std::vector<SolveResult> BatchEngine::solve(const std::vector<SolveJob>& jobs,
     }
   }
   const CancelFn effective =
-      with_deadlines(std::span<const SolveJob>(jobs), snapshots,
-                     std::span<const IncrementalBinding>(bindings), cancelled);
+      with_deadlines(std::span<const SolveJob>(jobs), cancelled);
   std::vector<SolveResult> results = run_jobs(
       std::span<const SolveJob>(jobs), snapshots, bindings, effective);
   {
@@ -216,17 +244,14 @@ std::vector<SolveResult> BatchEngine::solve(const std::vector<SolveJob>& jobs,
       // the flag off would have no way to stop them.
       const auto existing = std::find_if(
           subscriptions_.begin(), subscriptions_.end(),
-          [&job](const Subscription& s) {
-            return s.job.id == job.id && s.job.network == job.network;
+          [&job](const SolveJob& s) {
+            return s.id == job.id && s.network == job.network;
           });
       if (job.resolve_on_update) {
-        // Pinning the solved-against snapshot keeps that revision in the
-        // session cache for as long as the subscription is current.
-        Subscription entry{job, snapshots[i].network};
         if (existing == subscriptions_.end()) {
-          subscriptions_.push_back(std::move(entry));
+          subscriptions_.push_back(job);
         } else {
-          *existing = std::move(entry);
+          *existing = job;
         }
       } else if (existing != subscriptions_.end()) {
         subscriptions_.erase(existing);
@@ -253,9 +278,9 @@ std::vector<SolveResult> BatchEngine::apply_link_updates(
   std::vector<SolveJob> subscribed;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Subscription& sub : subscriptions_) {
-      if (sub.job.network == id) {
-        subscribed.push_back(sub.job);
+    for (const SolveJob& sub : subscriptions_) {
+      if (sub.network == id) {
+        subscribed.push_back(sub);
       }
     }
   }
@@ -279,74 +304,9 @@ std::vector<SolveResult> BatchEngine::apply_link_updates(
   // Subscribed jobs keep their deadlines on re-solves too (measured from
   // the re-solve's start), so a delta storm cannot wedge a worker.
   const CancelFn effective =
-      with_deadlines(std::span<const SolveJob>(subscribed), snapshots,
-                     std::span<const IncrementalBinding>(bindings), nullptr);
-  std::vector<SolveResult> results =
-      run_jobs(std::span<const SolveJob>(subscribed), snapshots, bindings,
-               effective, &delta_landed);
-  {
-    // Re-pin exactly the subscriptions this call re-solved, releasing
-    // their hold on the previous revision.  Matching on the captured
-    // job ids (not just the network) matters: a concurrent solve() may
-    // have installed a new subscription for this network meanwhile,
-    // pinned to the revision *it* solved against — blanket re-pinning
-    // would drop that revision's only pin while a live subscription's
-    // latest result still cites it.
-    std::set<std::string> resolved_ids;
-    for (const SolveJob& job : subscribed) {
-      resolved_ids.insert(job.id);
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (Subscription& sub : subscriptions_) {
-      if (sub.job.network == id && resolved_ids.count(sub.job.id) != 0) {
-        sub.pinned = now.network;
-      }
-    }
-  }
-  return results;
-}
-
-CancelFn BatchEngine::with_deadlines(
-    std::span<const SolveJob> jobs,
-    std::span<const NetworkSession::Current> snapshots,
-    std::span<const IncrementalBinding> bindings,
-    const CancelFn& user) const {
-  using Clock = std::chrono::steady_clock;
-  const bool any_deadline =
-      std::any_of(jobs.begin(), jobs.end(),
-                  [](const SolveJob& job) { return job.deadline_ms > 0; });
-  if (!any_deadline) {
-    return user;
-  }
-  const Clock::time_point start = Clock::now();
-  auto deadlines = std::make_shared<std::vector<Clock::time_point>>(
-      jobs.size(), Clock::time_point::max());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].deadline_ms <= 0) {
-      continue;
-    }
-    (*deadlines)[i] = start + std::chrono::milliseconds(jobs[i].deadline_ms);
-    // Keep the solved-against revision pinned for the job's budget plus
-    // grace: an on-schedule job (even one that times out on schedule)
-    // releases its own pin first; only a genuinely stalled solve loses
-    // the cache's obligation via lease expiry.
-    if (i < bindings.size() && bindings[i].session != nullptr) {
-      bindings[i].session->extend_lease(
-          snapshots[i].revision,
-          jobs[i].deadline_ms +
-              std::max<std::int64_t>(0, options_.lease_grace_ms));
-    }
-  }
-  return [user, deadlines](std::size_t i) {
-    if (user) {
-      const JobSignal signal = user(i);
-      if (signal != JobSignal::kNone) {
-        return signal;
-      }
-    }
-    return Clock::now() >= (*deadlines)[i] ? JobSignal::kTimeout
-                                           : JobSignal::kNone;
-  };
+      with_deadlines(std::span<const SolveJob>(subscribed), nullptr);
+  return run_jobs(std::span<const SolveJob>(subscribed), snapshots, bindings,
+                  effective, &delta_landed);
 }
 
 std::size_t BatchEngine::subscription_count() const {
@@ -358,7 +318,7 @@ EngineStats BatchEngine::stats() const {
   EngineStats stats;
   stats.arenas_created = arenas_.created();
   // Collect the sessions first: cache_stats() takes each session's own
-  // mutex and runs its budget sweep, which must not happen under the
+  // mutex and runs its checkpoint sweep, which must not happen under the
   // engine mutex a concurrent register_network needs.
   std::vector<NetworkSession*> sessions;
   {
@@ -372,15 +332,12 @@ EngineStats BatchEngine::stats() const {
   }
   for (const NetworkSession* session : sessions) {
     const SessionCacheStats cache = session->cache_stats();
-    stats.cached_revisions += cache.cached_revisions;
     stats.cached_bytes += cache.cached_bytes;
-    stats.cache_evictions += cache.evictions;
     stats.checkpoints += cache.checkpoints;
     stats.checkpoint_bytes += cache.checkpoint_bytes;
     stats.checkpoint_evictions += cache.checkpoint_evictions;
     stats.pinned_revisions += cache.pinned_revisions;
     stats.pinned_bytes += cache.pinned_bytes;
-    stats.lease_expirations += cache.lease_expirations;
   }
   stats.incremental_hits = incremental_hits_->value();
   stats.incremental_misses = incremental_misses_->value();
@@ -488,8 +445,9 @@ void BatchEngine::solve_one(
     const std::chrono::steady_clock::time_point* staleness_epoch,
     SolveResult& out) {
   // Fault point "engine_stall": the solving thread wedges right here,
-  // snapshot pinned, before any abort probe can fire — exactly the hung
-  // solve the lease machinery exists to survive.
+  // holding its snapshot, before any abort probe can fire — a hung solve
+  // whose superseded revision shows up in pinned_revisions until it
+  // returns.
   (void)util::FaultInjector::instance().maybe_stall("engine_stall");
   // The job's trace id scopes the whole solve: every log line and every
   // profiler event (here through the DP kernels) carries it until the

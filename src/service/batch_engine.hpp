@@ -187,23 +187,10 @@ struct BatchEngineOptions {
   /// names fail the job with an error.  experiments::
   /// engine_mapper_factory() resolves the full registry).
   MapperFactory factory;
-  /// Per-session revision-cache budget (see NetworkSession): superseded
-  /// snapshots are retained up to this many bytes per session, LRU, with
-  /// pinned revisions exempt.  0 = keep no unpinned history.
-  std::size_t session_history_bytes = 0;
-  /// Lease every session grants a superseded-but-pinned revision, in
-  /// milliseconds; 0 = leases off (a pin holds forever — the pre-lease
-  /// behaviour).  When on, a pin outliving its lease is force-released
-  /// by the session's sweep: the revision becomes evictable and the
-  /// session's lease_expirations counter ticks, so a hung solve (or a
-  /// leaked snapshot) can no longer pin cache bytes indefinitely.
-  std::int64_t revision_lease_ms = 0;
-  /// Extra lease headroom granted per deadline job beyond its
-  /// deadline_ms: the engine extends the solved-against revision's lease
-  /// to deadline + grace, so a job that finishes (or times out) on
-  /// schedule always beats its lease, while a stalled one loses the pin
-  /// shortly after its deadline passes.
-  std::int64_t lease_grace_ms = 1000;
+  /// Per-session budget for unpinned incremental checkpoints (see
+  /// NetworkSession), evicted LRU; checkpoints a solve holds are exempt.
+  /// 0 = keep none once their solve releases them.
+  std::size_t checkpoint_budget_bytes = 0;
   /// Frame-rate row kernel for every ELPC solve this engine runs
   /// (core/kernels/framerate_kernel.hpp).  Resolved once at
   /// construction — kAuto honours ELPC_FORCE_KERNEL, then the widest
@@ -214,8 +201,8 @@ struct BatchEngineOptions {
   /// frame-rate jobs (apply_link_updates passes the delta through to
   /// the DP).  Results stay bit-identical to full solves — pinned by
   /// tests and the CI incremental-parity job.  When on and
-  /// session_history_bytes is 0, the budget defaults to
-  /// kIncrementalDefaultHistoryBytes so checkpoints actually survive
+  /// checkpoint_budget_bytes is 0, the budget defaults to
+  /// kIncrementalDefaultCheckpointBytes so checkpoints actually survive
   /// between re-solves.
   bool incremental = false;
   /// Registry the engine publishes its serving metrics to (kernel-job
@@ -227,10 +214,10 @@ struct BatchEngineOptions {
   util::MetricsRegistry* metrics = nullptr;
 };
 
-/// Session-cache budget an incremental engine gets when the caller left
-/// session_history_bytes at 0 (a zero budget would evict every
+/// Checkpoint budget an incremental engine gets when the caller left
+/// checkpoint_budget_bytes at 0 (a zero budget would evict every
 /// checkpoint immediately, silently disabling the feature).
-inline constexpr std::size_t kIncrementalDefaultHistoryBytes = 64ull << 20;
+inline constexpr std::size_t kIncrementalDefaultCheckpointBytes = 64ull << 20;
 
 /// SolveResult::error of a job skipped by a cancellation predicate.
 inline constexpr const char* kCancelledError = "cancelled";
@@ -257,10 +244,9 @@ struct EngineStats {
   std::size_t sessions = 0;
   std::size_t subscriptions = 0;
   std::size_t arenas_created = 0;
-  /// Session-cache totals, summed over sessions.
-  std::size_t cached_revisions = 0;
+  /// Network bytes the sessions hold (each current revision plus the
+  /// pinned superseded ones), summed over sessions.
   std::size_t cached_bytes = 0;
-  std::uint64_t cache_evictions = 0;
   /// The engine's resolved frame-rate kernel ("scalar"/"avx2"/...).
   std::string kernel;
   /// ELPC frame-rate solves served, per kernel name (only kernels that
@@ -278,17 +264,12 @@ struct EngineStats {
   std::size_t checkpoints = 0;
   std::size_t checkpoint_bytes = 0;
   std::uint64_t checkpoint_evictions = 0;
-  /// Superseded revisions currently pinned by outside references,
-  /// summed over sessions (see SessionCacheStats::pinned_revisions):
-  /// the steady state is the subscription count, so a value that only
-  /// climbs exposes a leaked pin — e.g. a solve that hung.
+  /// Superseded revisions still referenced, summed over sessions (see
+  /// SessionCacheStats::pinned_revisions): 0 with no solve in flight, so
+  /// a value that only climbs exposes a leaked pin — e.g. a solve that
+  /// hung.
   std::size_t pinned_revisions = 0;
   std::size_t pinned_bytes = 0;
-  /// Pins force-released because their lease expired (cumulative, summed
-  /// over sessions; always 0 with leases off).  A nonzero value means
-  /// some solve held a revision past its budget — expected under fault
-  /// injection, a bug report in production.
-  std::uint64_t lease_expirations = 0;
 };
 
 /// register_network found `id` taken by a network with different
@@ -375,9 +356,9 @@ class BatchEngine {
   /// The pool solves run on; JobManager posts its pull tasks here.
   [[nodiscard]] util::ThreadPool& pool() const { return *pool_; }
 
-  /// Serving counters: session/subscription counts plus session-cache
-  /// occupancy and evictions summed over all sessions (each session runs
-  /// its budget sweep as part of reporting).
+  /// Serving counters: session/subscription counts plus session memory
+  /// and checkpoint evictions summed over all sessions (each session runs
+  /// its checkpoint sweep as part of reporting).
   [[nodiscard]] EngineStats stats() const;
 
   /// The concrete kernel this engine's ELPC frame-rate solves run
@@ -389,15 +370,6 @@ class BatchEngine {
   [[nodiscard]] util::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  /// A retained resolve_on_update job.  `pinned` is the snapshot of the
-  /// revision the job last solved against: holding it keeps that
-  /// revision's session-cache entry pinned (never evicted) until the
-  /// subscription re-solves or is removed.
-  struct Subscription {
-    SolveJob job;
-    NetworkSnapshot pinned;
-  };
-
   /// Per-job incremental wiring, resolved up front on the calling
   /// thread like the snapshots: the session's checkpoint entry (held
   /// shared_ptr = pinned against eviction for the solve's duration) and
@@ -435,18 +407,6 @@ class BatchEngine {
                  const core::AbortProbe& abort,
                  const std::chrono::steady_clock::time_point* staleness_epoch,
                  SolveResult& out);
-  /// Fuses the caller's signal with per-job engine-side deadlines
-  /// (measured from now) into one CancelFn; returns `user` unchanged
-  /// when no job carries a deadline.  Also extends each deadline job's
-  /// solved-against revision lease to deadline + grace (via the
-  /// binding's session; leases permitting), so an on-schedule job
-  /// always outlives its pin's lease but a stalled one loses it.
-  [[nodiscard]] CancelFn with_deadlines(
-      std::span<const SolveJob> jobs,
-      std::span<const NetworkSession::Current> snapshots,
-      std::span<const IncrementalBinding> bindings,
-      const CancelFn& user) const;
-
   BatchEngineOptions options_;
   std::unique_ptr<util::ThreadPool> owned_pool_;
   util::ThreadPool* pool_;
@@ -469,7 +429,8 @@ class BatchEngine {
   SolveHistograms staleness_ms_;
   mutable std::mutex mutex_;  // guards sessions_ and subscriptions_
   std::map<std::string, std::unique_ptr<NetworkSession>> sessions_;
-  std::vector<Subscription> subscriptions_;
+  /// Jobs retained with resolve_on_update.
+  std::vector<SolveJob> subscriptions_;
 };
 
 }  // namespace elpc::service

@@ -1,18 +1,12 @@
 #include "service/network_session.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
-#include <vector>
 
 namespace elpc::service {
 
 NetworkSession::NetworkSession(std::string id, graph::Network network,
-                               std::size_t history_budget_bytes,
-                               std::int64_t lease_ms)
-    : id_(std::move(id)),
-      history_budget_bytes_(history_budget_bytes),
-      lease_ms_(lease_ms) {
+                               std::size_t checkpoint_budget_bytes)
+    : id_(std::move(id)), checkpoint_budget_bytes_(checkpoint_budget_bytes) {
   network.finalize();
   current_ = std::make_shared<const graph::Network>(std::move(network));
 }
@@ -39,6 +33,10 @@ std::size_t NetworkSession::finalize_builds() const {
 
 void NetworkSession::apply_link_updates(
     std::span<const graph::LinkUpdate> updates) {
+  // Declared before the lock so it is destroyed after the unlock: when
+  // no solve holds the superseded revision, this is its last reference,
+  // and freeing a large network must not stall current() callers.
+  NetworkSnapshot superseded;
   // The clone is private until published and the source snapshot stays
   // immutable, so readers holding older snapshots are unaffected.  The
   // lock spans the whole clone-patch-publish step so concurrent delta
@@ -47,84 +45,31 @@ void NetworkSession::apply_link_updates(
   const std::lock_guard<std::mutex> lock(mutex_);
   auto next = std::make_shared<graph::Network>(*current_);
   next->apply_link_updates(updates);  // in-place CSR patch, no rebuild
-  CachedRevision cached{current_, current_->approx_bytes(), ++touch_clock_};
-  if (lease_ms_ > 0) {
-    // The superseded revision's lease starts now: base lease, raised by
-    // any extension granted while it was still current (a deadline job
-    // mid-solve against it must keep its pin through its budget).
-    cached.lease_expiry =
-        LeaseClock::now() + std::chrono::milliseconds(lease_ms_);
-    const auto pending = pending_leases_.find(revision_);
-    if (pending != pending_leases_.end()) {
-      cached.lease_expiry = std::max(cached.lease_expiry, pending->second);
-    }
-    // Every pending extension at or below this revision is either
-    // consumed just above or stale; dropping them keeps the map at most
-    // one entry deep (only the current revision can accrue extensions).
-    pending_leases_.erase(pending_leases_.begin(),
-                          pending_leases_.upper_bound(revision_));
-  }
-  history_.emplace(revision_, std::move(cached));
-  current_ = std::move(next);
+  std::erase_if(superseded_, [](const SupersededRevision& s) {
+    return s.network.expired();
+  });
+  superseded_.push_back({current_, current_->approx_bytes()});
+  superseded = std::exchange(current_, std::move(next));
   ++revision_;
   evict_over_budget();
-}
-
-void NetworkSession::extend_lease(std::uint64_t revision,
-                                  std::int64_t extra_ms) {
-  if (lease_ms_ <= 0 || extra_ms <= 0) {
-    return;
-  }
-  const LeaseClock::time_point until =
-      LeaseClock::now() + std::chrono::milliseconds(extra_ms);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (revision == revision_) {
-    auto [it, inserted] = pending_leases_.emplace(revision, until);
-    if (!inserted) {
-      it->second = std::max(it->second, until);
-    }
-    return;
-  }
-  const auto it = history_.find(revision);
-  if (it != history_.end()) {
-    it->second.lease_expiry = std::max(it->second.lease_expiry, until);
-  }
-}
-
-NetworkSnapshot NetworkSession::revision_snapshot(
-    std::uint64_t revision) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (revision == revision_) {
-    return current_;
-  }
-  const auto it = history_.find(revision);
-  if (it == history_.end()) {
-    return nullptr;
-  }
-  it->second.last_touch = ++touch_clock_;
-  return it->second.network;
 }
 
 SessionCacheStats NetworkSession::cache_stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   evict_over_budget();
   SessionCacheStats stats;
-  stats.cached_revisions = history_.size();
-  for (const auto& [revision, entry] : history_) {
-    stats.cached_bytes += entry.bytes;
-    if (entry.network.use_count() > 1) {
+  for (const SupersededRevision& s : superseded_) {
+    if (!s.network.expired()) {
       ++stats.pinned_revisions;
-      stats.pinned_bytes += entry.bytes;
+      stats.pinned_bytes += s.bytes;
     }
   }
+  stats.cached_bytes = current_->approx_bytes() + stats.pinned_bytes;
   stats.checkpoints = checkpoints_.size();
   for (const auto& [key, entry] : checkpoints_) {
     stats.checkpoint_bytes += entry.bytes;
   }
-  stats.current_bytes = current_->approx_bytes();
-  stats.evictions = evictions_;
   stats.checkpoint_evictions = checkpoint_evictions_;
-  stats.lease_expirations = lease_expirations_;
   return stats;
 }
 
@@ -159,82 +104,31 @@ void NetworkSession::drop_checkpoint(const std::string& key) {
 }
 
 void NetworkSession::evict_over_budget() const {
-  // Lease pass first: a PINNED entry whose lease lapsed is
-  // force-released — erased from the cache so it stops being counted,
-  // pinned, or served.  The outside holder's shared_ptr keeps the
-  // snapshot itself alive (no dangling reads); what expires is the
-  // session's obligation to retain the revision on its behalf.
-  if (lease_ms_ > 0) {
-    const LeaseClock::time_point now = LeaseClock::now();
-    for (auto it = history_.begin(); it != history_.end();) {
-      if (it->second.network.use_count() > 1 &&
-          it->second.lease_expiry <= now) {
-        it = history_.erase(it);
-        ++lease_expirations_;
-      } else {
-        ++it;
-      }
-    }
-  }
-  // A cache entry whose snapshot is referenced by anyone else (in-flight
-  // solve, retained subscription) is pinned: evicting it would drop the
-  // map entry but not the memory, under-reporting what is actually held
-  // and breaking revision_snapshot for a revision that provably still
-  // exists.  use_count is read under the session mutex — a reader
-  // releasing concurrently merely delays that entry to the next sweep.
-  // Checkpoints follow the same rule (a solve holds the entry while it
-  // reuses/recaptures it) and share the one byte budget: eviction picks
-  // the least-recently-touched UNPINNED entry across both maps.
+  // An entry a solve still holds (it reuses/recaptures the state) is
+  // pinned: evicting it would drop the map entry but not the memory.
+  // use_count is read under the session mutex — a solve releasing
+  // concurrently merely delays that entry to the next sweep.
   std::size_t unpinned_bytes = 0;
-  for (const auto& [revision, entry] : history_) {
-    if (entry.network.use_count() == 1) {
-      unpinned_bytes += entry.bytes;
-    }
-  }
   for (const auto& [key, entry] : checkpoints_) {
     if (entry.entry.use_count() == 1) {
       unpinned_bytes += entry.bytes;
     }
   }
-  while (unpinned_bytes > history_budget_bytes_) {
-    auto revision_victim = history_.end();
-    for (auto it = history_.begin(); it != history_.end(); ++it) {
-      if (it->second.network.use_count() != 1) {
-        continue;
-      }
-      if (revision_victim == history_.end() ||
-          it->second.last_touch < revision_victim->second.last_touch) {
-        revision_victim = it;
-      }
-    }
-    auto checkpoint_victim = checkpoints_.end();
+  while (unpinned_bytes > checkpoint_budget_bytes_) {
+    auto victim = checkpoints_.end();
     for (auto it = checkpoints_.begin(); it != checkpoints_.end(); ++it) {
-      if (it->second.entry.use_count() != 1) {
-        continue;
-      }
-      if (checkpoint_victim == checkpoints_.end() ||
-          it->second.last_touch < checkpoint_victim->second.last_touch) {
-        checkpoint_victim = it;
+      if (it->second.entry.use_count() == 1 &&
+          (victim == checkpoints_.end() ||
+           it->second.last_touch < victim->second.last_touch)) {
+        victim = it;
       }
     }
-    const bool have_revision = revision_victim != history_.end();
-    const bool have_checkpoint = checkpoint_victim != checkpoints_.end();
-    if (!have_revision && !have_checkpoint) {
+    if (victim == checkpoints_.end()) {
       break;  // everything left is pinned
     }
-    const bool take_revision =
-        have_revision &&
-        (!have_checkpoint || revision_victim->second.last_touch <
-                                 checkpoint_victim->second.last_touch);
-    if (take_revision) {
-      unpinned_bytes -= revision_victim->second.bytes;
-      history_.erase(revision_victim);
-      ++evictions_;
-    } else {
-      unpinned_bytes -= checkpoint_victim->second.bytes;
-      checkpoints_.erase(checkpoint_victim);
-      ++checkpoint_evictions_;
-    }
+    unpinned_bytes -= victim->second.bytes;
+    checkpoints_.erase(victim);
+    ++checkpoint_evictions_;
   }
 }
 

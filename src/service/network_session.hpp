@@ -17,50 +17,34 @@
 // (finalize_builds() pins this), no matter how many jobs run or deltas
 // arrive.
 //
-// Revision history + memory budget: each superseded snapshot moves into
-// a per-session revision cache (keyed by revision number) so recent
-// revisions stay addressable — a long-running daemon needs that for
-// result provenance and late readers.  The cache is bounded: every
-// snapshot carries a byte size (graph::Network::approx_bytes) and
-// eviction keeps the total of *unpinned* cached revisions within
-// `history_budget_bytes`, dropping least-recently-touched entries
-// first.  A revision is pinned while anything outside the cache still
-// references its snapshot (an in-flight solve, a retained subscription):
-// pinned entries are never evicted, because dropping them would lie
-// about what memory is actually held.  Budget 0 (the default) retains
-// no unpinned history — the pre-daemon behavior.
+// Superseded revisions: the session keeps no history.  A superseded
+// snapshot lives exactly as long as something outside the session (an
+// in-flight solve) still holds it, and is freed when the last holder
+// lets go.  The session only watches them — a weak reference plus the
+// byte size (graph::Network::approx_bytes) per superseded revision — so
+// cache_stats() can report how many are still alive and what they
+// cost.  Results cite their revision number (SolveResult::
+// network_revision), never the snapshot, so nothing needs a past
+// revision back.  With no solve in flight the count is 0; one that only
+// grows means a leaked snapshot — typically a solve that hung.
 //
 // Incremental checkpoints: the session also retains, keyed by
 // subscription id, the per-column DP state (core::IncrementalCheckpoint)
-// an incremental re-solve reuses.  Checkpoint bytes are charged against
-// the SAME budget and evicted by the same LRU sweep as revisions (an
-// entry held by an in-flight solve is pinned); losing one merely costs
-// the next re-solve a full recapture.  Each entry carries a solve mutex
-// — solvers try-lock it, so two concurrent re-solves of one
-// subscription never race on its checkpoint (the loser runs a plain
-// full solve).
-//
-// Pinned-revision diagnostics + leases: cache_stats() reports how many
-// superseded revisions are currently pinned and their byte total.  The
-// steady state is the live subscription count.  With leases off
-// (lease_ms = 0, the default) a pinned count that only ever grows means
-// a leaked snapshot — typically a solve that hung and will pin its
-// revision forever.  With leases on, every pin is bounded: a superseded
-// revision's cache entry carries an expiry (granted at supersession,
-// extendable per job via extend_lease), and the budget sweep
-// force-releases any PINNED entry whose lease has lapsed — the entry is
-// dropped from the cache (the outside holder keeps its snapshot alive
-// privately, but the session stops counting, pinning, and serving it)
-// and lease_expirations ticks.  A hung solve therefore costs its own
-// snapshot's bytes, never an unbounded pile of cache entries.
+// an incremental re-solve reuses.  Checkpoint bytes are bounded by
+// `checkpoint_budget_bytes` and evicted least-recently-touched first (an
+// entry held by an in-flight solve is pinned and never evicted); losing
+// one merely costs the next re-solve a full recapture.  Each entry
+// carries a solve mutex — solvers try-lock it, so two concurrent
+// re-solves of one subscription never race on its checkpoint (the loser
+// runs a plain full solve).
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/incremental.hpp"
 #include "graph/network.hpp"
@@ -70,44 +54,32 @@ namespace elpc::service {
 /// Refcounted immutable view of a session's network at one revision.
 using NetworkSnapshot = std::shared_ptr<const graph::Network>;
 
-/// Session-cache occupancy and eviction counters (see cache_stats()).
+/// Session memory occupancy and eviction counters (see cache_stats()).
 struct SessionCacheStats {
-  /// Superseded revisions currently retained (excludes current).
-  std::size_t cached_revisions = 0;
-  /// Their total approx_bytes.
+  /// Network bytes the session's revisions hold: the current snapshot
+  /// plus every pinned superseded one.
   std::size_t cached_bytes = 0;
-  /// Approx_bytes of the current snapshot.
-  std::size_t current_bytes = 0;
-  /// Revisions dropped by the budget since registration.
-  std::uint64_t evictions = 0;
   /// Incremental checkpoints retained / their byte total / dropped by
   /// the budget since registration.
   std::size_t checkpoints = 0;
   std::size_t checkpoint_bytes = 0;
   std::uint64_t checkpoint_evictions = 0;
-  /// Superseded revisions whose snapshot is still referenced outside
-  /// the cache (in-flight solve, retained subscription) and therefore
-  /// exempt from eviction, plus their bytes.  Steady state equals the
-  /// live subscription count; unbounded growth = a leaked pin (e.g. a
-  /// hung solve) — surfaced in the daemon `stats` verb.
+  /// Superseded revisions whose snapshot is still referenced (an
+  /// in-flight solve), plus their bytes.  Steady state is 0; unbounded
+  /// growth = a leaked snapshot (e.g. a hung solve) — surfaced in the
+  /// daemon `stats` verb.
   std::size_t pinned_revisions = 0;
   std::size_t pinned_bytes = 0;
-  /// Pinned entries force-released because their lease expired
-  /// (cumulative; always 0 with leases off).
-  std::uint64_t lease_expirations = 0;
 };
 
 class NetworkSession {
  public:
   /// Takes ownership of the network and finalizes it (the session's one
   /// CSR build, unless the caller already built it).
-  /// `history_budget_bytes` bounds the unpinned revision cache (0 = keep
-  /// no unpinned history).  `lease_ms` is the base lease every
-  /// superseded revision's cache entry gets (0 = leases off: pins hold
-  /// forever, the pre-lease behaviour).
+  /// `checkpoint_budget_bytes` bounds the unpinned incremental
+  /// checkpoints (0 = keep none once their solve releases them).
   NetworkSession(std::string id, graph::Network network,
-                 std::size_t history_budget_bytes = 0,
-                 std::int64_t lease_ms = 0);
+                 std::size_t checkpoint_budget_bytes = 0);
 
   NetworkSession(const NetworkSession&) = delete;
   NetworkSession& operator=(const NetworkSession&) = delete;
@@ -136,32 +108,15 @@ class NetworkSession {
   [[nodiscard]] std::size_t finalize_builds() const;
 
   /// Applies one batch of metric deltas copy-on-write and publishes the
-  /// result as the next revision; the superseded snapshot moves into the
-  /// revision cache and the budget sweep runs.  Throws (and publishes
-  /// nothing) when any update names a missing link or carries invalid
-  /// attributes.
+  /// result as the next revision; the superseded snapshot is released
+  /// (after the session mutex) and freed unless a solve still holds it,
+  /// and the checkpoint budget sweep runs.  Throws (and publishes nothing) when any update names a missing
+  /// link or carries invalid attributes.
   void apply_link_updates(std::span<const graph::LinkUpdate> updates);
 
-  /// The snapshot of a past (or the current) revision, or null when it
-  /// was evicted / never existed.  Touching a cached revision refreshes
-  /// its LRU position.
-  [[nodiscard]] NetworkSnapshot revision_snapshot(std::uint64_t revision) const;
-
-  /// Re-runs the budget sweep (entries unpinned since the last delta can
-  /// only be reclaimed by a sweep) and reports occupancy.
+  /// Runs the checkpoint budget sweep (entries unpinned since the last
+  /// update can only be reclaimed by a sweep) and reports occupancy.
   [[nodiscard]] SessionCacheStats cache_stats() const;
-
-  /// Base lease (ms) superseded revisions get; 0 = leases disabled.
-  [[nodiscard]] std::int64_t lease_ms() const noexcept { return lease_ms_; }
-
-  /// Guarantees `revision`'s cache entry stays pinned-and-served for at
-  /// least `extra_ms` from now (raising, never lowering, its expiry).
-  /// For the CURRENT revision the extension is remembered and applied
-  /// when a delta supersedes it — a deadline job solving against the
-  /// head must keep its pin through the job's budget even if the head
-  /// is superseded mid-solve.  No-op with leases off or for an unknown
-  /// revision.
-  void extend_lease(std::uint64_t revision, std::int64_t extra_ms);
 
   /// One subscription's retained incremental-DP state.  Solvers must
   /// hold solve_mutex (try_lock; fall back to a plain full solve on
@@ -191,15 +146,9 @@ class NetworkSession {
   void drop_checkpoint(const std::string& key);
 
  private:
-  using LeaseClock = std::chrono::steady_clock;
-
-  struct CachedRevision {
-    NetworkSnapshot network;
+  struct SupersededRevision {
+    std::weak_ptr<const graph::Network> network;
     std::size_t bytes = 0;
-    std::uint64_t last_touch = 0;
-    /// When a PINNED entry is force-released by the sweep; max() with
-    /// leases off (never).  Unpinned entries ignore it (plain LRU).
-    LeaseClock::time_point lease_expiry = LeaseClock::time_point::max();
   };
   struct CachedCheckpoint {
     CheckpointEntryPtr entry;
@@ -207,27 +156,23 @@ class NetworkSession {
     std::uint64_t last_touch = 0;
   };
 
-  /// Drops least-recently-touched unpinned entries until their total is
-  /// within budget.  Caller holds mutex_.
+  /// Drops least-recently-touched unpinned checkpoints until their total
+  /// is within budget.  Caller holds mutex_.
   void evict_over_budget() const;
 
   const std::string id_;
-  const std::size_t history_budget_bytes_;
-  const std::int64_t lease_ms_;
+  const std::size_t checkpoint_budget_bytes_;
   mutable std::mutex mutex_;
   NetworkSnapshot current_;
   std::uint64_t revision_ = 0;
-  /// Superseded revisions; mutable so const readers can run the sweep.
-  mutable std::map<std::uint64_t, CachedRevision> history_;
-  /// Incremental checkpoints by subscription key, same budget + sweep.
+  /// Superseded revisions that were still referenced at the last delta
+  /// (each delta drops the expired ones before adding its own).
+  std::vector<SupersededRevision> superseded_;
+  /// Incremental checkpoints by subscription key; mutable so const
+  /// readers can run the sweep.
   mutable std::map<std::string, CachedCheckpoint> checkpoints_;
-  /// Lease extensions granted while their revision was still current,
-  /// consumed when a delta supersedes it (keyed by revision number).
-  std::map<std::uint64_t, LeaseClock::time_point> pending_leases_;
-  mutable std::uint64_t touch_clock_ = 0;
-  mutable std::uint64_t evictions_ = 0;
+  std::uint64_t touch_clock_ = 0;
   mutable std::uint64_t checkpoint_evictions_ = 0;
-  mutable std::uint64_t lease_expirations_ = 0;
 };
 
 }  // namespace elpc::service

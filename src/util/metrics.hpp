@@ -122,7 +122,7 @@ class MetricsRegistry {
                        const MetricLabels& labels = {});
   /// `expose_as_counter` renders the family with Prometheus type
   /// "counter": for values that are cumulative at the source but only
-  /// sampled here at collect time (e.g. session cache evictions).
+  /// sampled here at collect time (e.g. checkpoint evictions).
   Gauge& gauge(const std::string& name, const std::string& help,
                const MetricLabels& labels = {},
                bool expose_as_counter = false);

@@ -245,17 +245,12 @@ TEST(SocketServer, RefusesSocketPathOfALiveDaemon) {
   serve_thread.join();
 }
 
-TEST(SocketServer, SessionBudgetBoundsRevisionsAndReportsEvictions) {
-  SocketServerOptions options;
-  // Budget sized for a handful of 10-node revisions: the delta stream
-  // below must evict, not accumulate.
-  options.session_history_bytes = 4 * make_network(3).approx_bytes();
-  SocketServer server(socket_path("evict"), options);
+TEST(SocketServer, DeltaStreamKeepsCachedBytesBounded) {
+  SocketServer server(socket_path("evict"), SocketServerOptions{});
   std::thread serve_thread([&server]() { server.serve(); });
   DaemonClient client(server.socket_path());
 
   client.register_network("net", make_network(3));
-  // An active subscription pins the revision it last solved against.
   service::SolveJob sub = make_job("sub", 61,
                                    service::Objective::kMaxFrameRate);
   sub.resolve_on_update = true;
@@ -272,10 +267,15 @@ TEST(SocketServer, SessionBudgetBoundsRevisionsAndReportsEvictions) {
   }
 
   const util::Json stats = client.stats();
-  // Bounded: 50 deltas published 50 revisions, the cache holds only a
-  // budget's worth, and the evictions are visible in stats.
-  EXPECT_LE(stats.at("cached_revisions").as_int(), 8);
-  EXPECT_GE(stats.at("cache_evictions").as_int(), 40);
+  // Bounded: 50 deltas published 50 revisions, and once the re-solves
+  // returned the session holds the current one only — none pinned, and
+  // no more network bytes than one 10-node revision.
+  EXPECT_EQ(stats.at("pinned_revisions").as_int(), 0);
+  EXPECT_GT(stats.at("cached_bytes").as_int(), 0);
+  graph::Network one_revision = make_network(3);
+  one_revision.finalize();
+  EXPECT_LE(stats.at("cached_bytes").as_int(),
+            static_cast<std::int64_t>(one_revision.approx_bytes()));
   EXPECT_EQ(stats.at("subscriptions").as_int(), 1);
   // Non-incremental daemon: the counters exist and stay zero.
   EXPECT_EQ(stats.at("incremental_hits").as_int(), 0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -320,9 +321,9 @@ TEST(BatchEngine, DeltaUpdatesResolveSubscribedJobs) {
   EXPECT_EQ(engine.session("shared").finalize_builds(), 1u);
 }
 
-TEST(BatchEngine, SubscriptionPinsItsRevisionAgainstEviction) {
+TEST(BatchEngine, SupersededRevisionFreedAfterResolve) {
   BatchEngineOptions options;
-  options.session_history_bytes = 0;  // evict unpinned history eagerly
+  options.incremental = true;
   BatchEngine engine(options);
   engine.register_network("shared", make_network(5, 12, 70));
 
@@ -334,32 +335,23 @@ TEST(BatchEngine, SubscriptionPinsItsRevisionAgainstEviction) {
   ASSERT_TRUE(engine.solve(jobs)[0].error.empty());
   ASSERT_EQ(engine.subscription_count(), 1u);
 
-  // Deltas applied on the session directly (no engine-driven re-solve):
-  // the subscription keeps pinning revision 0, which must survive every
-  // sweep while all other superseded revisions are evicted.
   NetworkSession& session = engine.session("shared");
+  const std::weak_ptr<const graph::Network> revision0 = session.snapshot();
   const graph::Edge edge = session.snapshot()->out_edges(0).front();
-  for (int i = 1; i <= 10; ++i) {
+  for (int i = 1; i <= 3; ++i) {
     const std::vector<graph::LinkUpdate> updates = {graph::LinkUpdate{
         edge.from, edge.to,
         graph::LinkAttr{static_cast<double>(i), edge.attr.min_delay_s}}};
-    session.apply_link_updates(updates);
+    ASSERT_EQ(engine.apply_link_updates("shared", updates).size(), 1u);
   }
-  EXPECT_EQ(session.cache_stats().cached_revisions, 1u);
-  EXPECT_NE(session.revision_snapshot(0), nullptr);
-
-  // An engine-driven re-solve re-pins the subscription to the current
-  // revision; revision 0 becomes unpinned and the sweep reclaims it.
-  const std::vector<graph::LinkUpdate> final_update = {graph::LinkUpdate{
-      edge.from, edge.to, graph::LinkAttr{11.0, edge.attr.min_delay_s}}};
-  ASSERT_EQ(engine.apply_link_updates("shared", final_update).size(), 1u);
-  EXPECT_EQ(session.cache_stats().cached_revisions, 0u);
-  EXPECT_EQ(session.revision_snapshot(0), nullptr);
-
+  // Neither the subscription nor the session keeps a superseded
+  // revision: once the re-solves returned, only the current one lives.
+  EXPECT_TRUE(revision0.expired());
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.sessions, 1u);
   EXPECT_EQ(stats.subscriptions, 1u);
-  EXPECT_GE(stats.cache_evictions, 10u);
+  EXPECT_EQ(stats.pinned_revisions, 0u);
+  EXPECT_EQ(stats.pinned_bytes, 0u);
+  EXPECT_EQ(stats.cached_bytes, session.snapshot()->approx_bytes());
 }
 
 TEST(BatchEngine, RepeatsReportTimingWithoutChangingResults) {

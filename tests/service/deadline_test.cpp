@@ -1,7 +1,6 @@
-// Engine-side job deadlines (SolveJob::deadline_ms) and pinned-revision
-// leases (NetworkSession lease_ms / extend_lease): an over-budget solve
-// must stop with kTimedOutError, and a pin outliving its lease must be
-// force-released so a hung solve cannot hold cache entries forever.
+// Engine-side job deadlines (SolveJob::deadline_ms): an over-budget
+// solve must stop with kTimedOutError, and a deadline never changes an
+// on-time result.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "graph/generators.hpp"
 #include "pipeline/generator.hpp"
 #include "service/batch_engine.hpp"
-#include "service/network_session.hpp"
 #include "service/serialize.hpp"
 #include "util/rng.hpp"
 
@@ -103,76 +101,6 @@ TEST(BatchEngine, TimedOutSubscriptionIsNotRetained) {
   const std::vector<SolveResult> results = engine.solve(jobs);
   ASSERT_EQ(results[0].error, kTimedOutError);
   EXPECT_EQ(engine.subscription_count(), 0u);
-}
-
-TEST(NetworkSession, LeaseExpiryForceReleasesPinnedRevision) {
-  graph::Network net = make_network(3, 10, 50);
-  const graph::Edge edge = net.out_edges(0).front();
-  NetworkSession session("net", std::move(net),
-                         /*history_budget_bytes=*/0, /*lease_ms=*/50);
-
-  // Hold revision 0 like an in-flight solve would, then supersede it.
-  const NetworkSnapshot held = session.snapshot();
-  const std::vector<graph::LinkUpdate> delta = {
-      graph::LinkUpdate{edge.from, edge.to, edge.attr}};
-  session.apply_link_updates(delta);
-
-  SessionCacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.pinned_revisions, 1u);
-  EXPECT_GT(stats.pinned_bytes, 0u);
-  EXPECT_EQ(stats.lease_expirations, 0u);
-
-  // Past the lease the sweep drops the entry even though we still hold
-  // the snapshot: the session stops accounting for the leak, and the
-  // holder keeps its own reference alive privately.
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  stats = session.cache_stats();
-  EXPECT_EQ(stats.pinned_revisions, 0u);
-  EXPECT_EQ(stats.pinned_bytes, 0u);
-  EXPECT_EQ(stats.lease_expirations, 1u);
-  EXPECT_EQ(session.revision_snapshot(0), nullptr);
-  EXPECT_GT(held->node_count(), 0u);  // the private reference survives
-}
-
-TEST(NetworkSession, ExtendLeaseOnCurrentRevisionSurvivesSupersession) {
-  graph::Network net = make_network(3, 10, 50);
-  const graph::Edge edge = net.out_edges(0).front();
-  NetworkSession session("net", std::move(net),
-                         /*history_budget_bytes=*/0, /*lease_ms=*/10);
-
-  // Extend revision 0's lease while it is still current (what the
-  // engine does for a deadline job at solve entry)...
-  session.extend_lease(session.revision(), /*extra_ms=*/60000);
-  const NetworkSnapshot held = session.snapshot();
-  const std::vector<graph::LinkUpdate> delta = {
-      graph::LinkUpdate{edge.from, edge.to, edge.attr}};
-  session.apply_link_updates(delta);
-
-  // ...so the pin survives well past the 10 ms base lease.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const SessionCacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.pinned_revisions, 1u);
-  EXPECT_EQ(stats.lease_expirations, 0u);
-}
-
-TEST(NetworkSession, LeasesOffKeepsPinsForever) {
-  graph::Network net = make_network(3, 10, 50);
-  const graph::Edge edge = net.out_edges(0).front();
-  NetworkSession session("net", std::move(net));  // lease_ms = 0
-
-  // extend_lease is a documented no-op with leases off (and for unknown
-  // revisions either way).
-  session.extend_lease(session.revision(), 1);
-  session.extend_lease(999, 1);
-
-  const NetworkSnapshot held = session.snapshot();
-  const std::vector<graph::LinkUpdate> delta = {
-      graph::LinkUpdate{edge.from, edge.to, edge.attr}};
-  session.apply_link_updates(delta);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const SessionCacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.pinned_revisions, 1u);  // pre-lease behaviour: held
-  EXPECT_EQ(stats.lease_expirations, 0u);
 }
 
 TEST(BatchSerialize, DeadlineRoundTripsAndNegativeRejected) {

@@ -143,7 +143,7 @@ TEST(IncrementalEngine, EvictedCheckpointFallsBackToFullSolve) {
   // a plain engine's.
   BatchEngineOptions options;
   options.incremental = true;
-  options.session_history_bytes = 1;
+  options.checkpoint_budget_bytes = 1;
   BatchEngine engine(options);
   BatchEngine plain;
   engine.register_network("net", make_network(9, 12, 70));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -133,76 +134,37 @@ std::vector<LinkUpdate> one_delta(const NetworkSnapshot& snap, double bw) {
 }
 
 TEST(SessionCache, DefaultBudgetRetainsNoUnpinnedHistory) {
-  NetworkSession session("net", small_network());  // budget 0
+  NetworkSession session("net", small_network());
+  const std::weak_ptr<const graph::Network> revision0 = session.snapshot();
   for (int i = 1; i <= 10; ++i) {
     session.apply_link_updates(
         one_delta(session.snapshot(), static_cast<double>(i)));
   }
+  // Nothing outside held a superseded revision, so none is alive and
+  // the session's network bytes are the current snapshot's alone.
+  EXPECT_TRUE(revision0.expired());
   const SessionCacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.cached_revisions, 0u);
-  EXPECT_EQ(stats.cached_bytes, 0u);
-  EXPECT_EQ(stats.evictions, 10u);
-  EXPECT_EQ(session.revision_snapshot(3), nullptr);
-}
-
-TEST(SessionCache, RevisionCountBoundedUnderDeltaStreamWithEvictions) {
-  const std::size_t one_revision = small_network().approx_bytes();
-  ASSERT_GT(one_revision, 0u);
-  // Room for roughly three retained revisions.
-  NetworkSession session("net", small_network(), 3 * one_revision);
-  for (int i = 1; i <= 100; ++i) {
-    session.apply_link_updates(
-        one_delta(session.snapshot(), static_cast<double>(i)));
-  }
-  const SessionCacheStats stats = session.cache_stats();
-  EXPECT_EQ(session.revision(), 100u);
-  EXPECT_GE(stats.cached_revisions, 1u);
-  // Bounded by the byte budget (a clone's footprint can undercut the
-  // generator-built original's, so bound revisions loosely), not 100.
-  EXPECT_LE(stats.cached_revisions, 6u);
-  EXPECT_LE(stats.cached_bytes, 3 * one_revision);
-  EXPECT_GE(stats.evictions, 90u);
-  // LRU keeps the most recent superseded revisions.
-  EXPECT_NE(session.revision_snapshot(99), nullptr);
-  EXPECT_EQ(session.revision_snapshot(1), nullptr);
-  // The current revision is always addressable, budget or not.
-  EXPECT_NE(session.revision_snapshot(100), nullptr);
-}
-
-TEST(SessionCache, PinnedRevisionSurvivesEvictionUntilReleased) {
-  NetworkSession session("net", small_network());  // budget 0: evict eagerly
-  NetworkSnapshot in_flight = session.snapshot();  // a solve holds rev 0
-  for (int i = 1; i <= 20; ++i) {
-    session.apply_link_updates(
-        one_delta(session.snapshot(), static_cast<double>(i)));
-  }
-  // Revision 0 is pinned by the in-flight reference: still addressable
-  // while every unpinned superseded revision was dropped.
-  EXPECT_EQ(session.cache_stats().cached_revisions, 1u);
-  ASSERT_NE(session.revision_snapshot(0), nullptr);
-  EXPECT_EQ(session.revision_snapshot(0).get(), in_flight.get());
-  EXPECT_EQ(session.revision_snapshot(10), nullptr);
-
-  in_flight.reset();  // the solve finishes
-  EXPECT_EQ(session.cache_stats().cached_revisions, 0u);
-  EXPECT_EQ(session.revision_snapshot(0), nullptr);
+  EXPECT_EQ(stats.pinned_revisions, 0u);
+  EXPECT_EQ(stats.cached_bytes, session.snapshot()->approx_bytes());
 }
 
 TEST(SessionCache, PinnedRevisionDiagnosticCountsOutsideReferences) {
-  NetworkSession session("net", small_network(), 1 << 20);
+  NetworkSession session("net", small_network());
   NetworkSnapshot held = session.snapshot();  // will pin revision 0
   for (int i = 1; i <= 3; ++i) {
     session.apply_link_updates(
         one_delta(session.snapshot(), static_cast<double>(i)));
   }
   const SessionCacheStats pinned = session.cache_stats();
-  EXPECT_EQ(pinned.cached_revisions, 3u);
   EXPECT_EQ(pinned.pinned_revisions, 1u);  // only revision 0 is held
-  EXPECT_GT(pinned.pinned_bytes, 0u);
+  EXPECT_EQ(pinned.pinned_bytes, held->approx_bytes());
+  EXPECT_EQ(pinned.cached_bytes,
+            session.snapshot()->approx_bytes() + held->approx_bytes());
   held.reset();
   const SessionCacheStats released = session.cache_stats();
   EXPECT_EQ(released.pinned_revisions, 0u);
   EXPECT_EQ(released.pinned_bytes, 0u);
+  EXPECT_EQ(released.cached_bytes, session.snapshot()->approx_bytes());
 }
 
 TEST(SessionCache, CheckpointsShareTheBudgetAndEvictLru) {
@@ -227,9 +189,9 @@ TEST(SessionCache, CheckpointsShareTheBudgetAndEvictLru) {
 }
 
 TEST(SessionCache, PinnedRevisionsNeverYieldToCheckpointPressure) {
-  // Budget sized for roughly one revision; a pinned revision plus a
-  // checkpoint overflow it.  The sweep may only take the checkpoint —
-  // pinned revisions are exempt no matter who else wants the bytes.
+  // Budget sized for roughly one revision, and a checkpoint past it.
+  // The sweep may only take the checkpoint: revisions are never the
+  // budget's to evict, and a held one stays counted.
   const std::size_t one_revision = small_network().approx_bytes();
   NetworkSession session("net", small_network(), one_revision);
   NetworkSnapshot held = session.snapshot();  // pins revision 0
@@ -249,8 +211,7 @@ TEST(SessionCache, PinnedRevisionsNeverYieldToCheckpointPressure) {
   EXPECT_EQ(stats.checkpoints, 0u);  // the oversized checkpoint went
   EXPECT_EQ(stats.checkpoint_evictions, 1u);
   EXPECT_EQ(stats.pinned_revisions, 1u);
-  ASSERT_NE(session.revision_snapshot(0), nullptr);  // pinned: retained
-  EXPECT_EQ(session.revision_snapshot(0).get(), held.get());
+  EXPECT_EQ(stats.pinned_bytes, held->approx_bytes());
 }
 
 }  // namespace
