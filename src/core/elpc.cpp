@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <limits>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -113,12 +114,12 @@ MapResult ElpcMapper::min_delay(const Problem& problem) const {
   frontier.reserve(k);
   bool sparse_head = true;
 
-  // Hoisted flat CSR pointers: the cell kernels index these local
+  // Hoisted CSR row tables: the cell kernels index these local
   // variables instead of calling the per-row accessors, which measurably
   // improves the generated inner loops.
-  const Edge* const in_edges = net.in_edges_flat().data();
+  const Edge* const* const in_rows = net.in_row_pointers().data();
   const std::size_t* const in_off = net.in_row_offsets().data();
-  const Edge* const out_edges = net.out_edges_flat().data();
+  const Edge* const* const out_rows = net.out_row_pointers().data();
   const std::size_t* const out_off = net.out_row_offsets().data();
 
   prev[problem.source] = 0.0;  // module 0 (source stage) computes nothing
@@ -171,8 +172,8 @@ MapResult ElpcMapper::min_delay(const Problem& problem) const {
       }
       for (const NodeId u : frontier) {
         const double from_cost = prev[u];
-        for (std::size_t i = out_off[u]; i < out_off[u + 1]; ++i) {
-          const Edge& e = out_edges[i];
+        for (const Edge& e :
+             std::span(out_rows[u], out_off[u + 1] - out_off[u])) {
           const double cand = from_cost +
                               model.transport_time(input_mb, e.attr) +
                               comp_col[e.to];
@@ -193,8 +194,8 @@ MapResult ElpcMapper::min_delay(const Problem& problem) const {
         double best = prev[v] == kInf ? kInf : prev[v] + comp;
         NodeId best_parent = v;
         // Sub-case (ii): module j-1 ran on an in-neighbour u of v.
-        for (std::size_t i = in_off[v]; i < in_off[v + 1]; ++i) {
-          const Edge& e = in_edges[i];
+        for (const Edge& e :
+             std::span(in_rows[v], in_off[v + 1] - in_off[v])) {
           if (prev[e.from] == kInf) {
             continue;
           }
@@ -530,9 +531,9 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
   const std::vector<std::size_t> to_dest =
       graph::hops_to_target(net, problem.destination);
 
-  // Hoisted flat CSR pointers (see min_delay): local variables give the
+  // Hoisted CSR row tables (see min_delay): local variables give the
   // cell kernel measurably better code than per-row accessor calls.
-  const Edge* const in_edges = net.in_edges_flat().data();
+  const Edge* const* const in_rows = net.in_row_pointers().data();
   const std::size_t* const in_off = net.in_row_offsets().data();
 
   int prev_p = 0;
@@ -576,7 +577,7 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
       return;  // cannot reach the destination in the remaining columns
     }
     kernels::CellInputs inputs;
-    inputs.edges = in_edges + in_off[v];
+    inputs.edges = in_rows[v];
     inputs.edge_count = in_off[v + 1] - in_off[v];
     inputs.bottleneck = arena.bottleneck(prev_p);
     inputs.sum = arena.sum(prev_p);
@@ -753,7 +754,7 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     ckpt->invalidate();  // torn until the write-back below completes
     inc.incremental = true;
     inc.columns_reused = 1;  // column 0 is the fixed source init
-    const Edge* const out_edges = net.out_edges_flat().data();
+    const Edge* const* const out_rows = net.out_row_pointers().data();
     const std::size_t* const out_off = net.out_row_offsets().data();
     std::vector<std::uint8_t> dirty(k, 0);
     std::vector<NodeId> dirty_list;
@@ -779,8 +780,9 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
         }
       }
       for (const NodeId u : changed) {
-        for (std::size_t i = out_off[u]; i < out_off[u + 1]; ++i) {
-          const NodeId v = out_edges[i].to;
+        for (const Edge& e :
+             std::span(out_rows[u], out_off[u + 1] - out_off[u])) {
+          const NodeId v = e.to;
           if (dirty[v] == 0) {
             dirty[v] = 1;
             dirty_list.push_back(v);

@@ -1,5 +1,6 @@
 #include "service/network_session.hpp"
 
+#include <unordered_set>
 #include <utility>
 
 namespace elpc::service {
@@ -43,28 +44,40 @@ void NetworkSession::apply_link_updates(
   // batches linearize instead of cloning from the same base and losing
   // one another's updates.
   const std::lock_guard<std::mutex> lock(mutex_);
+  // The copy shares every edge chunk; the patch copies only the chunks
+  // it writes, and never rebuilds the rows.
   auto next = std::make_shared<graph::Network>(*current_);
-  next->apply_link_updates(updates);  // in-place CSR patch, no rebuild
-  std::erase_if(superseded_, [](const SupersededRevision& s) {
-    return s.network.expired();
-  });
-  superseded_.push_back({current_, current_->approx_bytes()});
+  next->apply_link_updates(updates);
+  std::erase_if(superseded_,
+                [](const std::weak_ptr<const graph::Network>& s) {
+                  return s.expired();
+                });
+  superseded_.emplace_back(current_);
   superseded = std::exchange(current_, std::move(next));
   ++revision_;
   evict_over_budget();
 }
 
 SessionCacheStats NetworkSession::cache_stats() const {
+  // Declared before the lock so a revision whose solve lets go meanwhile
+  // is freed after the unlock (see apply_link_updates).
+  std::vector<NetworkSnapshot> pinned;
   const std::lock_guard<std::mutex> lock(mutex_);
   evict_over_budget();
   SessionCacheStats stats;
-  for (const SupersededRevision& s : superseded_) {
-    if (!s.network.expired()) {
+  // Revisions share chunks: count each block once, the current
+  // revision's first, so a pinned one is charged only for what it holds
+  // alone.
+  std::unordered_set<const void*> seen;
+  stats.cached_bytes = current_->approx_bytes(seen);
+  for (const std::weak_ptr<const graph::Network>& s : superseded_) {
+    if (NetworkSnapshot held = s.lock()) {
       ++stats.pinned_revisions;
-      stats.pinned_bytes += s.bytes;
+      stats.pinned_bytes += held->approx_bytes(seen);
+      pinned.push_back(std::move(held));
     }
   }
-  stats.cached_bytes = current_->approx_bytes() + stats.pinned_bytes;
+  stats.cached_bytes += stats.pinned_bytes;
   stats.checkpoints = checkpoints_.size();
   for (const auto& [key, entry] : checkpoints_) {
     stats.checkpoint_bytes += entry.bytes;

@@ -8,25 +8,27 @@
 // side, so any number of concurrent solves can sweep its CSR view.
 //
 // apply_link_updates never mutates a published snapshot (that would race
-// with readers).  It clones the current network — the copy carries the
-// built CSR view, so no re-finalize happens — patches the clone's link
-// attributes in place via graph::Network::update_link, and atomically
-// publishes the clone.  In-flight solves finish against the snapshot
+// with readers).  It copies the current network — a copy shares the row
+// layout and every edge chunk with its source, so it costs the row
+// tables, not the links — patches the copy via graph::Network::
+// update_link, which copies just the chunks holding the touched rows, and
+// atomically publishes it.  In-flight solves finish against the snapshot
 // they started with; later solves see the new revision.  Across the
-// whole session lifecycle the CSR view is therefore built exactly once
+// whole session lifecycle the CSR rows are therefore built exactly once
 // (finalize_builds() pins this), no matter how many jobs run or deltas
 // arrive.
 //
 // Superseded revisions: the session keeps no history.  A superseded
 // snapshot lives exactly as long as something outside the session (an
 // in-flight solve) still holds it, and is freed when the last holder
-// lets go.  The session only watches them — a weak reference plus the
-// byte size (graph::Network::approx_bytes) per superseded revision — so
-// cache_stats() can report how many are still alive and what they
-// cost.  Results cite their revision number (SolveResult::
-// network_revision), never the snapshot, so nothing needs a past
-// revision back.  With no solve in flight the count is 0; one that only
-// grows means a leaked snapshot — typically a solve that hung.
+// lets go.  The session only watches them through a weak reference, so
+// cache_stats() can report how many are still alive and what they cost:
+// the chunks and tables a pinned revision does not share with the
+// current one (graph::Network::approx_bytes with a shared `seen` set).
+// Results cite their revision number (SolveResult::network_revision),
+// never the snapshot, so nothing needs a past revision back.  With no
+// solve in flight the count is 0; one that only grows means a leaked
+// snapshot — typically a solve that hung.
 //
 // Incremental checkpoints: the session also retains, keyed by
 // subscription id, the per-column DP state (core::IncrementalCheckpoint)
@@ -57,7 +59,8 @@ using NetworkSnapshot = std::shared_ptr<const graph::Network>;
 /// Session memory occupancy and eviction counters (see cache_stats()).
 struct SessionCacheStats {
   /// Network bytes the session's revisions hold: the current snapshot
-  /// plus every pinned superseded one.
+  /// plus every pinned superseded one, each shared block (layout, edge
+  /// chunk) counted once.
   std::size_t cached_bytes = 0;
   /// Incremental checkpoints retained / their byte total / dropped by
   /// the budget since registration.
@@ -65,9 +68,10 @@ struct SessionCacheStats {
   std::size_t checkpoint_bytes = 0;
   std::uint64_t checkpoint_evictions = 0;
   /// Superseded revisions whose snapshot is still referenced (an
-  /// in-flight solve), plus their bytes.  Steady state is 0; unbounded
-  /// growth = a leaked snapshot (e.g. a hung solve) — surfaced in the
-  /// daemon `stats` verb.
+  /// in-flight solve), plus the bytes they hold that the current
+  /// revision does not share.  Steady state is 0; unbounded growth = a
+  /// leaked snapshot (e.g. a hung solve) — surfaced in the daemon `stats`
+  /// verb.
   std::size_t pinned_revisions = 0;
   std::size_t pinned_bytes = 0;
 };
@@ -103,15 +107,16 @@ class NetworkSession {
   [[nodiscard]] Current current() const;
 
   /// Total CSR builds across every snapshot this session ever published.
-  /// Stays 1 for a session registered unfinalized: deltas clone + patch,
+  /// Stays 1 for a session registered unfinalized: deltas copy + patch,
   /// they never rebuild.
   [[nodiscard]] std::size_t finalize_builds() const;
 
   /// Applies one batch of metric deltas copy-on-write and publishes the
   /// result as the next revision; the superseded snapshot is released
   /// (after the session mutex) and freed unless a solve still holds it,
-  /// and the checkpoint budget sweep runs.  Throws (and publishes nothing) when any update names a missing
-  /// link or carries invalid attributes.
+  /// and the checkpoint budget sweep runs.  Throws (and publishes
+  /// nothing) when any update names a missing link or carries invalid
+  /// attributes.
   void apply_link_updates(std::span<const graph::LinkUpdate> updates);
 
   /// Runs the checkpoint budget sweep (entries unpinned since the last
@@ -146,10 +151,6 @@ class NetworkSession {
   void drop_checkpoint(const std::string& key);
 
  private:
-  struct SupersededRevision {
-    std::weak_ptr<const graph::Network> network;
-    std::size_t bytes = 0;
-  };
   struct CachedCheckpoint {
     CheckpointEntryPtr entry;
     std::size_t bytes = 0;
@@ -167,7 +168,7 @@ class NetworkSession {
   std::uint64_t revision_ = 0;
   /// Superseded revisions that were still referenced at the last delta
   /// (each delta drops the expired ones before adding its own).
-  std::vector<SupersededRevision> superseded_;
+  std::vector<std::weak_ptr<const graph::Network>> superseded_;
   /// Incremental checkpoints by subscription key; mutable so const
   /// readers can run the sweep.
   mutable std::map<std::string, CachedCheckpoint> checkpoints_;

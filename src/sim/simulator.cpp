@@ -123,7 +123,7 @@ void Engine::start_link(NodeId from, NodeId to) {
   link.busy = true;
   const FrameTask task = link.queue.top();
   link.queue.pop();
-  const graph::LinkAttr& attr = problem->network->link(from, to);
+  const graph::LinkAttr attr = problem->network->link(from, to);
   const double megabits = problem->pipeline->input_mb(task.module);
   const double serialization = megabits / attr.bandwidth_mbps;
   const double propagation = attr.min_delay_s;

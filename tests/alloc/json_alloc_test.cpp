@@ -1,6 +1,5 @@
-// Allocation-count gate for util::Json.  It replaces the global
-// operator new with a counting one, which is why it builds as its own
-// executable (elpc_alloc_tests) instead of joining elpc_tests.
+// Allocation-count gate for util::Json (see alloc_counter.hpp for how
+// allocations are counted).
 //
 // The rule pinned here: parsing costs at most one allocation per
 // non-empty container plus one per string longer than the small-string
@@ -9,36 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <string>
+#include <utility>
 
+#include "alloc_counter.hpp"
 #include "service/batch_engine.hpp"
 #include "service/serialize.hpp"
 #include "util/file_io.hpp"
 #include "util/json.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace elpc::util {
 namespace {
@@ -46,9 +25,7 @@ namespace {
 /// Heap allocations `f` makes.
 template <typename F>
 std::size_t allocations(F&& f) {
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  f();
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return alloc_gate::heap_use(std::forward<F>(f)).allocations;
 }
 
 /// One allocation per non-empty container and per string (key or

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "graph/generators.hpp"
+#include "graph/serialize.hpp"
+#include "util/rng.hpp"
+
 namespace elpc::graph {
 namespace {
 
@@ -124,6 +131,25 @@ TEST(Network, MeanBandwidth) {
   EXPECT_DOUBLE_EQ(net.mean_bandwidth_mbps(), 200.0);
 }
 
+TEST(Network, MeanBandwidthIndependentOfInsertionOrder) {
+  // The daemon holds the to_json round trip of a registered network,
+  // whose links arrive in out-row order; the mean must not depend on the
+  // order they were added in, down to the last bit.
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t nodes = 5 + rng.index(60);
+    const std::size_t links =
+        nodes + rng.index(nodes * (nodes - 1) - nodes + 1);
+    const Network net =
+        random_connected_network(rng, nodes, links, AttributeRanges{});
+    const Network restored = network_from_json(to_json(net));
+    ASSERT_TRUE(net.same_content(restored));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(net.mean_bandwidth_mbps()),
+              std::bit_cast<std::uint64_t>(restored.mean_bandwidth_mbps()))
+        << "trial " << trial;
+  }
+}
+
 TEST(Network, MeanBandwidthThrowsWithoutLinks) {
   Network net = two_nodes();
   EXPECT_THROW((void)net.mean_bandwidth_mbps(), std::logic_error);
@@ -200,17 +226,25 @@ TEST(Network, FlatCsrViewsMatchPerRowSpans) {
   net.add_link(2, 1, {20.0, 0.0});
   net.add_link(1, 5, {30.0, 0.0});
   net.add_link(4, 5, {40.0, 0.0});
-  const auto flat = net.in_edges_flat();
-  const auto off = net.in_row_offsets();
-  ASSERT_EQ(off.size(), net.node_count() + 1);
-  ASSERT_EQ(flat.size(), net.link_count());
+  // The hoisted row tables the DP kernels read: row v starts at
+  // pointers[v] and holds offsets[v + 1] - offsets[v] edges.
+  const auto in_rows = net.in_row_pointers();
+  const auto in_off = net.in_row_offsets();
+  const auto out_rows = net.out_row_pointers();
+  const auto out_off = net.out_row_offsets();
+  ASSERT_EQ(in_rows.size(), net.node_count());
+  ASSERT_EQ(out_rows.size(), net.node_count());
+  ASSERT_EQ(in_off.size(), net.node_count() + 1);
+  ASSERT_EQ(out_off.size(), net.node_count() + 1);
+  EXPECT_EQ(in_off.back(), net.link_count());
+  EXPECT_EQ(out_off.back(), net.link_count());
   for (NodeId v = 0; v < net.node_count(); ++v) {
-    const auto row = net.in_edges(v);
-    ASSERT_EQ(row.size(), off[v + 1] - off[v]);
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      EXPECT_EQ(flat[off[v] + i].from, row[i].from);
-      EXPECT_EQ(flat[off[v] + i].to, row[i].to);
-    }
+    const auto in = net.in_edges(v);
+    ASSERT_EQ(in.size(), in_off[v + 1] - in_off[v]);
+    EXPECT_EQ(in.data(), in_rows[v]);
+    const auto out = net.out_edges(v);
+    ASSERT_EQ(out.size(), out_off[v + 1] - out_off[v]);
+    EXPECT_EQ(out.data(), out_rows[v]);
   }
 }
 

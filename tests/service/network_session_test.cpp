@@ -5,6 +5,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -84,8 +85,19 @@ TEST(NetworkSession, ConsumesNetmeasureDeltas) {
 }
 
 TEST(NetworkSession, ConcurrentReadersSurviveDeltaStorm) {
-  NetworkSession session("net", small_network());
-  const graph::Edge edge = session.snapshot()->out_edges(0).front();
+  // Enough links for several edge chunks per direction, and deltas
+  // spread over rows in different chunks, so revisions share some
+  // chunks and own others while readers sweep them.
+  util::Rng rng(7);
+  NetworkSession session(
+      "net", graph::random_connected_network(rng, 60, 2400,
+                                             graph::AttributeRanges{}));
+  const NetworkSnapshot first = session.snapshot();
+  std::vector<graph::Edge> targets;
+  for (graph::NodeId v = 0; v < first->node_count(); v += 7) {
+    targets.push_back(first->out_edges(v).front());
+  }
+  ASSERT_GT(first->out_row_offsets().back(), 2 * graph::kEdgeChunkEdges);
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> reads{0};
@@ -103,11 +115,24 @@ TEST(NetworkSession, ConcurrentReadersSurviveDeltaStorm) {
           }
         }
         ASSERT_GT(sum, 0.0);
+        // One revision's out and in rows agree on every patched link.
+        for (const graph::Edge& target : targets) {
+          double in_bw = 0.0;
+          for (const graph::Edge& e : snap->in_edges(target.to)) {
+            if (e.from == target.from) {
+              in_bw = e.attr.bandwidth_mbps;
+            }
+          }
+          ASSERT_EQ(in_bw,
+                    snap->link(target.from, target.to).bandwidth_mbps);
+        }
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   for (int i = 1; i <= 200; ++i) {
+    const graph::Edge& edge = targets[static_cast<std::size_t>(i) %
+                                      targets.size()];
     const std::vector<LinkUpdate> updates = {LinkUpdate{
         edge.from, edge.to, LinkAttr{static_cast<double>(i), 0.001}}};
     session.apply_link_updates(updates);
@@ -124,8 +149,15 @@ TEST(NetworkSession, ConcurrentReadersSurviveDeltaStorm) {
   }
   EXPECT_EQ(session.revision(), 200u);
   EXPECT_GT(reads.load(), 0u);
-  EXPECT_DOUBLE_EQ(
-      session.snapshot()->link(edge.from, edge.to).bandwidth_mbps, 200.0);
+  const NetworkSnapshot last = session.snapshot();
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    // The last of i = 1..200 with i % size == t.
+    const std::size_t i = 200 - (200 - t) % targets.size();
+    EXPECT_DOUBLE_EQ(
+        last->link(targets[t].from, targets[t].to).bandwidth_mbps,
+        static_cast<double>(i));
+  }
+  EXPECT_EQ(session.finalize_builds(), 1u);
 }
 
 std::vector<LinkUpdate> one_delta(const NetworkSnapshot& snap, double bw) {
@@ -157,9 +189,15 @@ TEST(SessionCache, PinnedRevisionDiagnosticCountsOutsideReferences) {
   }
   const SessionCacheStats pinned = session.cache_stats();
   EXPECT_EQ(pinned.pinned_revisions, 1u);  // only revision 0 is held
-  EXPECT_EQ(pinned.pinned_bytes, held->approx_bytes());
-  EXPECT_EQ(pinned.cached_bytes,
-            session.snapshot()->approx_bytes() + held->approx_bytes());
+  // Revision 0 shares the row layout with the current revision: it is
+  // charged only for the tables and chunks it holds alone (the deltas
+  // rewrote both of this small network's chunks).
+  std::unordered_set<const void*> seen;
+  const std::size_t current_bytes = session.snapshot()->approx_bytes(seen);
+  EXPECT_EQ(current_bytes, session.snapshot()->approx_bytes());
+  EXPECT_EQ(pinned.pinned_bytes, held->approx_bytes(seen));
+  EXPECT_LT(pinned.pinned_bytes, held->approx_bytes());
+  EXPECT_EQ(pinned.cached_bytes, current_bytes + pinned.pinned_bytes);
   held.reset();
   const SessionCacheStats released = session.cache_stats();
   EXPECT_EQ(released.pinned_revisions, 0u);
@@ -211,7 +249,27 @@ TEST(SessionCache, PinnedRevisionsNeverYieldToCheckpointPressure) {
   EXPECT_EQ(stats.checkpoints, 0u);  // the oversized checkpoint went
   EXPECT_EQ(stats.checkpoint_evictions, 1u);
   EXPECT_EQ(stats.pinned_revisions, 1u);
-  EXPECT_EQ(stats.pinned_bytes, held->approx_bytes());
+  std::unordered_set<const void*> seen;
+  (void)session.snapshot()->approx_bytes(seen);
+  EXPECT_EQ(stats.pinned_bytes, held->approx_bytes(seen));
+}
+
+TEST(SessionCache, PinnedRevisionIsChargedOnlyForChunksItHoldsAlone) {
+  // Many chunks per direction; one delta rewrites one out chunk and one
+  // in chunk, so a pinned predecessor holds little the current revision
+  // does not.
+  util::Rng rng(3);
+  NetworkSession session(
+      "net", graph::random_connected_network(rng, 120, 9000,
+                                             graph::AttributeRanges{}));
+  NetworkSnapshot held = session.snapshot();
+  session.apply_link_updates(one_delta(held, 1.0));
+  const SessionCacheStats stats = session.cache_stats();
+  EXPECT_EQ(stats.pinned_revisions, 1u);
+  EXPECT_GE(stats.pinned_bytes, 2 * sizeof(graph::Edge));
+  EXPECT_LE(stats.pinned_bytes, held->approx_bytes() / 8);
+  EXPECT_LE(stats.cached_bytes,
+            session.snapshot()->approx_bytes() + stats.pinned_bytes);
 }
 
 }  // namespace
