@@ -28,11 +28,11 @@
 // so its slots stay unwritten.
 //
 // The checkpoint is a plain value object with no locking: the service
-// layer (service::NetworkSession's checkpoint store) serializes solves
-// against one checkpoint and charges approx_bytes() to the session
-// cache budget.  valid() is false while a solve is mutating the state,
-// so an exception mid-update degrades to a full re-solve, never to a
-// torn replay.
+// layer (each service::NetworkSession subscription owns one) serializes
+// solves against one checkpoint and charges approx_bytes() to the
+// session's checkpoint budget.  valid() is false while a solve is
+// mutating the state, so an exception mid-update degrades to a full
+// re-solve, never to a torn replay.
 
 #include <cstddef>
 #include <cstdint>

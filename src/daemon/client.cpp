@@ -100,6 +100,7 @@ StatsView StatsView::from_json(util::Json frame) {
   view.cancelled = field("cancelled");
   view.timed_out = field("timed_out");
   view.subscriptions = field("subscriptions");
+  view.checkpoints = field("checkpoints");
   view.pinned_revisions = field("pinned_revisions");
   view.pinned_bytes = field("pinned_bytes");
   view.connections = field("connections");
@@ -246,37 +247,38 @@ util::Json DaemonClient::recv_response() {
 
 util::Json DaemonClient::request(const util::Json& frame) {
   const std::string payload = frame.dump();
-  std::size_t attempt = 0;
-  for (;;) {
+  util::Json response;
+  with_retries([&] {
+    socket_.send_line(payload);
+    response = recv_response();
+  });
+  return response;
+}
+
+void DaemonClient::with_retries(const std::function<void()>& exchange) {
+  for (std::size_t attempt = 0;; ++attempt) {
     try {
       if (!socket_.valid()) {
         connect_socket();
       }
-      socket_.send_line(payload);
-      return recv_response();
+      exchange();
+      return;
     } catch (const util::SocketTimeout&) {
-      // The connection is healthy and the request may still be
-      // executing server-side; retrying would double-run it.
       throw;
     } catch (const util::SocketError&) {
       socket_.close();  // half-exchanged bytes cannot be resumed
       if (attempt >= options_.max_retries) {
         throw;
       }
-      retry_backoff(attempt);
-      ++attempt;
+      // Each step scaled by a uniform ±50% jitter so simultaneous
+      // failures do not retry in lockstep.
+      const double base = static_cast<double>(options_.backoff_ms) *
+                          static_cast<double>(std::uint64_t{1} << attempt);
+      std::uniform_real_distribution<double> jitter(0.5, 1.5);
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(base * jitter(rng_)));
     }
   }
-}
-
-void DaemonClient::retry_backoff(std::size_t attempt) {
-  // Exponential backoff, each step scaled by a uniform ±50% jitter so
-  // simultaneous failures do not retry in lockstep.
-  const double base = static_cast<double>(options_.backoff_ms) *
-                      static_cast<double>(std::uint64_t{1} << attempt);
-  std::uniform_real_distribution<double> jitter(0.5, 1.5);
-  std::this_thread::sleep_for(
-      std::chrono::duration<double, std::milli>(base * jitter(rng_)));
 }
 
 std::string DaemonClient::next_trace_id() {
@@ -333,19 +335,7 @@ JobStatusView DaemonClient::wait_status(Ticket ticket) {
 std::vector<Ticket> DaemonClient::submit_all(
     std::span<const service::SolveJob> jobs, int priority) {
   // Connecting is the one step retried: no frame of this call has left.
-  for (std::size_t attempt = 0; !socket_.valid(); ++attempt) {
-    try {
-      connect_socket();
-    } catch (const util::SocketTimeout&) {
-      throw;
-    } catch (const util::SocketError&) {
-      socket_.close();
-      if (attempt >= options_.max_retries) {
-        throw;
-      }
-      retry_backoff(attempt);
-    }
-  }
+  with_retries([] {});
   std::vector<Ticket> tickets;
   tickets.reserve(jobs.size());
   std::optional<std::string> rejected;  // the first ok=false answer
@@ -395,15 +385,14 @@ std::vector<JobStatusView> DaemonClient::wait_all(
     std::span<const Ticket> tickets) {
   std::vector<std::optional<JobStatusView>> views(tickets.size());
   std::size_t answered = 0;
-  for (std::size_t attempt = 0;; ++attempt) {
-    // The waits in flight on this connection: (ticket, position).  At
-    // most kPipelineWindow entries, so a linear scan is the cheap match.
-    std::vector<std::pair<Ticket, std::size_t>> in_flight;
-    std::size_t next = 0;  // scan cursor for positions not yet sent
-    try {
-      if (!socket_.valid()) {
-        connect_socket();
-      }
+  try {
+    // Waits are idempotent: a reconnect re-issues the unanswered ones.
+    with_retries([&] {
+      // The waits in flight on this connection: (ticket, position).  At
+      // most kPipelineWindow entries, so a linear scan is the cheap
+      // match.
+      std::vector<std::pair<Ticket, std::size_t>> in_flight;
+      std::size_t next = 0;  // scan cursor for positions not yet sent
       while (answered < tickets.size()) {
         if (next < tickets.size() && in_flight.size() <= kPipelineWindow / 2) {
           std::string lines;
@@ -451,22 +440,11 @@ std::vector<JobStatusView> DaemonClient::wait_all(
         in_flight.pop_back();
         ++answered;
       }
-      break;
-    } catch (const util::SocketTimeout&) {
-      socket_.close();
-      throw;
-    } catch (const util::SocketError&) {
-      // Waits are idempotent: reconnect and re-issue the unanswered.
-      socket_.close();
-      if (attempt >= options_.max_retries) {
-        throw;
-      }
-      retry_backoff(attempt);
-    } catch (...) {
-      // Answers to the other waits in flight would still arrive here.
-      socket_.close();
-      throw;
-    }
+    });
+  } catch (...) {
+    // Answers to the other waits in flight would still arrive here.
+    socket_.close();
+    throw;
   }
   std::vector<JobStatusView> statuses;
   statuses.reserve(views.size());
@@ -490,57 +468,43 @@ std::vector<util::Json> DaemonClient::apply_link_updates(
 
 std::vector<service::SolveResult> DaemonClient::resolve_link_updates(
     const std::string& network, std::span<const graph::LinkUpdate> updates) {
-  std::size_t attempt = 0;
-  for (;;) {
-    try {
-      if (!socket_.valid()) {
-        connect_socket();
-      }
-      Received received;
-      if (hello_.version >= 2) {
-        // The bulk data plane: the request leaves as one binary
-        // link-update table frame, the response comes back as a control
-        // line plus a binary result table.
-        const std::string table =
-            wire::encode_link_update_table(network, updates);
-        socket_.send_bytes(wire::encode_header(
-            wire::FrameType::kLinkUpdateTable, 0,
-            static_cast<std::uint32_t>(table.size())));
-        socket_.send_bytes(table);
-        received = recv_frame();
-      } else {
-        // The connection of the moment speaks v1 (preference kV1, or a
-        // fallback after reconnect): same verb as the raw helper.
-        util::Json frame = verb_frame("apply_link_updates");
-        frame.set("network", network);
-        frame.set("updates", service::link_updates_to_json(updates));
-        stamp_trace(frame);
-        socket_.send_line(frame.dump());
-        received = recv_frame();
-      }
-      const util::Json& response = received.frame;
-      if (!response.at("ok").as_bool()) {
-        throw DaemonError(response.at("error").as_string());
-      }
-      if (received.payload_field == "results") {
-        return std::move(received.results);
-      }
-      std::vector<service::SolveResult> results;
-      for (const util::Json& entry : response.at("results").as_array()) {
-        results.push_back(service::result_entry_from_json(entry));
-      }
-      return results;
-    } catch (const util::SocketTimeout&) {
-      throw;
-    } catch (const util::SocketError&) {
-      socket_.close();
-      if (attempt >= options_.max_retries) {
-        throw;
-      }
-      retry_backoff(attempt);
-      ++attempt;
+  std::vector<service::SolveResult> results;
+  with_retries([&] {
+    Received received;
+    if (hello_.version >= 2) {
+      // The bulk data plane: the request leaves as one binary
+      // link-update table frame, the response comes back as a control
+      // line plus a binary result table.
+      const std::string table =
+          wire::encode_link_update_table(network, updates);
+      socket_.send_bytes(wire::encode_header(
+          wire::FrameType::kLinkUpdateTable, 0,
+          static_cast<std::uint32_t>(table.size())));
+      socket_.send_bytes(table);
+      received = recv_frame();
+    } else {
+      // The connection of the moment speaks v1 (preference kV1, or a
+      // fallback after reconnect): same verb as the raw helper.
+      util::Json frame = verb_frame("apply_link_updates");
+      frame.set("network", network);
+      frame.set("updates", service::link_updates_to_json(updates));
+      stamp_trace(frame);
+      socket_.send_line(frame.dump());
+      received = recv_frame();
     }
-  }
+    const util::Json& response = received.frame;
+    if (!response.at("ok").as_bool()) {
+      throw DaemonError(response.at("error").as_string());
+    }
+    if (received.payload_field == "results") {
+      results = std::move(received.results);
+      return;
+    }
+    for (const util::Json& entry : response.at("results").as_array()) {
+      results.push_back(service::result_entry_from_json(entry));
+    }
+  });
+  return results;
 }
 
 void DaemonClient::pause() { (void)checked(verb_frame("pause")); }

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <random>
 #include <span>
@@ -148,6 +149,7 @@ struct StatsView {
   std::int64_t cancelled = 0;
   std::int64_t timed_out = 0;
   std::int64_t subscriptions = 0;
+  std::int64_t checkpoints = 0;
   std::int64_t pinned_revisions = 0;
   std::int64_t pinned_bytes = 0;
   std::int64_t connections = 0;
@@ -315,9 +317,13 @@ class DaemonClient {
   /// recv_frame() reinflated into the v1 JSON shape, so raw callers
   /// never see a difference between protocols.
   [[nodiscard]] util::Json recv_response();
-  /// Sleeps the exponential-backoff-with-jitter step for `attempt` (the
-  /// shared tail of every transparent-retry loop).
-  void retry_backoff(std::size_t attempt);
+  /// Runs `exchange` on a connected socket, connecting first when it is
+  /// closed.  A transport failure (util::SocketError) closes the socket
+  /// and reruns the whole step, up to options_.max_retries times, after
+  /// an exponential backoff with ±50% jitter.  A util::SocketTimeout is
+  /// never retried: the connection is healthy and the request may still
+  /// be executing server-side, so a rerun could double-run it.
+  void with_retries(const std::function<void()>& exchange);
 
   const DaemonClientOptions options_;
   const DaemonEndpoint endpoint_;  // retries reconnect here

@@ -318,27 +318,31 @@ void Network::finalize() const {
   Rows out = allocate_rows(layout->out);
   Rows in = allocate_rows(layout->in);
 
-  // Bucket by source, sort each out row by target (one sort per row, and
-  // none for a row that arrived in order), then scatter the out rows in
-  // ascending source order, which leaves every in row ascending in
-  // `from`.
+  // Counting scatters only, no comparisons: bucket by source, scatter
+  // the out rows in ascending source order (which leaves every in row
+  // ascending in `from`), then the in rows in ascending target order
+  // (which leaves every out row ascending in `to`).  Links that all
+  // arrived ascending — no earlier build, no out-of-order staging —
+  // bucket into out rows that are ascending already, so the last
+  // scatter is skipped.
+  const bool arrived_ascending = out_.rows.empty() && staged_index_.empty();
   std::vector<std::size_t> fill(k, 0);
   for_each_link([&](const Edge& e) { out.rows[e.from][fill[e.from]++] = e; });
-  const auto by_target = [](const Edge& a, const Edge& b) {
-    return a.to < b.to;
+  const auto scatter = [&](const Rows& from_rows,
+                           const std::vector<std::size_t>& from_off,
+                           Rows& to_rows, auto key) {
+    std::fill(fill.begin(), fill.end(), 0);
+    for (NodeId v = 0; v < k; ++v) {
+      for (const Edge& e :
+           std::span(from_rows.rows[v], from_off[v + 1] - from_off[v])) {
+        const NodeId w = key(e);
+        to_rows.rows[w][fill[w]++] = e;
+      }
+    }
   };
-  for (NodeId v = 0; v < k; ++v) {
-    Edge* const row = out.rows[v];
-    Edge* const end = row + (out_off[v + 1] - out_off[v]);
-    if (!std::is_sorted(row, end, by_target)) {
-      std::sort(row, end, by_target);
-    }
-  }
-  std::fill(fill.begin(), fill.end(), 0);
-  for (NodeId v = 0; v < k; ++v) {
-    for (const Edge& e : std::span(out.rows[v], out_off[v + 1] - out_off[v])) {
-      in.rows[e.to][fill[e.to]++] = e;
-    }
+  scatter(out, out_off, in, [](const Edge& e) { return e.to; });
+  if (!arrived_ascending) {
+    scatter(in, in_off, out, [](const Edge& e) { return e.from; });
   }
 
   layout_ = std::move(layout);

@@ -203,8 +203,10 @@ bool BatchEngine::incremental_job(const SolveJob& job) const {
 
 std::vector<SolveResult> BatchEngine::solve(const std::vector<SolveJob>& jobs,
                                             const CancelFn& cancelled) {
+  std::vector<NetworkSession*> sessions;
   std::vector<NetworkSession::Current> snapshots;
-  std::vector<IncrementalBinding> bindings(jobs.size());
+  std::vector<NetworkSession::CheckpointEntryPtr> checkpoints(jobs.size());
+  sessions.reserve(jobs.size());
   snapshots.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const SolveJob& job = jobs[i];
@@ -214,53 +216,38 @@ std::vector<SolveResult> BatchEngine::solve(const std::vector<SolveJob>& jobs,
                                   "' names unregistered network '" +
                                   job.network + "'");
     }
+    sessions.push_back(session);
     snapshots.push_back(session->current());
-    bindings[i].session = session;
     if (incremental_job(job)) {
-      // No delta on the plain solve path: a fresh entry captures; a
-      // retained one whose revision still matches replays for free
-      // (solve_one supplies the empty delta in that case).
-      bindings[i].key = job.id;
-      bindings[i].entry = session->checkpoint_entry(job.id);
+      // A subscribed job reuses its own checkpoint; a first subscribe
+      // captures into a fresh one, which its session adopts below.
+      checkpoints[i] = session->checkpoint(job.id);
+      if (checkpoints[i] == nullptr) {
+        checkpoints[i] = std::make_shared<NetworkSession::CheckpointEntry>();
+      }
     }
   }
   const CancelFn effective =
       with_deadlines(std::span<const SolveJob>(jobs), cancelled);
-  std::vector<SolveResult> results = run_jobs(
-      std::span<const SolveJob>(jobs), snapshots, bindings, effective);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const SolveJob& job = jobs[i];
-      // A cancelled or timed-out job never ran (or never finished), so
-      // it must not install or replace a subscription either.
-      if (results[i].error == kCancelledError ||
-          results[i].error == kTimedOutError) {
-        continue;
-      }
-      // Re-submitting a job replaces (or, with resolve_on_update off,
-      // removes) its subscription: without this, a client re-sending the
-      // same job file would multiply every future re-solve, and turning
-      // the flag off would have no way to stop them.
-      const auto existing = std::find_if(
-          subscriptions_.begin(), subscriptions_.end(),
-          [&job](const SolveJob& s) {
-            return s.id == job.id && s.network == job.network;
-          });
-      if (job.resolve_on_update) {
-        if (existing == subscriptions_.end()) {
-          subscriptions_.push_back(job);
-        } else {
-          *existing = job;
-        }
-      } else if (existing != subscriptions_.end()) {
-        subscriptions_.erase(existing);
-        // The checkpoint belongs to the subscription; unsubscribing
-        // releases its bytes instead of waiting out the LRU.
-        if (options_.incremental) {
-          bindings[i].session->drop_checkpoint(job.id);
-        }
-      }
+  std::vector<SolveResult> results =
+      run_jobs(std::span<const SolveJob>(jobs), snapshots, checkpoints,
+               nullptr, effective);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    // A cancelled or timed-out job never ran (or never finished), so
+    // it must not install or replace a subscription either, and a
+    // fresh checkpoint it captured into dies with it.
+    if (results[i].error == kCancelledError ||
+        results[i].error == kTimedOutError) {
+      continue;
+    }
+    // Re-submitting a job replaces (or, with resolve_on_update off,
+    // removes) its subscription: without this, a client re-sending the
+    // same job file would multiply every future re-solve, and turning
+    // the flag off would have no way to stop them.
+    if (jobs[i].resolve_on_update) {
+      sessions[i]->subscribe(jobs[i], std::move(checkpoints[i]));
+    } else {
+      sessions[i]->unsubscribe(jobs[i].id);
     }
   }
   return results;
@@ -274,44 +261,24 @@ std::vector<SolveResult> BatchEngine::apply_link_updates(
   // how long results citing the superseded revision stayed current.
   const std::chrono::steady_clock::time_point delta_landed =
       std::chrono::steady_clock::now();
-  session.apply_link_updates(updates);
-  std::vector<SolveJob> subscribed;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const SolveJob& sub : subscriptions_) {
-      if (sub.network == id) {
-        subscribed.push_back(sub);
-      }
-    }
-  }
-  const NetworkSession::Current now = session.current();
-  const std::vector<NetworkSession::Current> snapshots(subscribed.size(),
-                                                       now);
-  // The delta that justifies column reuse: shared by every subscribed
-  // job's binding (solve_one only applies it when the job's checkpoint
-  // was captured against exactly the superseded revision).
-  std::vector<IncrementalBinding> bindings(subscribed.size());
-  const auto delta = std::make_shared<const std::vector<graph::LinkUpdate>>(
-      updates.begin(), updates.end());
-  for (std::size_t i = 0; i < subscribed.size(); ++i) {
-    bindings[i].session = &session;
-    if (incremental_job(subscribed[i])) {
-      bindings[i].key = subscribed[i].id;
-      bindings[i].entry = session.checkpoint_entry(subscribed[i].id);
-      bindings[i].delta = delta;
-    }
-  }
+  const NetworkSession::Published published =
+      session.apply_link_updates(updates);
+  const std::vector<NetworkSession::Current> snapshots(
+      published.jobs.size(), published.current);
+  // The delta that justifies column reuse: offered to every subscribed
+  // job whose checkpoint the DP finds at exactly the revision it starts
+  // from.
+  const std::vector<graph::LinkUpdate> delta(updates.begin(), updates.end());
   // Subscribed jobs keep their deadlines on re-solves too (measured from
   // the re-solve's start), so a delta storm cannot wedge a worker.
   const CancelFn effective =
-      with_deadlines(std::span<const SolveJob>(subscribed), nullptr);
-  return run_jobs(std::span<const SolveJob>(subscribed), snapshots, bindings,
-                  effective, &delta_landed);
+      with_deadlines(std::span<const SolveJob>(published.jobs), nullptr);
+  return run_jobs(std::span<const SolveJob>(published.jobs), snapshots,
+                  published.checkpoints, &delta, effective, &delta_landed);
 }
 
 std::size_t BatchEngine::subscription_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return subscriptions_.size();
+  return stats().subscriptions;
 }
 
 EngineStats BatchEngine::stats() const {
@@ -324,7 +291,6 @@ EngineStats BatchEngine::stats() const {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stats.sessions = sessions_.size();
-    stats.subscriptions = subscriptions_.size();
     sessions.reserve(sessions_.size());
     for (const auto& [id, session] : sessions_) {
       sessions.push_back(session.get());
@@ -332,6 +298,7 @@ EngineStats BatchEngine::stats() const {
   }
   for (const NetworkSession* session : sessions) {
     const SessionCacheStats cache = session->cache_stats();
+    stats.subscriptions += cache.subscriptions;
     stats.cached_bytes += cache.cached_bytes;
     stats.checkpoints += cache.checkpoints;
     stats.checkpoint_bytes += cache.checkpoint_bytes;
@@ -354,7 +321,8 @@ EngineStats BatchEngine::stats() const {
 std::vector<SolveResult> BatchEngine::run_jobs(
     std::span<const SolveJob> jobs,
     std::span<const NetworkSession::Current> snapshots,
-    std::span<const IncrementalBinding> bindings, const CancelFn& cancelled,
+    std::span<const NetworkSession::CheckpointEntryPtr> checkpoints,
+    const std::vector<graph::LinkUpdate>* delta, const CancelFn& cancelled,
     const std::chrono::steady_clock::time_point* staleness_epoch) {
   std::vector<SolveResult> results(jobs.size());
   if (jobs.empty()) {
@@ -416,9 +384,8 @@ std::vector<SolveResult> BatchEngine::run_jobs(
           return core::SolveAbort::kNone;
         };
       }
-      solve_one(jobs[i], snapshots[i], ctx, slot,
-                bindings.empty() ? nullptr : &bindings[i], abort,
-                staleness_epoch, results[i]);
+      solve_one(jobs[i], snapshots[i], ctx, slot, checkpoints[i].get(), delta,
+                abort, staleness_epoch, results[i]);
       results[i].dp_columns = dp_columns;
     }
   };
@@ -441,7 +408,8 @@ std::vector<SolveResult> BatchEngine::run_jobs(
 void BatchEngine::solve_one(
     const SolveJob& job, const NetworkSession::Current& snap,
     const MapperContext& ctx, std::size_t slot,
-    const IncrementalBinding* binding, const core::AbortProbe& abort,
+    NetworkSession::CheckpointEntry* checkpoint,
+    const std::vector<graph::LinkUpdate>* delta, const core::AbortProbe& abort,
     const std::chrono::steady_clock::time_point* staleness_epoch,
     SolveResult& out) {
   // Fault point "engine_stall": the solving thread wedges right here,
@@ -469,35 +437,27 @@ void BatchEngine::solve_one(
   if (kernel_serves) {
     out.kernel = core::kernels::kind_name(ctx.kernel);
   }
-  // Incremental wiring: only with the entry's solve lock won (a
+  // Incremental wiring: only with the checkpoint's solve lock won (a
   // concurrent re-solve of the same subscription keeps its own full
-  // solve — never a shared, racing checkpoint).  The delta is offered
-  // to the DP only when the checkpoint provably corresponds to the
-  // revision the delta starts from; the DP re-verifies via the network
-  // version either way.
+  // solve — never a shared, racing checkpoint).  The DP takes a delta
+  // only when network.version() == checkpoint.network_version() +
+  // delta.size(), so the empty delta is offered when the checkpoint
+  // already matches this revision, and otherwise the batch's delta.
   core::IncrementalStats inc_stats;
   MapperContext job_ctx = ctx;
   job_ctx.abort = abort;
   std::unique_lock<std::mutex> checkpoint_lock;
-  NetworkSession::CheckpointEntry* entry =
-      binding != nullptr ? binding->entry.get() : nullptr;
-  if (entry != nullptr) {
+  if (checkpoint != nullptr) {
     checkpoint_lock =
-        std::unique_lock<std::mutex>(entry->solve_mutex, std::try_to_lock);
+        std::unique_lock<std::mutex>(checkpoint->solve_mutex, std::try_to_lock);
     if (checkpoint_lock.owns_lock()) {
-      job_ctx.checkpoint = &entry->state;
+      static const std::vector<graph::LinkUpdate> kNoUpdates;
+      job_ctx.checkpoint = &checkpoint->state;
       job_ctx.incremental_stats = &inc_stats;
-      if (entry->has_revision) {
-        if (binding->delta != nullptr &&
-            entry->revision + 1 == snap.revision) {
-          job_ctx.delta = binding->delta.get();
-        } else if (entry->revision == snap.revision) {
-          static const std::vector<graph::LinkUpdate> kNoUpdates;
-          job_ctx.delta = &kNoUpdates;  // same revision: pure replay
-        }
-      }
-    } else {
-      entry = nullptr;  // contended: plain full solve, no capture
+      job_ctx.delta =
+          checkpoint->state.network_version() == snap.network->version()
+              ? &kNoUpdates
+              : delta;
     }
   }
   try {
@@ -524,21 +484,17 @@ void BatchEngine::solve_one(
     if (kernel_serves) {
       kernel_jobs_->add();
     }
-    if (entry != nullptr) {
-      // The checkpoint now reflects this revision's DP (captured or
-      // incrementally patched); a failed solve skips this, leaving the
-      // state invalidated so the next re-solve recaptures.
-      entry->revision = snap.revision;
-      entry->has_revision = true;
-      // Fault point "checkpoint_corrupt": silently desync the retained
-      // state's recorded network version (still under the solve lock).
-      // The incremental path's version check must catch it and fall
-      // back to a full solve + recapture, keeping results bit-identical
-      // — the parity invariant the chaos driver asserts.
-      util::FaultInjector& faults = util::FaultInjector::instance();
-      if (faults.enabled() && faults.should_fire("checkpoint_corrupt")) {
-        entry->state.set_network_version(entry->state.network_version() + 1);
-      }
+    // Fault point "checkpoint_corrupt": silently desync the retained
+    // state's recorded network version (still under the solve lock) past
+    // any version the session can reach.  The DP's version check must
+    // catch it and fall back to a full solve + recapture, keeping
+    // results bit-identical — the parity invariant the chaos driver
+    // asserts.
+    util::FaultInjector& faults = util::FaultInjector::instance();
+    if (checkpoint_lock.owns_lock() && faults.enabled() &&
+        faults.should_fire("checkpoint_corrupt")) {
+      checkpoint->state.set_network_version(
+          checkpoint->state.network_version() | (std::uint64_t{1} << 63));
     }
   } catch (const core::SolveAborted& e) {
     out.error = e.reason() == core::SolveAbort::kTimedOut ? kTimedOutError
@@ -549,15 +505,13 @@ void BatchEngine::solve_one(
     out.result = mapping::MapResult::infeasible(std::string("error: ") +
                                                 e.what());
   }
-  if (binding != nullptr && binding->entry != nullptr) {
+  if (checkpoint != nullptr) {
     if (checkpoint_lock.owns_lock()) {
       // Measure before releasing the lock — a contending solve may
-      // start resizing the state the instant it is free — then
-      // re-charge the (possibly grown) checkpoint against the session
-      // budget, which also re-runs the sweep that may evict it again.
-      const std::size_t bytes = binding->entry->state.approx_bytes();
+      // start resizing the state the instant it is free; the session's
+      // next sweep charges it against the budget.
+      checkpoint->bytes.store(checkpoint->state.approx_bytes());
       checkpoint_lock.unlock();
-      binding->session->note_checkpoint_update(binding->key, bytes);
     }
     if (inc_stats.incremental) {
       incremental_hits_->add();

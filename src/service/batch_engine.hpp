@@ -22,9 +22,10 @@
 // direct Mapper calls.  Pinned by tests/service/batch_engine_test.cpp.
 //
 // Delta-driven re-solves: a job with resolve_on_update = true is
-// retained as a subscription; apply_link_updates(network, deltas)
-// publishes the new revision and immediately re-solves the subscribed
-// jobs against it, returning those results.
+// retained as a subscription by its network's session;
+// apply_link_updates(network, deltas) publishes the new revision and
+// immediately re-solves the session's subscribed jobs against it,
+// returning those results.
 
 #include <array>
 #include <atomic>
@@ -47,64 +48,16 @@
 #include "graph/network.hpp"
 #include "mapping/mapper.hpp"
 #include "pipeline/cost_model.hpp"
-#include "pipeline/pipeline.hpp"
 #include "service/network_session.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace elpc::service {
 
-enum class Objective { kMinDelay, kMaxFrameRate };
-
 /// The experiment harness's per-objective cost conventions (see
 /// experiments/runner.hpp): delay pays the per-hop MLD, frame rate does
 /// not (propagation adds latency, not a throughput limit).
 [[nodiscard]] pipeline::CostOptions default_cost(Objective objective);
-
-/// Upper bound on SolveJob::repeats accepted from a job document: a
-/// bench knob, and an unbounded count would let one job hold an engine
-/// worker indefinitely.
-inline constexpr std::int64_t kMaxRepeats = 1000;
-
-/// One queued solve: which session, what pipeline, which objective.
-struct SolveJob {
-  /// Caller-chosen identifier echoed in the result.
-  std::string id;
-  /// Id of a registered network session.
-  std::string network;
-  pipeline::Pipeline pipeline;
-  graph::NodeId source = graph::kInvalidNode;
-  graph::NodeId destination = graph::kInvalidNode;
-  Objective objective = Objective::kMinDelay;
-  /// Mapper name resolved by the engine's factory ("ELPC" built in).
-  std::string algorithm = "ELPC";
-  pipeline::CostOptions cost;
-  /// Timed solve repetitions (benchmark use).  The reported result is
-  /// the last run's — all runs are identical — and mean_runtime_ms
-  /// averages the timed ones.
-  std::size_t repeats = 1;
-  /// Run one untimed solve before the timed ones (benchmark-style:
-  /// excludes first-call arena growth and cold caches from the mean).
-  /// Serving jobs leave this off — a job must not run twice.
-  bool warmup = false;
-  /// Retain this job as a subscription: apply_link_updates on its
-  /// network re-solves it against the new revision.
-  bool resolve_on_update = false;
-  /// Wall-clock budget for this job, in milliseconds; 0 = none.  The
-  /// clock starts when the batch (or re-solve) begins running, and the
-  /// engine checks it at the job boundary AND once per DP column inside
-  /// the solve, so an over-budget job stops within one column's work and
-  /// reports error = kTimedOutError.  The daemon's JobManager starts the
-  /// stricter clock at submission, so queue wait counts there too.
-  std::int64_t deadline_ms = 0;
-  /// Client-stamped request correlation id (optional, never semantic):
-  /// the engine installs it as the util::trace_context for the solve, so
-  /// profiler events and log lines it causes carry the id, and the
-  /// daemon echoes it in responses and the ticket's TraceSpan.  It never
-  /// enters the canonical result serialization — answers stay
-  /// byte-identical with or without it.
-  std::string trace_id;
-};
 
 /// One job's outcome plus serving metadata.
 struct SolveResult {
@@ -325,17 +278,18 @@ class BatchEngine {
   /// unregistered network throw std::invalid_argument before anything
   /// runs; per-job solver failures are captured in SolveResult::error.
   /// Jobs with resolve_on_update are additionally retained as
-  /// subscriptions, keyed on (id, network): re-submitting a job replaces
-  /// its subscription instead of duplicating it, and re-submitting with
-  /// resolve_on_update off removes it (the unsubscribe path).
+  /// subscriptions by their network's session, keyed on the job id:
+  /// re-submitting a job replaces its subscription in place instead of
+  /// duplicating it, and re-submitting with resolve_on_update off
+  /// removes it (the unsubscribe path).
   ///
   /// `cancelled`, when set, is checked when the job starts and then once
-  /// per DP column while it solves: kCancel
-  /// marks the result kCancelledError, kTimeout kTimedOutError, and a
-  /// job skipped or aborted either way never touches the subscription
-  /// table.  This is the hook the daemon's JobManager uses.  Jobs with
-  /// deadline_ms > 0 additionally get an engine-side deadline measured
-  /// from this call's entry, fused into the same signal.
+  /// per DP column while it solves: kCancel marks the result
+  /// kCancelledError, kTimeout kTimedOutError, and a job skipped or
+  /// aborted either way never touches its subscription nor leaves a
+  /// checkpoint behind.  This is the hook the daemon's JobManager uses.
+  /// Jobs with deadline_ms > 0 additionally get an engine-side deadline
+  /// measured from this call's entry, fused into the same signal.
   std::vector<SolveResult> solve(const std::vector<SolveJob>& jobs,
                                  const CancelFn& cancelled = nullptr);
 
@@ -345,7 +299,8 @@ class BatchEngine {
   std::vector<SolveResult> apply_link_updates(
       const std::string& id, std::span<const graph::LinkUpdate> updates);
 
-  /// Jobs currently retained for delta-driven re-solves.
+  /// Jobs currently retained for delta-driven re-solves, summed over
+  /// sessions.
   [[nodiscard]] std::size_t subscription_count() const;
 
   /// Arenas the engine ever constructed (bounded by peak participants).
@@ -370,40 +325,30 @@ class BatchEngine {
   [[nodiscard]] util::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  /// Per-job incremental wiring, resolved up front on the calling
-  /// thread like the snapshots: the session's checkpoint entry (held
-  /// shared_ptr = pinned against eviction for the solve's duration) and
-  /// the delta that justifies reuse.  Inert (entry == nullptr) for jobs
-  /// the incremental path does not apply to.
-  struct IncrementalBinding {
-    NetworkSession* session = nullptr;
-    std::string key;
-    NetworkSession::CheckpointEntryPtr entry;
-    std::shared_ptr<const std::vector<graph::LinkUpdate>> delta;
-  };
-
   [[nodiscard]] NetworkSession* find_session(const std::string& id) const;
   /// True when the engine retains/reuses a checkpoint for this job:
   /// incremental engines, subscribed ELPC frame-rate jobs, single
-  /// plain run (repeats/warmup re-run the solve, which would make the
-  /// checkpoint's "last solved revision" bookkeeping ambiguous).
+  /// plain run (repeats/warmup re-run the solve with one delta, which
+  /// only the first run could apply).
   [[nodiscard]] bool incremental_job(const SolveJob& job) const;
-  /// `snapshots` (and `bindings`, when non-empty) are index-aligned
-  /// with `jobs`: every job's session state is resolved once, up front,
-  /// on the calling thread — workers never touch the engine mutex, and
+  /// `snapshots` and `checkpoints` (null = plain solve; held = pinned
+  /// against eviction) are index-aligned with `jobs`, resolved up front
+  /// on the calling thread: workers never touch the engine mutex, and
   /// all jobs of one batch solve against the revisions current at
-  /// submission.
-  /// `staleness_epoch`, when non-null, marks the instant the triggering
-  /// delta landed: each job records (its completion − epoch) into the
-  /// elpc_resolve_staleness_ms histogram (the apply_link_updates path).
+  /// submission.  `delta` published the batch's revision (null on the
+  /// plain solve path).  `staleness_epoch`, when non-null, marks the
+  /// instant that delta landed: each job records (its completion −
+  /// epoch) into the elpc_resolve_staleness_ms histogram.
   std::vector<SolveResult> run_jobs(
       std::span<const SolveJob> jobs,
       std::span<const NetworkSession::Current> snapshots,
-      std::span<const IncrementalBinding> bindings, const CancelFn& cancelled,
+      std::span<const NetworkSession::CheckpointEntryPtr> checkpoints,
+      const std::vector<graph::LinkUpdate>* delta, const CancelFn& cancelled,
       const std::chrono::steady_clock::time_point* staleness_epoch = nullptr);
   void solve_one(const SolveJob& job, const NetworkSession::Current& snap,
                  const MapperContext& ctx, std::size_t slot,
-                 const IncrementalBinding* binding,
+                 NetworkSession::CheckpointEntry* checkpoint,
+                 const std::vector<graph::LinkUpdate>* delta,
                  const core::AbortProbe& abort,
                  const std::chrono::steady_clock::time_point* staleness_epoch,
                  SolveResult& out);
@@ -427,10 +372,8 @@ class BatchEngine {
   util::Counter* incremental_columns_reused_ = nullptr;
   SolveHistograms solve_ms_;
   SolveHistograms staleness_ms_;
-  mutable std::mutex mutex_;  // guards sessions_ and subscriptions_
+  mutable std::mutex mutex_;  // guards sessions_
   std::map<std::string, std::unique_ptr<NetworkSession>> sessions_;
-  /// Jobs retained with resolve_on_update.
-  std::vector<SolveJob> subscriptions_;
 };
 
 }  // namespace elpc::service

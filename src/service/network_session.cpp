@@ -1,5 +1,6 @@
 #include "service/network_session.hpp"
 
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -32,12 +33,13 @@ std::size_t NetworkSession::finalize_builds() const {
   return current_->finalize_build_count();
 }
 
-void NetworkSession::apply_link_updates(
+NetworkSession::Published NetworkSession::apply_link_updates(
     std::span<const graph::LinkUpdate> updates) {
   // Declared before the lock so it is destroyed after the unlock: when
   // no solve holds the superseded revision, this is its last reference,
   // and freeing a large network must not stall current() callers.
   NetworkSnapshot superseded;
+  Published published;
   // The clone is private until published and the source snapshot stays
   // immutable, so readers holding older snapshots are unaffected.  The
   // lock spans the whole clone-patch-publish step so concurrent delta
@@ -56,6 +58,17 @@ void NetworkSession::apply_link_updates(
   superseded = std::exchange(current_, std::move(next));
   ++revision_;
   evict_over_budget();
+  published.current = Current{current_, revision_};
+  published.jobs.reserve(subscriptions_.size());
+  published.checkpoints.reserve(subscriptions_.size());
+  for (const Subscription& sub : subscriptions_) {
+    published.jobs.push_back(sub.job);
+    if (sub.checkpoint != nullptr) {
+      sub.checkpoint->last_touch = ++touch_clock_;
+    }
+    published.checkpoints.push_back(sub.checkpoint);
+  }
+  return published;
 }
 
 SessionCacheStats NetworkSession::cache_stats() const {
@@ -78,69 +91,86 @@ SessionCacheStats NetworkSession::cache_stats() const {
     }
   }
   stats.cached_bytes += stats.pinned_bytes;
-  stats.checkpoints = checkpoints_.size();
-  for (const auto& [key, entry] : checkpoints_) {
-    stats.checkpoint_bytes += entry.bytes;
+  stats.subscriptions = subscriptions_.size();
+  for (const Subscription& sub : subscriptions_) {
+    const std::size_t bytes = sub.checkpoint ? sub.checkpoint->bytes.load() : 0;
+    stats.checkpoints += bytes != 0 ? 1 : 0;
+    stats.checkpoint_bytes += bytes;
   }
   stats.checkpoint_evictions = checkpoint_evictions_;
   return stats;
 }
 
-NetworkSession::CheckpointEntryPtr NetworkSession::checkpoint_entry(
-    const std::string& key) {
+NetworkSession::CheckpointEntryPtr NetworkSession::checkpoint(
+    const std::string& job_id) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = checkpoints_.find(key);
-  if (it == checkpoints_.end()) {
-    CachedCheckpoint fresh;
-    fresh.entry = std::make_shared<CheckpointEntry>();
-    fresh.bytes = fresh.entry->state.approx_bytes();
-    it = checkpoints_.emplace(key, std::move(fresh)).first;
+  for (const Subscription& sub : subscriptions_) {
+    if (sub.job.id == job_id && sub.checkpoint != nullptr) {
+      sub.checkpoint->last_touch = ++touch_clock_;
+      return sub.checkpoint;
+    }
   }
-  it->second.last_touch = ++touch_clock_;
-  return it->second.entry;
+  return nullptr;
 }
 
-void NetworkSession::note_checkpoint_update(const std::string& key,
-                                            std::size_t bytes) {
+void NetworkSession::subscribe(const SolveJob& job,
+                               CheckpointEntryPtr checkpoint) {
+  // Declared before the lock: a replaced checkpoint no solve holds is
+  // freed after the unlock.
+  CheckpointEntryPtr replaced;
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = checkpoints_.find(key);
-  if (it != checkpoints_.end()) {
-    it->second.bytes = bytes;
-    it->second.last_touch = ++touch_clock_;
+  if (checkpoint != nullptr) {
+    checkpoint->last_touch = ++touch_clock_;
+  }
+  const auto it = std::find_if(
+      subscriptions_.begin(), subscriptions_.end(),
+      [&job](const Subscription& sub) { return sub.job.id == job.id; });
+  if (it == subscriptions_.end()) {
+    subscriptions_.push_back(Subscription{job, std::move(checkpoint)});
+  } else {
+    it->job = job;
+    replaced = std::exchange(it->checkpoint, std::move(checkpoint));
   }
   evict_over_budget();
 }
 
-void NetworkSession::drop_checkpoint(const std::string& key) {
+void NetworkSession::unsubscribe(const std::string& job_id) {
+  CheckpointEntryPtr dropped;  // freed after the unlock, as in subscribe
   const std::lock_guard<std::mutex> lock(mutex_);
-  checkpoints_.erase(key);
+  const auto it = std::find_if(
+      subscriptions_.begin(), subscriptions_.end(),
+      [&job_id](const Subscription& sub) { return sub.job.id == job_id; });
+  if (it != subscriptions_.end()) {
+    dropped = std::move(it->checkpoint);
+    subscriptions_.erase(it);
+  }
 }
 
 void NetworkSession::evict_over_budget() const {
-  // An entry a solve still holds (it reuses/recaptures the state) is
-  // pinned: evicting it would drop the map entry but not the memory.
-  // use_count is read under the session mutex — a solve releasing
-  // concurrently merely delays that entry to the next sweep.
+  // A checkpoint a solve still holds (it reuses/recaptures the state) is
+  // pinned: its solver owns the state until it lets go.  use_count is
+  // read under the session mutex, the only place a checkpoint is handed
+  // out — a solve releasing concurrently merely delays that entry to the
+  // next sweep.
+  std::vector<CheckpointEntry*> unpinned;
   std::size_t unpinned_bytes = 0;
-  for (const auto& [key, entry] : checkpoints_) {
-    if (entry.entry.use_count() == 1) {
-      unpinned_bytes += entry.bytes;
+  for (const Subscription& sub : subscriptions_) {
+    if (sub.checkpoint.use_count() == 1 && sub.checkpoint->bytes != 0) {
+      unpinned.push_back(sub.checkpoint.get());
+      unpinned_bytes += sub.checkpoint->bytes;
     }
   }
-  while (unpinned_bytes > checkpoint_budget_bytes_) {
-    auto victim = checkpoints_.end();
-    for (auto it = checkpoints_.begin(); it != checkpoints_.end(); ++it) {
-      if (it->second.entry.use_count() == 1 &&
-          (victim == checkpoints_.end() ||
-           it->second.last_touch < victim->second.last_touch)) {
-        victim = it;
-      }
+  std::ranges::sort(unpinned, {}, &CheckpointEntry::last_touch);
+  for (CheckpointEntry* victim : unpinned) {
+    if (unpinned_bytes <= checkpoint_budget_bytes_) {
+      break;
     }
-    if (victim == checkpoints_.end()) {
-      break;  // everything left is pinned
-    }
-    unpinned_bytes -= victim->second.bytes;
-    checkpoints_.erase(victim);
+    unpinned_bytes -= victim->bytes;
+    // The lock is free (no solver holds the entry); taking it orders
+    // this reset after the last solver's writes to the state.
+    const std::lock_guard<std::mutex> reset_lock(victim->solve_mutex);
+    victim->state = core::IncrementalCheckpoint();
+    victim->bytes = 0;
     ++checkpoint_evictions_;
   }
 }

@@ -30,18 +30,19 @@
 // solve in flight the count is 0; one that only grows means a leaked
 // snapshot — typically a solve that hung.
 //
-// Incremental checkpoints: the session also retains, keyed by
-// subscription id, the per-column DP state (core::IncrementalCheckpoint)
-// an incremental re-solve reuses.  Checkpoint bytes are bounded by
-// `checkpoint_budget_bytes` and evicted least-recently-touched first (an
-// entry held by an in-flight solve is pinned and never evicted); losing
-// one merely costs the next re-solve a full recapture.  Each entry
-// carries a solve mutex — solvers try-lock it, so two concurrent
-// re-solves of one subscription never race on its checkpoint (the loser
-// runs a plain full solve).
+// Subscriptions: the session also keeps the jobs (SolveJob, declared
+// here) subscribed to it, in the order apply_link_updates hands them
+// back: replacing one keeps its place, resubscribing after an
+// unsubscribe moves it to the end.  Each owns at most one incremental
+// checkpoint (core::IncrementalCheckpoint), bounded by
+// `checkpoint_budget_bytes`: over budget, the least-recently-touched
+// one no solve holds is reset, and its next re-solve recaptures.  A
+// checkpoint's solve mutex is try-locked, so two concurrent re-solves
+// never race on its state (the loser runs a plain full solve).
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -50,8 +51,57 @@
 
 #include "core/incremental.hpp"
 #include "graph/network.hpp"
+#include "pipeline/cost_model.hpp"
+#include "pipeline/pipeline.hpp"
 
 namespace elpc::service {
+
+enum class Objective { kMinDelay, kMaxFrameRate };
+
+/// Upper bound on SolveJob::repeats accepted from a job document: a
+/// bench knob, and an unbounded count would let one job hold an engine
+/// worker indefinitely.
+inline constexpr std::int64_t kMaxRepeats = 1000;
+
+/// One queued solve: which session, what pipeline, which objective.
+struct SolveJob {
+  /// Caller-chosen identifier echoed in the result.
+  std::string id;
+  /// Id of a registered network session.
+  std::string network;
+  pipeline::Pipeline pipeline;
+  graph::NodeId source = graph::kInvalidNode;
+  graph::NodeId destination = graph::kInvalidNode;
+  Objective objective = Objective::kMinDelay;
+  /// Mapper name resolved by the engine's factory ("ELPC" built in).
+  std::string algorithm = "ELPC";
+  pipeline::CostOptions cost;
+  /// Timed solve repetitions (benchmark use).  The reported result is
+  /// the last run's — all runs are identical — and mean_runtime_ms
+  /// averages the timed ones.
+  std::size_t repeats = 1;
+  /// Run one untimed solve before the timed ones (benchmark-style:
+  /// excludes first-call arena growth and cold caches from the mean).
+  /// Serving jobs leave this off — a job must not run twice.
+  bool warmup = false;
+  /// Retain this job as a subscription: apply_link_updates on its
+  /// network re-solves it against the new revision.
+  bool resolve_on_update = false;
+  /// Wall-clock budget for this job, in milliseconds; 0 = none.  The
+  /// clock starts when the batch (or re-solve) begins running, and the
+  /// engine checks it at the job boundary AND once per DP column inside
+  /// the solve, so an over-budget job stops within one column's work and
+  /// reports error = kTimedOutError.  The daemon's JobManager starts the
+  /// stricter clock at submission, so queue wait counts there too.
+  std::int64_t deadline_ms = 0;
+  /// Client-stamped request correlation id (optional, never semantic):
+  /// the engine installs it as the util::trace_context for the solve, so
+  /// profiler events and log lines it causes carry the id, and the
+  /// daemon echoes it in responses and the ticket's TraceSpan.  It never
+  /// enters the canonical result serialization — answers stay
+  /// byte-identical with or without it.
+  std::string trace_id;
+};
 
 /// Refcounted immutable view of a session's network at one revision.
 using NetworkSnapshot = std::shared_ptr<const graph::Network>;
@@ -62,8 +112,11 @@ struct SessionCacheStats {
   /// plus every pinned superseded one, each shared block (layout, edge
   /// chunk) counted once.
   std::size_t cached_bytes = 0;
-  /// Incremental checkpoints retained / their byte total / dropped by
-  /// the budget since registration.
+  /// Jobs subscribed to the session.
+  std::size_t subscriptions = 0;
+  /// Incremental checkpoints retained / their byte total / reset by the
+  /// budget since registration.  Never more checkpoints than
+  /// subscriptions: each belongs to one.
   std::size_t checkpoints = 0;
   std::size_t checkpoint_bytes = 0;
   std::uint64_t checkpoint_evictions = 0;
@@ -111,54 +164,61 @@ class NetworkSession {
   /// they never rebuild.
   [[nodiscard]] std::size_t finalize_builds() const;
 
-  /// Applies one batch of metric deltas copy-on-write and publishes the
-  /// result as the next revision; the superseded snapshot is released
-  /// (after the session mutex) and freed unless a solve still holds it,
-  /// and the checkpoint budget sweep runs.  Throws (and publishes
-  /// nothing) when any update names a missing link or carries invalid
-  /// attributes.
-  void apply_link_updates(std::span<const graph::LinkUpdate> updates);
+  /// One subscription's retained incremental-DP state.  Solvers must
+  /// hold solve_mutex (try_lock; fall back to a plain full solve on
+  /// contention) while touching `state`, and store its approx_bytes()
+  /// into `bytes` before releasing the lock.
+  struct CheckpointEntry {
+    std::mutex solve_mutex;
+    core::IncrementalCheckpoint state;
+    /// What the budget charges for `state`; 0 = nothing retained (not
+    /// solved yet, or reset by the budget).  Read by the sweep without
+    /// solve_mutex.
+    std::atomic<std::size_t> bytes{0};
+    /// LRU position; guarded by the session mutex.
+    std::uint64_t last_touch = 0;
+  };
+  using CheckpointEntryPtr = std::shared_ptr<CheckpointEntry>;
+
+  /// The revision a delta published and the jobs to re-solve against
+  /// it, index-aligned with the checkpoints they own (null = none).  A
+  /// held checkpoint is pinned against the budget until released.
+  struct Published {
+    Current current;
+    std::vector<SolveJob> jobs;
+    std::vector<CheckpointEntryPtr> checkpoints;
+  };
+
+  /// Applies one batch of metric deltas copy-on-write, publishes the
+  /// result as the next revision and runs the checkpoint budget sweep;
+  /// the superseded snapshot is released (after the session mutex) and
+  /// freed unless a solve still holds it.  Hands back, read in the same
+  /// lock hold, the new revision and the subscriptions in subscription
+  /// order.  Throws (and publishes nothing) when any update names a
+  /// missing link or carries invalid attributes.
+  Published apply_link_updates(std::span<const graph::LinkUpdate> updates);
 
   /// Runs the checkpoint budget sweep (entries unpinned since the last
   /// update can only be reclaimed by a sweep) and reports occupancy.
   [[nodiscard]] SessionCacheStats cache_stats() const;
 
-  /// One subscription's retained incremental-DP state.  Solvers must
-  /// hold solve_mutex (try_lock; fall back to a plain full solve on
-  /// contention) while touching `state`, and record the session
-  /// revision the state was left consistent with.
-  struct CheckpointEntry {
-    std::mutex solve_mutex;
-    core::IncrementalCheckpoint state;
-    /// Revision `state`'s columns were computed against; only
-    /// meaningful when has_revision (a fresh entry has solved nothing).
-    std::uint64_t revision = 0;
-    bool has_revision = false;
-  };
-  using CheckpointEntryPtr = std::shared_ptr<CheckpointEntry>;
-
-  /// The checkpoint slot for a subscription key, created empty when
-  /// absent; touches its LRU position.  The returned reference pins the
-  /// entry against eviction until released.
-  [[nodiscard]] CheckpointEntryPtr checkpoint_entry(const std::string& key);
-  /// Re-charges the entry at `bytes` after a solve grew/refreshed it
-  /// and runs the budget sweep.  The caller measures
-  /// state.approx_bytes() while still holding solve_mutex — this
-  /// method must not touch `state` itself, since another solve may
-  /// already be resizing it.  No-op when the entry was evicted.
-  void note_checkpoint_update(const std::string& key, std::size_t bytes);
-  /// Removes the slot outright (unsubscribe path).
-  void drop_checkpoint(const std::string& key);
+  /// The checkpoint job `job_id`'s subscription owns, touched in the
+  /// LRU order; null when the job is not subscribed or owns none.
+  [[nodiscard]] CheckpointEntryPtr checkpoint(const std::string& job_id);
+  /// Subscribes `job`, or replaces its subscription in place, owning
+  /// `checkpoint` (null = none), and runs the budget sweep.
+  void subscribe(const SolveJob& job, CheckpointEntryPtr checkpoint);
+  /// Drops job `job_id`'s subscription and its checkpoint, if any.
+  void unsubscribe(const std::string& job_id);
 
  private:
-  struct CachedCheckpoint {
-    CheckpointEntryPtr entry;
-    std::size_t bytes = 0;
-    std::uint64_t last_touch = 0;
+  struct Subscription {
+    SolveJob job;
+    CheckpointEntryPtr checkpoint;
   };
 
-  /// Drops least-recently-touched unpinned checkpoints until their total
-  /// is within budget.  Caller holds mutex_.
+  /// Resets least-recently-touched checkpoints no solve holds until
+  /// their total is within budget.  Caller holds mutex_.
   void evict_over_budget() const;
 
   const std::string id_;
@@ -169,9 +229,8 @@ class NetworkSession {
   /// Superseded revisions that were still referenced at the last delta
   /// (each delta drops the expired ones before adding its own).
   std::vector<std::weak_ptr<const graph::Network>> superseded_;
-  /// Incremental checkpoints by subscription key; mutable so const
-  /// readers can run the sweep.
-  mutable std::map<std::string, CachedCheckpoint> checkpoints_;
+  /// In subscription order.
+  std::vector<Subscription> subscriptions_;
   std::uint64_t touch_clock_ = 0;
   mutable std::uint64_t checkpoint_evictions_ = 0;
 };

@@ -20,10 +20,11 @@
 //
 //   arena_alloc        FrameRateArena::setup throws std::bad_alloc
 //   engine_stall       BatchEngine::solve_one sleeps param ms
-//   checkpoint_corrupt solve_one bumps the checkpoint's recorded network
-//                      version (detectable: the next incremental re-solve
-//                      fails its version check and falls back to a full
-//                      solve — results stay bit-identical)
+//   checkpoint_corrupt solve_one moves the checkpoint's recorded network
+//                      version past any the session can reach
+//                      (detectable: the next incremental re-solve fails
+//                      its version check and falls back to a full solve
+//                      — results stay bit-identical)
 //   socket_send_epipe  UnixSocket::send_line throws before sending
 //   socket_short_write UnixSocket::send_line sends a torn frame, then
 //                      throws

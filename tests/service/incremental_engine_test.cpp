@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -217,6 +220,78 @@ TEST(IncrementalEngine, PinnedRevisionDiagnosticTracksSubscriptions) {
   const EngineStats pinned = engine.stats();
   EXPECT_EQ(pinned.pinned_revisions, 1u);
   EXPECT_GT(pinned.pinned_bytes, 0u);
+}
+
+TEST(IncrementalEngine, AbortedSubscribeSolvesLeaveNoCheckpoint) {
+  // The factory stalls past the deadline before the DP starts, so the
+  // solve sizes its checkpoint and then aborts at the first column.
+  BatchEngineOptions options;
+  options.incremental = true;
+  options.factory = [](const SolveJob&, const MapperContext& ctx) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return make_engine_elpc(ctx);
+  };
+  BatchEngine engine(options);
+  engine.register_network("net", make_network(19, 12, 70));
+  std::vector<SolveJob> jobs = subscription_jobs();
+  jobs.resize(1);
+
+  jobs[0].deadline_ms = 5;
+  ASSERT_EQ(engine.solve(jobs).front().error, kTimedOutError);
+
+  // Cancelled mid-solve: the job-boundary check passes, every per-column
+  // check after it cancels.
+  jobs[0].deadline_ms = 0;
+  std::atomic<int> checks{0};
+  const CancelFn cancel_after_start = [&checks](std::size_t) {
+    return checks++ == 0 ? JobSignal::kNone : JobSignal::kCancel;
+  };
+  ASSERT_EQ(engine.solve(jobs, cancel_after_start).front().error,
+            kCancelledError);
+  EXPECT_GT(checks.load(), 1);
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.subscriptions, 0u);
+  EXPECT_EQ(stats.checkpoints, 0u);
+  EXPECT_EQ(stats.checkpoint_bytes, 0u);
+}
+
+TEST(IncrementalEngine, ReSolvesAnswerInSubscriptionOrder) {
+  // Replacing a subscription keeps its place; unsubscribing and
+  // resubscribing moves it to the end.
+  BatchEngineOptions options;
+  options.incremental = true;
+  BatchEngine engine(options);
+  engine.register_network("net", make_network(21, 12, 70));
+  std::vector<SolveJob> jobs = subscription_jobs();
+  jobs.resize(3);
+  jobs[0].id = "a";
+  jobs[1].id = "b";
+  jobs[2].id = "c";
+  (void)engine.solve(jobs);
+
+  SolveJob b = jobs[1];
+  b.destination = 11;
+  (void)engine.solve({b});
+  SolveJob a = jobs[0];
+  a.resolve_on_update = false;
+  (void)engine.solve({a});
+  ASSERT_EQ(engine.subscription_count(), 2u);
+  (void)engine.solve({jobs[0]});
+
+  const Network reference = make_network(21, 12, 70);
+  const graph::Edge edge = reference.out_edges(0).front();
+  const std::vector<SolveResult> results = engine.apply_link_updates(
+      "net", {{LinkUpdate{edge.from, edge.to,
+                          LinkAttr{edge.attr.bandwidth_mbps * 0.5,
+                                   edge.attr.min_delay_s}}}});
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].job_id, "b");
+  EXPECT_EQ(results[1].job_id, "c");
+  EXPECT_EQ(results[2].job_id, "a");
+  // b re-solved as replaced, not as first subscribed.
+  ASSERT_TRUE(results[0].result.feasible);
+  EXPECT_EQ(results[0].result.mapping.assignment().back(), 11u);
 }
 
 }  // namespace

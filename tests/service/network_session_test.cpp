@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -205,25 +206,65 @@ TEST(SessionCache, PinnedRevisionDiagnosticCountsOutsideReferences) {
   EXPECT_EQ(released.cached_bytes, session.snapshot()->approx_bytes());
 }
 
+/// A subscription of job `id` on network "net".
+SolveJob subscribed_job(const std::string& id) {
+  SolveJob job;
+  job.id = id;
+  job.network = "net";
+  job.resolve_on_update = true;
+  return job;
+}
+
+/// A checkpoint sized for `fp`, charged as a solver leaves it.
+NetworkSession::CheckpointEntryPtr sized_checkpoint(
+    const core::IncrementalCheckpoint::Fingerprint& fp) {
+  auto entry = std::make_shared<NetworkSession::CheckpointEntry>();
+  entry->state.setup(fp);
+  entry->bytes.store(entry->state.approx_bytes());
+  return entry;
+}
+
 TEST(SessionCache, CheckpointsShareTheBudgetAndEvictLru) {
   NetworkSession session("net", small_network());  // budget 0
   {
-    // Held entry: pinned, survives the sweep even at budget 0.
-    const NetworkSession::CheckpointEntryPtr entry =
-        session.checkpoint_entry("job");
-    entry->state.setup(core::IncrementalCheckpoint::Fingerprint{
-        .modules = 4, .nodes = 10, .beam = 4, .words = 1});
-    session.note_checkpoint_update("job", entry->state.approx_bytes());
+    // Held checkpoint: pinned, survives the sweep even at budget 0.
+    const NetworkSession::CheckpointEntryPtr entry = sized_checkpoint(
+        {.modules = 4, .nodes = 10, .beam = 4, .words = 1});
+    session.subscribe(subscribed_job("job"), entry);
     const SessionCacheStats stats = session.cache_stats();
+    EXPECT_EQ(stats.subscriptions, 1u);
     EXPECT_EQ(stats.checkpoints, 1u);
-    EXPECT_GT(stats.checkpoint_bytes, 0u);
-    // Re-requesting the same key returns the same entry, not a fresh one.
-    EXPECT_EQ(session.checkpoint_entry("job").get(), entry.get());
+    EXPECT_EQ(stats.checkpoint_bytes, entry->state.approx_bytes());
+    // The subscription hands back the checkpoint it owns.
+    EXPECT_EQ(session.checkpoint("job").get(), entry.get());
   }
-  // Released: the next sweep reclaims it.
+  // Released: the next sweep resets it, and the subscription stays.
   const SessionCacheStats swept = session.cache_stats();
+  EXPECT_EQ(swept.subscriptions, 1u);
   EXPECT_EQ(swept.checkpoints, 0u);
+  EXPECT_EQ(swept.checkpoint_bytes, 0u);
   EXPECT_EQ(swept.checkpoint_evictions, 1u);
+  EXPECT_FALSE(session.checkpoint("job")->state.valid());
+}
+
+TEST(SessionCache, BudgetResetsTheLeastRecentlyTouchedCheckpoint) {
+  const core::IncrementalCheckpoint::Fingerprint fp{
+      .modules = 4, .nodes = 10, .beam = 4, .words = 1};
+  const std::size_t one = sized_checkpoint(fp)->bytes.load();
+  NetworkSession session("net", small_network(), one);
+  {
+    // Held while both subscribe, so neither sweep can take them yet.
+    const NetworkSession::CheckpointEntryPtr a = sized_checkpoint(fp);
+    const NetworkSession::CheckpointEntryPtr b = sized_checkpoint(fp);
+    session.subscribe(subscribed_job("a"), a);
+    session.subscribe(subscribed_job("b"), b);
+    (void)session.checkpoint("a");  // touched after b
+  }
+  const SessionCacheStats stats = session.cache_stats();
+  EXPECT_EQ(stats.checkpoints, 1u);
+  EXPECT_EQ(stats.checkpoint_evictions, 1u);
+  EXPECT_NE(session.checkpoint("a")->bytes.load(), 0u);
+  EXPECT_EQ(session.checkpoint("b")->bytes.load(), 0u);
 }
 
 TEST(SessionCache, PinnedRevisionsNeverYieldToCheckpointPressure) {
@@ -237,14 +278,12 @@ TEST(SessionCache, PinnedRevisionsNeverYieldToCheckpointPressure) {
     session.apply_link_updates(
         one_delta(session.snapshot(), static_cast<double>(i)));
   }
-  {
-    const NetworkSession::CheckpointEntryPtr entry =
-        session.checkpoint_entry("job");
-    // Size the checkpoint past the whole budget.
-    entry->state.setup(core::IncrementalCheckpoint::Fingerprint{
-        .modules = 64, .nodes = 256, .beam = 4, .words = 4});
-    session.note_checkpoint_update("job", entry->state.approx_bytes());
-  }
+  // Size the checkpoint past the whole budget.
+  session.subscribe(subscribed_job("job"),
+                    sized_checkpoint({.modules = 64,
+                                      .nodes = 256,
+                                      .beam = 4,
+                                      .words = 4}));
   const SessionCacheStats stats = session.cache_stats();
   EXPECT_EQ(stats.checkpoints, 0u);  // the oversized checkpoint went
   EXPECT_EQ(stats.checkpoint_evictions, 1u);

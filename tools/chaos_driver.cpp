@@ -10,6 +10,9 @@
 //     cancelled + timed_out);
 //   * no leaked pins: once every solve has returned, no superseded
 //     revision is still referenced (pinned_revisions settles to 0);
+//   * no orphaned checkpoints: every retained incremental checkpoint
+//     belongs to a subscription (checkpoints <= subscriptions), however
+//     its solve ended;
 //   * bit-identical answers: a control job on an untouched network
 //     solves to byte-identical JSON before and after the storm;
 //   * span conservation: the e2e/queue-wait trace histograms hold
@@ -518,6 +521,11 @@ int main(int argc, char** argv) {
               std::to_string(stats.view.subscriptions) +
               " pinned_bytes=" + std::to_string(stats.view.pinned_bytes));
     }
+    if (stats.view.checkpoints > stats.view.subscriptions) {
+      violate("orphaned checkpoints: checkpoints=" +
+              std::to_string(stats.view.checkpoints) + " subscriptions=" +
+              std::to_string(stats.view.subscriptions));
+    }
     // Every ticket this driver recorded must be terminal (a ticket the
     // retention cap evicted was terminal by construction).
     std::uint64_t verified = 0;
@@ -604,7 +612,7 @@ int main(int argc, char** argv) {
     std::printf(
         "CHAOS SUMMARY ok=%d submitted=%lld done=%lld failed=%lld "
         "cancelled=%lld timed_out=%lld queued=%lld running=%lld "
-        "pinned=%lld subscriptions=%lld "
+        "pinned=%lld subscriptions=%lld checkpoints=%lld "
         "e2e_spans=%lld queue_spans=%lld queue_p99_ms=%.3f "
         "trace_recorded=%lld trace_spans_total=%lld "
         "tickets_verified=%llu client_errors=%llu violations=%zu\n",
@@ -617,6 +625,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(stats.view.running),
         static_cast<long long>(stats.view.pinned_revisions),
         static_cast<long long>(stats.view.subscriptions),
+        static_cast<long long>(stats.view.checkpoints),
         static_cast<long long>(stats.e2e_spans),
         static_cast<long long>(stats.queue_spans), stats.queue_p99_ms,
         static_cast<long long>(trace_recorded),
