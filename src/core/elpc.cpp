@@ -623,31 +623,11 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
   };
 
   // ---- incremental helpers -----------------------------------------
-  // All close over the arena's SoA layout.  cell_digest is the ONE
-  // digest definition capture and compare share; a digest mismatch is
-  // proof of difference, and apparent equality is confirmed exactly by
-  // cell_matches_checkpoint below before a cell is treated as reused.
+  // All close over the arena's SoA layout.
   const std::size_t cells = k * beam;
   const std::size_t word_stride = arena.word_plane_stride();
-  const auto cell_digest = [&](int p, NodeId v) {
-    const std::uint32_t count = arena.counts(p)[v];
-    const double* bn = arena.bottleneck(p);
-    const double* sm = arena.sum(p);
-    const std::uint64_t* words = arena.words(p);
-    std::uint64_t h = 0x84222325cbf29ce4ULL;
-    h = incremental_mix(h, count);
-    for (std::uint32_t s = 0; s < count; ++s) {
-      const std::size_t slot = v * beam + s;
-      h = incremental_mix(h, std::bit_cast<std::uint64_t>(bn[slot]));
-      h = incremental_mix(h, std::bit_cast<std::uint64_t>(sm[slot]));
-      for (std::size_t w = 0; w < W; ++w) {
-        h = incremental_mix(h, words[w * word_stride + slot]);
-      }
-    }
-    return h;
-  };
   // Copies arena column `p` into checkpoint column j (tight layout,
-  // plane-major words) and digests every cell.
+  // plane-major words).
   const auto capture_column = [&](int p, std::size_t j) {
     std::copy_n(arena.bottleneck(p), cells, ckpt->bottleneck_col(j));
     std::copy_n(arena.sum(p), cells, ckpt->sum_col(j));
@@ -656,10 +636,6 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     const std::uint64_t* from = arena.words(p);
     for (std::size_t w = 0; w < W; ++w) {
       std::copy_n(from + w * word_stride, cells, to + w * cells);
-    }
-    std::uint64_t* digests = ckpt->digests_col(j);
-    for (NodeId v = 0; v < k; ++v) {
-      digests[v] = cell_digest(p, v);
     }
   };
   // Loads checkpoint column j into arena column `p` (the arena's pad
@@ -675,10 +651,8 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     }
   };
   // Exact live-slot comparison of arena cell (p, v) against checkpoint
-  // cell (j, v) — the proof behind frontier pruning.  The digest is
-  // only ever a sound fast-reject (different digests imply different
-  // state); equality must be confirmed here so a 64-bit collision can
-  // never smuggle a changed cell past the propagation.
+  // cell (j, v) — the proof behind frontier pruning.  It stops at the
+  // first difference.
   const auto cell_matches_checkpoint = [&](int p, NodeId v, std::size_t j) {
     const std::uint32_t count = arena.counts(p)[v];
     if (count != ckpt->counts_col(j)[v]) {
@@ -803,15 +777,12 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
         ++inc.cells_recomputed;
         const std::uint32_t kept = arena.counts(cur_p)[v];
         // Parents are a pure function of the (possibly changed) inputs:
-        // write them back even when the labels digest the same — two
+        // write them back even when the labels compare equal — two
         // predecessors can tie on every label field yet differ as nodes.
         std::copy_n(arena.parents() + (j * k + v) * beam, kept,
                     ckpt_parents + (j * k + v) * beam);
-        const std::uint64_t digest = cell_digest(cur_p, v);
-        if (digest != ckpt->digests_col(j)[v] ||
-            !cell_matches_checkpoint(cur_p, v, j)) {
+        if (!cell_matches_checkpoint(cur_p, v, j)) {
           next_changed.push_back(v);
-          ckpt->digests_col(j)[v] = digest;
           ckpt->counts_col(j)[v] = kept;
           std::copy_n(arena.bottleneck(cur_p) + v * beam, beam,
                       ckpt->bottleneck_col(j) + v * beam);

@@ -5,19 +5,18 @@
 //
 // A full max_frame_rate solve with ElpcOptions::checkpoint set copies
 // every label column out of the rolling arena as it is produced — label
-// fields, per-cell counts, visited-word planes — plus one 64-bit digest
-// per cell over its live slots and the complete parent table.  A later
-// solve against a network that differs from the captured one by a known
-// list of metric deltas (ElpcOptions::delta) then replays checkpointed
-// columns verbatim and re-runs the cell kernels only on the cells the
-// deltas can actually reach: the updated links' target nodes in every
-// column, plus the out-neighbours of any cell whose recomputed state
-// differs from the checkpoint (digest fast-reject, then exact live-slot
-// comparison).  Cells outside that frontier
-// provably see bit-identical inputs, so skipping them is bit-exact —
-// the incremental result equals a from-scratch solve byte for byte
-// (pinned by tests/core/incremental_test.cpp and the CI
-// incremental-parity job).
+// fields, per-cell counts, visited-word planes — plus the complete
+// parent table.  A later solve against a network that differs from the
+// captured one by a known list of metric deltas (ElpcOptions::delta)
+// then replays checkpointed columns verbatim and re-runs the cell
+// kernels only on the cells the deltas can actually reach: the updated
+// links' target nodes in every column, plus the out-neighbours of any
+// cell whose recomputed state differs from the checkpoint (an exact
+// live-slot comparison that stops at the first difference).  Cells
+// outside that frontier provably see bit-identical inputs, so skipping
+// them is bit-exact — the incremental result equals a from-scratch
+// solve byte for byte (pinned by tests/core/incremental_test.cpp and the
+// CI incremental-parity job).
 //
 // Storage is tight (no vector padding): column j's label slot
 // (node, s) lives at j * cells + node * beam + s where
@@ -127,7 +126,6 @@ class IncrementalCheckpoint {
     sum_.resize(columns * cells_);
     counts_.resize(columns * fp.nodes);
     words_.resize(columns * fp.words * cells_);
-    digests_.resize(columns * fp.nodes);
     parents_.resize(columns * cells_);
   }
 
@@ -149,9 +147,6 @@ class IncrementalCheckpoint {
   [[nodiscard]] std::uint64_t* words_col(std::size_t j) noexcept {
     return words_.data() + j * fp_.words * cells_;
   }
-  [[nodiscard]] std::uint64_t* digests_col(std::size_t j) noexcept {
-    return digests_.data() + j * fp_.nodes;
-  }
   /// Full parent table, indexed exactly like FrameRateArena::parents():
   /// (j * nodes + node) * beam + slot.
   [[nodiscard]] ParentRec* parents() noexcept { return parents_.data(); }
@@ -163,7 +158,6 @@ class IncrementalCheckpoint {
            sum_.capacity() * sizeof(double) +
            counts_.capacity() * sizeof(std::uint32_t) +
            words_.capacity() * sizeof(std::uint64_t) +
-           digests_.capacity() * sizeof(std::uint64_t) +
            parents_.capacity() * sizeof(ParentRec) + sizeof(*this);
   }
 
@@ -176,14 +170,10 @@ class IncrementalCheckpoint {
   std::vector<double> sum_;
   std::vector<std::uint32_t> counts_;
   std::vector<std::uint64_t> words_;
-  std::vector<std::uint64_t> digests_;
   std::vector<ParentRec> parents_;
 };
 
-/// 64-bit accumulator shared by capture and compare.  Digests are a
-/// sound fast-REJECT only (different digests imply different state);
-/// the DP confirms apparent equality with an exact live-slot
-/// comparison, so a hash collision can never skip a changed cell.
+/// 64-bit accumulator behind the Fingerprint's problem_hash.
 inline std::uint64_t incremental_mix(std::uint64_t h,
                                      std::uint64_t v) noexcept {
   h ^= v;

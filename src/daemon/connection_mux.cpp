@@ -3,7 +3,6 @@
 #include <sys/epoll.h>
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/log.hpp"
@@ -172,52 +171,6 @@ std::uint64_t ConnectionMux::connections_total(
     const std::string& transport) const {
   return transport == "tcp" ? total_tcp_.load(std::memory_order_relaxed)
                             : total_unix_.load(std::memory_order_relaxed);
-}
-
-void ConnectionMux::schedule_after(std::int64_t delay_ms,
-                                   std::function<void()> fn) {
-  {
-    const std::lock_guard<std::mutex> lock(timer_mutex_);
-    Timer timer;
-    timer.due = Clock::now() +
-                std::chrono::milliseconds(std::max<std::int64_t>(0, delay_ms));
-    timer.fn = std::move(fn);
-    timers_.push_back(std::move(timer));
-  }
-  if (!workers_.empty()) {
-    workers_[0]->wake.signal();  // worker 0 recomputes its wait bound
-  }
-}
-
-int ConnectionMux::run_due_timers() {
-  std::vector<std::function<void()>> due;
-  int next_ms = -1;
-  {
-    const std::lock_guard<std::mutex> lock(timer_mutex_);
-    const Clock::time_point now = Clock::now();
-    std::vector<Timer> remaining;
-    remaining.reserve(timers_.size());
-    for (Timer& timer : timers_) {
-      if (timer.due <= now || stopping_.load(std::memory_order_relaxed)) {
-        due.push_back(std::move(timer.fn));
-      } else {
-        const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            timer.due - now)
-                            .count() +
-                        1;
-        if (next_ms < 0 || ms < next_ms) {
-          next_ms = static_cast<int>(std::min<std::int64_t>(
-              ms, std::numeric_limits<int>::max()));
-        }
-        remaining.push_back(std::move(timer));
-      }
-    }
-    timers_.swap(remaining);
-  }
-  for (const auto& fn : due) {
-    fn();
-  }
-  return next_ms;
 }
 
 void ConnectionMux::assign_connection(util::StreamSocket socket,
@@ -541,15 +494,8 @@ void ConnectionMux::handle_readable(Worker& worker,
 void ConnectionMux::worker_loop(std::size_t index) {
   Worker& worker = *workers_[index];
   while (!stopping_.load(std::memory_order_acquire)) {
-    int timeout_ms = worker.ready.empty() ? -1 : 0;
-    if (index == 0) {
-      const int timer_ms = run_due_timers();
-      if (timer_ms >= 0 && (timeout_ms < 0 || timer_ms < timeout_ms)) {
-        timeout_ms = timer_ms;
-      }
-    }
     const std::vector<util::Poller::Event> events =
-        worker.poller.wait(timeout_ms);
+        worker.poller.wait(worker.ready.empty() ? -1 : 0);
     if (stopping_.load(std::memory_order_acquire)) {
       break;
     }

@@ -5,9 +5,8 @@
 // clients (a thousand idle subscribers = a thousand parked threads).
 //
 // Shape:
-//   * Worker 0 owns the listeners (Unix-domain, optionally TCP) and the
-//     timer wheel; accepted connections are assigned round-robin across
-//     all workers.
+//   * Worker 0 owns the listeners (Unix-domain, optionally TCP);
+//     accepted connections are assigned round-robin across all workers.
 //   * Each worker owns an epoll set, an eventfd wake, and its
 //     connections' read side: non-blocking sockets, a per-connection
 //     read buffer that frames the existing line-delimited protocol
@@ -30,7 +29,6 @@
 // weak_ptr, so delivering into a dead connection degrades to a no-op.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -202,14 +200,7 @@ class ConnectionMux {
   [[nodiscard]] std::uint64_t connections_total(
       const std::string& transport) const;
 
-  /// Runs `fn` on worker 0 after roughly delay_ms (the drain verb's
-  /// budget timer).  Fires promptly with the mux stopping, too — the
-  /// callback must tolerate a dead server by itself.
-  void schedule_after(std::int64_t delay_ms, std::function<void()> fn);
-
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct Worker {
     util::Poller poller;
     util::WakeFd wake;
@@ -224,11 +215,6 @@ class ConnectionMux {
     std::mutex mutex;
     std::vector<std::shared_ptr<MuxConnection>> incoming;
     std::vector<std::shared_ptr<MuxConnection>> dirty;
-  };
-
-  struct Timer {
-    Clock::time_point due;
-    std::function<void()> fn;
   };
 
   void worker_loop(std::size_t index);
@@ -263,9 +249,6 @@ class ConnectionMux {
                          const std::string& transport);
   /// Queues `conn` on its worker's dirty list and wakes the worker.
   void mark_dirty(const std::shared_ptr<MuxConnection>& conn);
-  /// Runs due timers (worker 0) and returns the ms until the next one
-  /// (-1 = none pending).
-  int run_due_timers();
 
   const MuxOptions options_;
   const MuxCallbacks callbacks_;
@@ -278,9 +261,6 @@ class ConnectionMux {
   /// and the listeners.
   std::atomic<std::uint64_t> next_conn_id_{16};
   std::atomic<std::size_t> next_worker_{0};
-
-  mutable std::mutex timer_mutex_;
-  std::vector<Timer> timers_;
 
   std::atomic<std::size_t> live_unix_{0};
   std::atomic<std::size_t> live_tcp_{0};

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/log.hpp"
 #include "util/profiler.hpp"
 
 namespace elpc::daemon {
@@ -221,31 +222,6 @@ void JobManager::wait_async(Ticket ticket,
   waiters_[ticket].push_back(std::move(callback));
 }
 
-void JobManager::notify_when_idle(std::function<void()> callback) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if ((queue_.empty() && running_count_ == 0) || stopping_) {
-    callback();
-    return;
-  }
-  idle_watchers_.push_back(std::move(callback));
-}
-
-void JobManager::fire_idle_watchers_if_idle() {
-  if (idle_watchers_.empty()) {
-    return;
-  }
-  if (!(queue_.empty() && running_count_ == 0) && !stopping_) {
-    return;
-  }
-  // Steal the list first: a callback may re-register (a second drain
-  // request) and must land on the fresh list, not the one being walked.
-  std::vector<std::function<void()>> watchers;
-  watchers.swap(idle_watchers_);
-  for (const auto& watcher : watchers) {
-    watcher();
-  }
-}
-
 bool JobManager::cancel(Ticket ticket) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = records_.find(ticket);
@@ -308,14 +284,15 @@ JobManagerStats JobManager::stats() const {
   return stats;
 }
 
-JobManager::DrainBaseline JobManager::begin_drain(std::int64_t timeout_ms) {
+void JobManager::drain(std::int64_t timeout_ms,
+                       std::function<void(const DrainReport&)> on_done) {
   std::unique_lock<std::mutex> lock(mutex_);
   draining_ = true;
   // A paused manager would sit on its queue forever; draining means
   // "finish the work", so the gate lifts.
   reopen();
-  const bool bounded = timeout_ms > 0;
-  if (bounded) {
+  Clock::time_point answer_by = Clock::time_point::max();
+  if (timeout_ms > 0) {
     // The drain budget becomes a deadline on everything in flight or
     // still queued (tightening, never loosening, a job's own): when it
     // lapses, running solves abort per column and queued jobs expire.
@@ -331,50 +308,43 @@ JobManager::DrainBaseline JobManager::begin_drain(std::int64_t timeout_ms) {
         record.has_deadline = true;
       }
     }
-  }
-  DrainBaseline baseline;
-  baseline.done = done_c_->value();
-  baseline.failed = failed_c_->value();
-  baseline.cancelled = cancelled_c_->value();
-  baseline.timed_out = timed_out_c_->value();
-  expiry_cv_.notify_all();
-  return baseline;
-}
-
-DrainReport JobManager::drain_progress(const DrainBaseline& baseline) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  DrainReport report;
-  report.queued = queue_.size();
-  report.running = running_count_;
-  report.drained = queue_.empty() && running_count_ == 0;
-  report.completed = (done_c_->value() - baseline.done) +
-                     (failed_c_->value() - baseline.failed) +
-                     (cancelled_c_->value() - baseline.cancelled);
-  report.timed_out = timed_out_c_->value() - baseline.timed_out;
-  return report;
-}
-
-DrainReport JobManager::drain(std::int64_t timeout_ms) {
-  const bool bounded = timeout_ms > 0;
-  const Clock::time_point cutoff =
-      bounded ? Clock::now() + std::chrono::milliseconds(timeout_ms)
-              : Clock::time_point::max();
-  const DrainBaseline baseline = begin_drain(timeout_ms);
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto idle = [this]() {
-    return (queue_.empty() && running_count_ == 0) || stopping_;
-  };
-  if (bounded) {
     // Grace beyond the cutoff: a job aborting AT the cutoff still needs
     // its next column probe to fire and the batch to unwind.  A solve
     // that ignores its abort probe leaves drained = false rather than
     // wedging the drain forever.
-    done_cv_.wait_until(lock, cutoff + std::chrono::seconds(2), idle);
-  } else {
-    done_cv_.wait(lock, idle);
+    answer_by = cutoff + std::chrono::seconds(2);
   }
-  lock.unlock();
-  return drain_progress(baseline);
+  DrainReport baseline;
+  baseline.completed =
+      done_c_->value() + failed_c_->value() + cancelled_c_->value();
+  baseline.timed_out = timed_out_c_->value();
+  if (idle() || stopping_) {
+    const DrainReport report = drain_report(baseline);
+    lock.unlock();
+    on_done(report);
+    return;
+  }
+  drains_.push_back(PendingDrain{baseline, answer_by, std::move(on_done)});
+  expiry_cv_.notify_all();  // new deadlines and a new answer time
+}
+
+DrainReport JobManager::drain(std::int64_t timeout_ms) {
+  std::promise<DrainReport> answer;
+  std::future<DrainReport> report = answer.get_future();
+  drain(timeout_ms,
+        [&answer](const DrainReport& r) { answer.set_value(r); });
+  return report.get();
+}
+
+DrainReport JobManager::drain_report(const DrainReport& baseline) const {
+  DrainReport report;
+  report.queued = queue_.size();
+  report.running = running_count_;
+  report.drained = idle();
+  report.completed = done_c_->value() + failed_c_->value() +
+                     cancelled_c_->value() - baseline.completed;
+  report.timed_out = timed_out_c_->value() - baseline.timed_out;
+  return report;
 }
 
 bool JobManager::draining() const {
@@ -404,9 +374,7 @@ void JobManager::stop() {
       }
     }
     waiters_.clear();
-    fire_idle_watchers_if_idle();  // stopping_ counts as released
-    expiry_cv_.notify_all();
-    done_cv_.notify_all();
+    expiry_cv_.notify_all();  // answers the pending drains, then exits
   }
   // Pulls still queued in the pool retire at once (stopping_); running
   // ones finish their job first.  None may run after `this` dies.
@@ -500,13 +468,14 @@ void JobManager::mark_terminal(Ticket ticket, Record& record,
       terminal_order_.pop_front();
     }
   }
-  fire_idle_watchers_if_idle();
-  done_cv_.notify_all();
+  if (!drains_.empty() && idle()) {
+    expiry_cv_.notify_all();
+  }
 }
 
 void JobManager::expiry_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopping_) {
+  for (;;) {
     // Overdue queued jobs expire regardless of the pause gate: a paused
     // (or busy) engine must not hold a deadline job in limbo past its
     // budget.
@@ -525,6 +494,38 @@ void JobManager::expiry_loop() {
         record.result = unsolved_result(record.job, service::kTimedOutError);
         mark_terminal(ticket, record, JobState::kTimedOut);
       }
+    }
+    // Answer the drains that are due — idle, stopping, or out of time —
+    // with their reports taken now, then call them unlocked.  The state
+    // may move while they run, so the scan repeats before any sleep.
+    std::vector<std::pair<PendingDrain, DrainReport>> due;
+    const bool release_all = idle() || stopping_;
+    std::erase_if(drains_, [&](PendingDrain& drain) {
+      if (release_all || drain.answer_by <= now) {
+        const DrainReport report = drain_report(drain.baseline);
+        due.emplace_back(std::move(drain), report);
+        return true;
+      }
+      next_expiry_ = std::min(next_expiry_, drain.answer_by);
+      return false;
+    });
+    if (!due.empty()) {
+      lock.unlock();
+      for (const auto& [drain, report] : due) {
+        try {
+          drain.on_done(report);
+        } catch (const std::exception& e) {
+          // The thread outlives a failed answer: it still expires
+          // deadlines and answers the other drains.
+          ELPC_LOG(util::LogLevel::kWarn)
+              << "job manager: drain answer failed: " << e.what();
+        }
+      }
+      lock.lock();
+      continue;
+    }
+    if (stopping_) {
+      return;
     }
     if (next_expiry_ == Clock::time_point::max()) {
       expiry_cv_.wait(lock);

@@ -28,9 +28,9 @@
 // tests/daemon/).
 //
 // pause()/resume() gate dispatch (drain-for-maintenance, deterministic
-// tests); stop() (and the destructor) waits out the running jobs and
-// every posted pull, leaves still-queued jobs QUEUED, and joins the
-// expiry thread.
+// tests); stop() (and the destructor) answers every pending drain, waits
+// out the running jobs and every posted pull, leaves still-queued jobs
+// QUEUED, and joins the expiry thread.
 //
 // Deadlines: a job submitted with deadline_ms > 0 gets an absolute
 // deadline measured FROM SUBMISSION — queue wait counts against the
@@ -42,9 +42,11 @@
 //
 // drain(): the graceful path to a safe kill — permanently closes
 // admission (submit throws), lifts any pause, imposes the drain budget
-// as a deadline on everything queued or running, and blocks until the
-// manager is idle (or the budget + a small grace elapsed).  The report
-// says whether the daemon is now safe to stop().
+// as a deadline on everything queued or running, and answers once the
+// manager is idle, stopping, or the budget + a small grace elapsed.  The
+// expiry thread keeps the pending answers: their answer times bound its
+// sleep, and the transition to idle wakes it.  The report says whether
+// the daemon is now safe to stop().
 
 #include <chrono>
 #include <condition_variable>
@@ -156,7 +158,7 @@ struct DrainReport {
   std::uint64_t completed = 0;
   /// Jobs the drain budget expired (kTimedOut) while draining.
   std::uint64_t timed_out = 0;
-  /// Still queued / running when drain() returned (0/0 iff drained).
+  /// Still queued / running when the drain answered (0/0 iff drained).
   std::size_t queued = 0;
   std::size_t running = 0;
 };
@@ -221,48 +223,29 @@ class JobManager {
   [[nodiscard]] JobManagerStats stats() const;
 
   /// Graceful drain: permanently closes admission (submit throws from
-  /// now on), lifts any pause, and waits for everything queued or
-  /// running to reach a terminal state.  timeout_ms > 0 bounds the
-  /// wait: it becomes a deadline on every in-flight and queued job (so
-  /// stragglers finish as kTimedOut), and drain() returns within the
-  /// budget plus a small unwind grace either way.  timeout_ms <= 0
-  /// waits indefinitely.  Safe to call more than once; later calls just
-  /// re-wait.  Does NOT stop the manager — call stop() (or destroy it)
-  /// once the report says drained.
+  /// now on), lifts any pause, and calls `on_done` exactly once with the
+  /// report — when everything queued or running reached a terminal
+  /// state, when the manager stops, or at the budget plus a 2 s unwind
+  /// grace, whichever comes first.  timeout_ms > 0 is that budget: it
+  /// becomes a deadline on every in-flight and queued job (so stragglers
+  /// finish as kTimedOut).  timeout_ms <= 0 waits indefinitely.
+  /// `on_done` runs with the manager mutex released: inline when the
+  /// manager is already idle or stopping, otherwise on the expiry
+  /// thread (so it must not block, nor call stop()).  Safe to call more
+  /// than once; each call gets its own answer.  Does NOT stop the
+  /// manager — call stop() (or destroy it) once the report says drained.
+  void drain(std::int64_t timeout_ms,
+             std::function<void(const DrainReport&)> on_done);
+  /// The parked form: blocks until the answer above.
   DrainReport drain(std::int64_t timeout_ms);
-
-  /// Counter snapshot taken when a drain started; drain_progress diffs
-  /// against it so the report covers only the drain window.
-  struct DrainBaseline {
-    std::uint64_t done = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t timed_out = 0;
-  };
-
-  /// The non-blocking half of drain(): closes admission, lifts any
-  /// pause, imposes the budget deadline on everything in flight, and
-  /// returns immediately with the baseline.  Pair with notify_when_idle
-  /// (plus the caller's own timeout timer) and drain_progress — the
-  /// epoll front end's drain verb, which must not park an IO worker for
-  /// the whole budget.  Safe to call more than once.
-  [[nodiscard]] DrainBaseline begin_drain(std::int64_t timeout_ms);
-
-  /// The report drain() would return right now, relative to `baseline`.
-  [[nodiscard]] DrainReport drain_progress(const DrainBaseline& baseline)
-      const;
-
-  /// Runs `callback` once when the manager is idle (nothing queued,
-  /// nothing running) or stopping — inline when that already holds.
-  /// Same re-entrancy rule as wait_async: the mutex is held.
-  void notify_when_idle(std::function<void()> callback);
 
   /// True once drain() has closed admission.
   [[nodiscard]] bool draining() const;
 
-  /// Stops dispatch: waits out running jobs and every posted pull (even
-  /// one not yet started), leaves queued jobs QUEUED, joins the expiry
-  /// thread.  Idempotent; the destructor calls it.
+  /// Stops dispatch: answers every pending drain, waits out running jobs
+  /// and every posted pull (even one not yet started), leaves queued
+  /// jobs QUEUED, joins the expiry thread.  Idempotent; the destructor
+  /// calls it.
   void stop();
 
  private:
@@ -287,11 +270,30 @@ class JobManager {
     service::SolveResult result;
   };
 
+  /// A drain awaiting its answer: the terminal counts at its start (the
+  /// report covers only the drain window) and when it gives up waiting
+  /// (time_point::max() when unbounded).
+  struct PendingDrain {
+    DrainReport baseline;
+    Clock::time_point answer_by;
+    std::function<void(const DrainReport&)> on_done;
+  };
+
   /// One pull task: pops the best queued job and solves it on this thread.
   void pull();
-  /// The expiry thread: sleeps until the earliest queued deadline (or a
-  /// new, earlier one) and expires overdue queued jobs, paused or not.
+  /// The expiry thread: sleeps until the earliest queued deadline or
+  /// drain answer time (or a new, earlier one, or the manager turning
+  /// idle), expires overdue queued jobs, paused or not, and answers the
+  /// drains that are due — all of them once stopping, before it exits.
   void expiry_loop();
+  /// The drain report now, relative to `baseline` (completed / timed_out
+  /// hold the cumulative counts at the drain's start).  Caller holds
+  /// mutex_.
+  [[nodiscard]] DrainReport drain_report(const DrainReport& baseline) const;
+  /// Nothing queued, nothing running.  Caller holds mutex_.
+  [[nodiscard]] bool idle() const {
+    return queue_.empty() && running_count_ == 0;
+  }
   /// Feeds the ticket's terminal TraceSpan to the latency histograms,
   /// the slowlog and the trace ring.  Needs no mutex_ (they synchronize
   /// themselves) while nothing writes the record fields it reads.
@@ -304,16 +306,14 @@ class JobManager {
   /// cancels, queue expiry — so histogram sample totals equal terminal
   /// tickets by construction (the chaos driver's conservation
   /// invariant).  Also fires the ticket's wait_async callbacks (before
-  /// any eviction can drop the record), then the idle watchers and
-  /// done_cv_.  Caller holds mutex_, ticket already off queue_/running.
+  /// any eviction can drop the record), and wakes the expiry thread when
+  /// the manager turned idle under a pending drain.  Caller holds mutex_,
+  /// ticket already off queue_/running.
   void mark_terminal(Ticket ticket, Record& record, JobState state,
                      bool traced = false);
   /// Builds the poll()-shaped status for a record.  Caller holds mutex_.
   [[nodiscard]] JobStatus status_of(Ticket ticket,
                                     const Record& record) const;
-  /// Fires and clears the idle watchers when idle-or-stopping holds.
-  /// Caller holds mutex_.
-  void fire_idle_watchers_if_idle();
   /// Lifts the pause gate and posts a pull per queued job (pulls that ran
   /// while paused retired idle).  Caller holds mutex_.
   void reopen();
@@ -334,22 +334,22 @@ class JobManager {
   service::SolveHistograms e2e_ms_;
 
   mutable std::mutex mutex_;
-  std::condition_variable expiry_cv_;  // earlier deadline / drain / stop
-  std::condition_variable done_cv_;    // a job turned terminal
+  std::condition_variable expiry_cv_;  // earlier deadline / drain / idle / stop
   std::map<Ticket, Record> records_;
   /// Pending wait_async callbacks, fired (and erased) at the ticket's
   /// terminal transition or at stop().
   std::map<Ticket, std::vector<std::function<void(const JobStatus&)>>>
       waiters_;
-  /// Pending notify_when_idle callbacks.
-  std::vector<std::function<void()>> idle_watchers_;
+  /// Drains awaiting their answer, in arrival order.
+  std::vector<PendingDrain> drains_;
   std::set<std::pair<std::int64_t, Ticket>> queue_;  // (−priority, ticket)
   /// Terminal tickets in completion order — the eviction queue for
   /// max_retained_results.
   std::deque<Ticket> terminal_order_;
   Ticket next_ticket_ = 1;
   std::size_t running_count_ = 0;
-  /// The expiry thread's wake-up; submit only notifies it when earlier.
+  /// The expiry thread's wake-up (earliest queued deadline or drain
+  /// answer time); submit only notifies it when earlier.
   Clock::time_point next_expiry_ = Clock::time_point::max();
   bool paused_ = false;
   bool draining_ = false;

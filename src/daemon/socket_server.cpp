@@ -686,17 +686,8 @@ SocketServer::Answer SocketServer::verb_drain(const util::Json& request,
   if (const util::Json* t = request.find("timeout_ms")) {
     timeout_ms = t->as_int();
   }
-  const JobManager::DrainBaseline baseline =
-      manager_->begin_drain(timeout_ms);
-  // Two racing triggers — the manager going idle, or the budget (plus a
-  // 2s unwind grace) lapsing — and the first one answers.  `answered`
-  // makes that exactly-once.
-  auto answered = std::make_shared<std::atomic<bool>>(false);
-  auto respond = [this, sink = std::move(sink), baseline, answered]() {
-    if (answered->exchange(true)) {
-      return;
-    }
-    const DrainReport report = manager_->drain_progress(baseline);
+  manager_->drain(timeout_ms, [this, sink = std::move(sink)](
+                                  const DrainReport& report) {
     // Read after the drain: only revisions a solve still holds count.
     const service::EngineStats engine = engine_->stats();
     util::Json response = ok_response();
@@ -708,15 +699,7 @@ SocketServer::Answer SocketServer::verb_drain(const util::Json& request,
     response.set("pinned_revisions", engine.pinned_revisions);
     response.set("pinned_bytes", engine.pinned_bytes);
     sink(Reply{std::move(response)});
-  };
-  if (timeout_ms > 0) {
-    mux_->schedule_after(timeout_ms + 2000, respond);
-  }
-  // NB: notify_when_idle may fire inline under the manager mutex;
-  // respond() then calls drain_progress, which re-locks it — so defer
-  // through the mux timer wheel (delay 0) instead of invoking directly.
-  manager_->notify_when_idle(
-      [this, respond]() { mux_->schedule_after(0, respond); });
+  });
   return std::nullopt;
 }
 

@@ -39,9 +39,10 @@
 //
 // Concurrency model: a fixed pool of epoll IO workers (ConnectionMux)
 // multiplexes every connection, so the daemon's thread count is constant
-// in the number of clients.  `wait` registers a JobManager callback and
-// `drain` an idle notification plus a budget timer — a pending `wait`
-// costs a closure, not a thread, and never stalls other clients.
+// in the number of clients.  `wait` and `drain` each register one
+// JobManager callback (the manager answers a drain from its expiry
+// thread) — a pending request costs a closure, not a thread, and never
+// stalls other clients.
 // Request handling itself is thread-safe (JobManager and BatchEngine
 // carry their own locks).
 //

@@ -53,14 +53,19 @@ NodeId Network::add_node(NodeAttr attr) {
   // The DP layers store node ids in 32-bit slots (FrameRateArena's
   // Candidate/ParentRec), and the staged-link index packs two ids into
   // one 64-bit key; fail loudly rather than truncate silently.
-  if (nodes_.size() >= (1ULL << 32)) {
+  const NodeId id = node_count();
+  if (id >= (1ULL << 32)) {
     throw std::invalid_argument("Network: too many nodes");
   }
-  const NodeId id = nodes_.size();
   if (attr.name.empty()) {
     attr.name = "node" + std::to_string(id);
   }
-  nodes_.push_back(std::move(attr));
+  if (!nodes_) {
+    nodes_ = std::make_shared<std::vector<NodeAttr>>();
+  } else if (nodes_.use_count() > 1) {
+    nodes_ = std::make_shared<std::vector<NodeAttr>>(*nodes_);
+  }
+  nodes_->push_back(std::move(attr));
   finalized_ = false;
   ++version_;
   return id;
@@ -124,7 +129,7 @@ void Network::index_staged() {
 
 std::ptrdiff_t Network::find_staged(NodeId from, NodeId to) const {
   // Ids past the node count could alias a valid packed key.
-  if (from >= nodes_.size() || to >= nodes_.size()) {
+  if (from >= node_count() || to >= node_count()) {
     return -1;
   }
   const std::uint64_t key = link_key(from, to);
@@ -255,8 +260,8 @@ bool Network::same_content(const Network& other) const {
            a.attr.min_delay_s == b.attr.min_delay_s;
   };
   for (NodeId v = 0; v < node_count(); ++v) {
-    if (nodes_[v].name != other.nodes_[v].name ||
-        nodes_[v].processing_power != other.nodes_[v].processing_power) {
+    if (node(v).name != other.node(v).name ||
+        node(v).processing_power != other.node(v).processing_power) {
       return false;
     }
     // Out-edge rows are sorted by target, so insertion order drops out.
@@ -299,7 +304,7 @@ void Network::finalize() const {
     }
     std::for_each(staged_.begin(), staged_.end(), visit);
   };
-  const std::size_t k = nodes_.size();
+  const std::size_t k = node_count();
   auto layout = std::make_shared<Layout>();
   std::vector<std::size_t>& out_off = layout->out.offsets;
   std::vector<std::size_t>& in_off = layout->in.offsets;
@@ -391,9 +396,11 @@ double Network::mean_bandwidth_mbps() const {
 template <typename IsNew>
 std::size_t Network::bytes(IsNew&& is_new) const {
   std::size_t total = sizeof(Network);
-  total += nodes_.capacity() * sizeof(NodeAttr);
-  for (const NodeAttr& node : nodes_) {
-    total += node.name.capacity();
+  if (nodes_ && is_new(nodes_.get())) {
+    total += nodes_->capacity() * sizeof(NodeAttr);
+    for (const NodeAttr& node : *nodes_) {
+      total += node.name.capacity();
+    }
   }
   total += staged_.capacity() * sizeof(Edge) +
            staged_index_.capacity() * sizeof(StagedSlot);

@@ -29,7 +29,8 @@
 // (whole rows, up to kEdgeChunkEdges edges; a longer row gets a chunk of
 // its own), each behind a shared_ptr, and a per-copy table points at
 // every row so a span stays O(1) and contiguous.  Copying a Network
-// copies the row tables and the node attributes and shares every chunk.
+// copies the row tables and shares every chunk and the node attributes
+// (add_node copies those first while another Network holds them).
 // A metric delta (update_link) copies the chunk holding out row `from`
 // and the one holding in row `to` unless this Network already owns them,
 // then patches them in place; a delta never rebuilds the rows.
@@ -163,7 +164,7 @@ class Network {
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
+    return nodes_ ? nodes_->size() : 0;
   }
   [[nodiscard]] std::size_t link_count() const noexcept {
     return link_count_;
@@ -171,7 +172,7 @@ class Network {
 
   [[nodiscard]] const NodeAttr& node(NodeId id) const {
     check_node(id);
-    return nodes_[id];
+    return (*nodes_)[id];
   }
   [[nodiscard]] bool has_link(NodeId from, NodeId to) const;
   /// Throws std::out_of_range when the link does not exist.
@@ -240,10 +241,10 @@ class Network {
   /// this Network references.  Counts capacities, not sizes, so it
   /// tracks what the allocator actually holds; O(nodes + chunks).
   [[nodiscard]] std::size_t approx_bytes() const;
-  /// The same, except that a block shared between copies (the layout, a
-  /// chunk) is counted only when `seen` does not hold it yet, and is then
-  /// added to it: summing over several revisions with one `seen` counts
-  /// each shared block once.
+  /// The same, except that a block shared between copies (the node
+  /// attributes, the layout, a chunk) is counted only when `seen` does
+  /// not hold it yet, and is then added to it: summing over several
+  /// revisions with one `seen` counts each shared block once.
   [[nodiscard]] std::size_t approx_bytes(
       std::unordered_set<const void*>& seen) const;
 
@@ -304,7 +305,7 @@ class Network {
   };
 
   void check_node(NodeId id) const {
-    if (id >= nodes_.size()) {
+    if (id >= node_count()) {
       throw_bad_node(id);  // cold path kept out of line
     }
   }
@@ -340,7 +341,9 @@ class Network {
   template <typename IsNew>
   std::size_t bytes(IsNew&& is_new) const;
 
-  std::vector<NodeAttr> nodes_;
+  /// Node attributes by id, shared between copies (update_link never
+  /// touches them); null until the first add_node.
+  std::shared_ptr<std::vector<NodeAttr>> nodes_;
   std::size_t link_count_ = 0;
   std::uint64_t version_ = 0;
 

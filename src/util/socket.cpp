@@ -388,31 +388,6 @@ StreamSocket::IoStatus StreamSocket::recv_available(std::string& buffer,
   return IoStatus::kOk;  // hit the per-wake byte budget with bytes in hand
 }
 
-StreamSocket::IoStatus StreamSocket::send_pending(std::string& buffer) {
-  if (!valid()) {
-    return IoStatus::kError;
-  }
-  std::size_t sent = 0;
-  while (sent < buffer.size()) {
-    const ssize_t n = ::send(fd_, buffer.data() + sent, buffer.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      buffer.erase(0, sent);
-      return IoStatus::kWouldBlock;
-    }
-    return IoStatus::kError;
-  }
-  buffer.clear();
-  return IoStatus::kOk;
-}
-
 StreamSocket::IoStatus StreamSocket::send_pending(
     std::deque<std::string>& chunks, std::size_t& front_offset) {
   if (!valid()) {

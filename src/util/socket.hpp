@@ -132,17 +132,14 @@ class StreamSocket {
   [[nodiscard]] IoStatus recv_available(std::string& buffer,
                                         std::size_t max_bytes);
 
-  /// Sends as much of `buffer` as the kernel accepts without blocking
-  /// and erases the sent prefix.  kOk means the buffer fully drained;
-  /// kWouldBlock means bytes remain — arm EPOLLOUT and retry later.
-  [[nodiscard]] IoStatus send_pending(std::string& buffer);
-
-  /// Chunked-queue variant: writev's the queued chunks front-to-back
-  /// without concatenating them (the mux's zero-copy write path — a
-  /// binary payload is queued as its own chunk, never copied into a
-  /// contiguous buffer).  Fully-sent chunks are popped; `front_offset`
-  /// tracks the partial progress into the new front chunk across
-  /// would-block boundaries.  kOk means the queue fully drained.
+  /// Sends as much of the queued chunks as the kernel accepts without
+  /// blocking: writev's them front-to-back without concatenating them
+  /// (the mux's zero-copy write path — a binary payload is queued as its
+  /// own chunk, never copied into a contiguous buffer).  Fully-sent
+  /// chunks are popped; `front_offset` tracks the partial progress into
+  /// the new front chunk across would-block boundaries.  kOk means the
+  /// queue fully drained; kWouldBlock means bytes remain — arm EPOLLOUT
+  /// and retry later.
   [[nodiscard]] IoStatus send_pending(std::deque<std::string>& chunks,
                                       std::size_t& front_offset);
 

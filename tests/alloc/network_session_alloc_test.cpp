@@ -27,19 +27,20 @@ constexpr std::size_t kLinks = 95'760;  // round(0.6 * 400 * 399)
 
 /// What one single-link delta may allocate: the two chunks it rewrites
 /// (each with its shared_ptr control block), the new revision's tables
-/// (node attributes, one row-pointer table and one chunk table per
-/// direction, at most 2 * links / kEdgeChunkEdges + 1 chunks of at most
-/// 32 bytes of bookkeeping each), and 1 KiB for the Network object, its
-/// own control block and the session's note of the superseded revision.
+/// (one row-pointer table and one chunk table per direction, at most
+/// 2 * links / kEdgeChunkEdges + 1 chunks of at most 32 bytes of
+/// bookkeeping each), and 1 KiB for the Network object, its own control
+/// block and the session's note of the superseded revision.  The node
+/// attributes are shared with the previous revision, not copied.
 constexpr std::size_t kChunkBytes =
     graph::kEdgeChunkEdges * sizeof(Edge) + 64;
 constexpr std::size_t kMaxChunks = 2 * kLinks / graph::kEdgeChunkEdges + 1;
 constexpr std::size_t kOneLinkDeltaBytes =
-    2 * kChunkBytes + kNodes * sizeof(graph::NodeAttr) +
-    2 * kNodes * sizeof(Edge*) + 2 * kMaxChunks * 32 + 1024;
+    2 * kChunkBytes + 2 * kNodes * sizeof(Edge*) + 2 * kMaxChunks * 32 +
+    1024;
 /// One allocation per chunk, per table, for the Network and for the
 /// session's bookkeeping growing.
-constexpr std::size_t kOneLinkDeltaAllocations = 10;
+constexpr std::size_t kOneLinkDeltaAllocations = 9;
 
 /// Rows of `after` whose data moved against `before`, in one direction.
 std::vector<NodeId> moved_rows(

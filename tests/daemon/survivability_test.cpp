@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -23,7 +25,9 @@
 #include "mapping/mapper.hpp"
 #include "pipeline/generator.hpp"
 #include "service/batch_engine.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/socket.hpp"
 
 namespace elpc::daemon {
 namespace {
@@ -194,6 +198,48 @@ TEST(JobManager, DrainBudgetTimesOutStragglers) {
   EXPECT_EQ(manager.poll(slow).state, JobState::kTimedOut);
 }
 
+TEST(JobManager, ConcurrentDrainsEachAnswerExactlyOnce) {
+  service::BatchEngine engine(
+      slow_start_factory(std::chrono::milliseconds(100)));
+  engine.register_network("net", make_network(3));
+  JobManagerOptions options;
+  options.start_paused = true;
+  JobManager manager(engine, options);
+  for (int i = 0; i < 2; ++i) {
+    (void)manager.submit(make_job("d" + std::to_string(i), 70 + i,
+                                  service::Objective::kMinDelay));
+  }
+
+  // Two drains race in from two threads; each callback must fire once,
+  // with the manager idle, and never again (not even at stop()).
+  std::atomic<int> calls[2] = {0, 0};
+  std::promise<DrainReport> answers[2];
+  std::future<DrainReport> reports[2] = {answers[0].get_future(),
+                                         answers[1].get_future()};
+  std::vector<std::thread> drainers;
+  for (int d = 0; d < 2; ++d) {
+    drainers.emplace_back([&, d]() {
+      manager.drain(/*timeout_ms=*/20000, [&, d](const DrainReport& report) {
+        if (calls[d].fetch_add(1) == 0) {
+          answers[d].set_value(report);
+        }
+      });
+    });
+  }
+  for (std::thread& drainer : drainers) {
+    drainer.join();
+  }
+  for (int d = 0; d < 2; ++d) {
+    const DrainReport report = reports[d].get();
+    EXPECT_TRUE(report.drained);
+    EXPECT_EQ(report.queued, 0u);
+    EXPECT_EQ(report.running, 0u);
+  }
+  manager.stop();
+  EXPECT_EQ(calls[0].load(), 1);
+  EXPECT_EQ(calls[1].load(), 1);
+}
+
 TEST(JobManager, WaitReportsShutdownForAJobThatWillNeverRun) {
   service::BatchEngine engine;
   engine.register_network("net", make_network(3));
@@ -215,6 +261,24 @@ TEST(JobManager, WaitReportsShutdownForAJobThatWillNeverRun) {
   EXPECT_TRUE(released.shutting_down);
 }
 
+/// A server whose "hang" jobs stall for `hang` ignoring their abort
+/// probe; `started` turns true once such a solve is running.
+SocketServerOptions hanging_options(
+    const std::shared_ptr<std::atomic<bool>>& started,
+    std::chrono::milliseconds hang) {
+  SocketServerOptions options;
+  options.factory = [started, hang](const service::SolveJob& job,
+                                    const service::MapperContext& ctx)
+      -> mapping::MapperPtr {
+    if (job.algorithm == "hang") {
+      started->store(true);
+      return std::make_unique<HungMapper>(ctx.abort, hang);
+    }
+    return service::make_engine_elpc(ctx);
+  };
+  return options;
+}
+
 /// End to end through the daemon's wire stats: a solve that stalls past
 /// its deadline (1) reaches the timed_out terminal state, and (2) pins
 /// the revision it holds only until the mapper returns — pinned_revisions
@@ -228,17 +292,8 @@ TEST(SocketServer, StalledJobTimesOutAndReleasesItsPin) {
   // revision 0, so superseding it below must produce a pin.
   const auto solve_started = std::make_shared<std::atomic<bool>>(false);
 
-  SocketServerOptions options;
-  options.factory = [solve_started, kHang](
-                        const service::SolveJob& job,
-                        const service::MapperContext& ctx) -> mapping::MapperPtr {
-    if (job.algorithm == "hang") {
-      solve_started->store(true);
-      return std::make_unique<HungMapper>(ctx.abort, kHang);
-    }
-    return service::make_engine_elpc(ctx);
-  };
-  SocketServer server(socket_path("stall"), options);
+  SocketServer server(socket_path("stall"),
+                      hanging_options(solve_started, kHang));
   std::thread serve_thread([&server]() { server.serve(); });
   DaemonClient client(server.socket_path());
 
@@ -284,6 +339,97 @@ TEST(SocketServer, StalledJobTimesOutAndReleasesItsPin) {
   EXPECT_EQ(stats.at("pinned_bytes").as_int(), 0);
 
   client.shutdown_server();
+  serve_thread.join();
+}
+
+/// Submits one "hang" job and returns once its solve is running.
+Ticket submit_hung_job(DaemonClient& client, const std::atomic<bool>& started) {
+  client.register_network("net", make_network(3));
+  service::SolveJob job =
+      make_job("hung", 97, service::Objective::kMaxFrameRate);
+  job.algorithm = "hang";
+  const Ticket ticket = client.submit(job);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!started.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(started.load()) << "job never started running";
+  return ticket;
+}
+
+/// Sends one request line and parses the next line answered.
+util::Json ask(util::StreamSocket& raw, const std::string& request) {
+  raw.send_line(request);
+  const std::optional<std::string> line = raw.recv_line();
+  EXPECT_TRUE(line.has_value()) << "connection closed answering " << request;
+  return util::Json::parse(line.value_or("{}"));
+}
+
+/// A solve that ignores its abort probe past the drain budget plus the
+/// 2 s grace: the drain answers once, at budget + grace, reporting the
+/// straggler, and the connection's later requests get their own answers.
+TEST(SocketServer, DrainVerbAnswersOnceAtTheGraceWhenASolveHangs) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::int64_t kBudgetMs = 50;
+  constexpr auto kGrace = std::chrono::seconds(2);
+  const auto started = std::make_shared<std::atomic<bool>>(false);
+  SocketServer server(
+      socket_path("drainhang"),
+      hanging_options(started, kGrace + std::chrono::milliseconds(800)));
+  std::thread serve_thread([&server]() { server.serve(); });
+  DaemonClient client(server.socket_path());
+  const Ticket ticket = submit_hung_job(client, *started);
+
+  util::StreamSocket raw = util::StreamSocket::connect(server.socket_path());
+  const Clock::time_point sent = Clock::now();
+  const util::Json report = ask(
+      raw, R"({"verb": "drain", "timeout_ms": )" + std::to_string(kBudgetMs) +
+               "}");
+  EXPECT_GE(Clock::now() - sent,
+            std::chrono::milliseconds(kBudgetMs) + kGrace);
+  EXPECT_TRUE(report.at("ok").as_bool());
+  EXPECT_FALSE(report.at("drained").as_bool());
+  EXPECT_EQ(report.at("running").as_int(), 1);
+  EXPECT_EQ(report.at("queued").as_int(), 0);
+
+  // The next requests on that connection get their own answers: the
+  // drain is not answered a second time when the straggler finishes.
+  const util::Json stats = ask(raw, R"({"verb": "stats"})");
+  EXPECT_TRUE(stats.at("draining").as_bool());
+  const util::Json waited = ask(
+      raw, R"({"verb": "wait", "ticket": )" + std::to_string(ticket) + "}");
+  EXPECT_EQ(waited.at("state").as_string(), "timed_out");
+  EXPECT_EQ(ask(raw, R"({"verb": "stats"})").at("running").as_int(), 0);
+
+  client.shutdown_server();
+  serve_thread.join();
+}
+
+/// A drain still waiting when the daemon shuts down is answered (the
+/// straggler still running), not dropped with the connection.
+TEST(SocketServer, DrainPendingAtShutdownIsAnswered) {
+  const auto started = std::make_shared<std::atomic<bool>>(false);
+  SocketServer server(
+      socket_path("drainstop"),
+      hanging_options(started, std::chrono::milliseconds(1000)));
+  std::thread serve_thread([&server]() { server.serve(); });
+  DaemonClient client(server.socket_path());
+  (void)submit_hung_job(client, *started);
+
+  // Unbounded: no budget, so only idleness or shutdown can answer it.
+  util::StreamSocket raw = util::StreamSocket::connect(server.socket_path());
+  raw.send_line(R"({"verb": "drain", "timeout_ms": 0})");
+  for (int i = 0; i < 1000 && !client.stats().at("draining").as_bool(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  client.shutdown_server();
+  const std::optional<std::string> line = raw.recv_line();
+  ASSERT_TRUE(line.has_value()) << "the pending drain was dropped";
+  const util::Json report = util::Json::parse(*line);
+  EXPECT_TRUE(report.at("ok").as_bool());
+  EXPECT_FALSE(report.at("drained").as_bool());
+  EXPECT_EQ(report.at("running").as_int(), 1);
   serve_thread.join();
 }
 

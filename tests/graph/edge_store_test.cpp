@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -315,6 +316,36 @@ TEST(EdgeStore, CopyAliasesEveryRowUntilAChunkIsWritten) {
   net.update_link(e.from, e.to, LinkAttr{9.0, 0.0});
   EXPECT_EQ(copy.link(e.from, e.to).bandwidth_mbps, 2.5);
   EXPECT_EQ(net.link(e.from, e.to).bandwidth_mbps, 9.0);
+}
+
+TEST(EdgeStore, CopiesShareNodeAttributesUntilANodeIsAdded) {
+  util::Rng rng(4);
+  const std::size_t nodes = 40;
+  Reference ref;
+  Network net = build(nodes, random_links(rng, nodes, nodes * 4), ref);
+  net.finalize();
+  Network copy = net;
+  EXPECT_EQ(&copy.node(0), &net.node(0));
+  const Edge e = net.out_edges(3).front();
+  copy.update_link(e.from, e.to, LinkAttr{1.5, 0.0});
+  EXPECT_EQ(&copy.node(0), &net.node(0));
+  // Shared attributes are counted once: a copy of a link-free network
+  // adds only its own object.
+  Network hosts;
+  for (int i = 0; i < 8; ++i) {
+    hosts.add_node(NodeAttr{});
+  }
+  const Network hosts_copy = hosts;
+  std::unordered_set<const void*> seen;
+  EXPECT_EQ(hosts.approx_bytes(seen), hosts.approx_bytes());
+  EXPECT_EQ(hosts_copy.approx_bytes(seen), sizeof(Network));
+  // A node added to the copy leaves the source's attributes alone.
+  const NodeId extra = copy.add_node(NodeAttr{"extra", 2.0});
+  EXPECT_NE(&copy.node(0), &net.node(0));
+  EXPECT_EQ(copy.node_count(), nodes + 1);
+  EXPECT_EQ(net.node_count(), nodes);
+  EXPECT_EQ(copy.node(extra).name, "extra");
+  EXPECT_EQ(copy.node(0).name, net.node(0).name);
 }
 
 }  // namespace
