@@ -200,6 +200,59 @@ void BM_ElpcDeltaResolve(benchmark::State& state, bool incremental) {
   state.counters["nodes"] = static_cast<double>(nodes);
 }
 
+/// Delta re-solve over a seeded stream of 200 random single-link
+/// updates (bandwidth x0.5 or x2 of the link's original value), cycled:
+/// each iteration applies the next one and re-solves through the
+/// checkpoint.  The fixed link above is one typical (p50) case; the
+/// stream's mean includes the tail, where an update reaches many cells.
+/// Reports the mean cells_recomputed per re-solve.
+void BM_ElpcDeltaResolveStream(benchmark::State& state) {
+  const auto modules = static_cast<std::size_t>(state.range(0));
+  const auto nodes = static_cast<std::size_t>(state.range(1));
+  workload::Scenario scenario = make_scaled(modules, nodes);
+  scenario.network.finalize();
+  const mapping::Problem problem = scenario.problem();
+  util::Rng rng(7);
+  std::vector<graph::LinkUpdate> stream;
+  while (stream.size() < 200) {
+    const graph::NodeId from = rng.index(nodes);
+    const auto out = scenario.network.out_edges(from);
+    if (out.empty()) {
+      continue;
+    }
+    const graph::Edge edge = out[rng.index(out.size())];
+    const double factor = rng.index(2) == 0 ? 0.5 : 2.0;
+    stream.push_back(graph::LinkUpdate{
+        edge.from, edge.to,
+        graph::LinkAttr{edge.attr.bandwidth_mbps * factor,
+                        edge.attr.min_delay_s}});
+  }
+
+  core::IncrementalCheckpoint checkpoint;
+  core::IncrementalStats stats;
+  core::ElpcOptions options;
+  options.checkpoint = &checkpoint;
+  (void)core::ElpcMapper(options).max_frame_rate(problem);  // capture
+  std::vector<graph::LinkUpdate> delta(1);
+  options.delta = &delta;
+  options.incremental_stats = &stats;
+  const core::ElpcMapper mapper(options);
+  std::size_t resolves = 0;
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    delta[0] = stream[resolves % stream.size()];
+    scenario.network.apply_link_updates(delta);
+    benchmark::DoNotOptimize(mapper.max_frame_rate(problem));
+    cells += stats.cells_recomputed;
+    ++resolves;
+  }
+  state.counters["modules"] = static_cast<double>(modules);
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["cells_recomputed"] =
+      resolves == 0 ? 0.0
+                    : static_cast<double>(cells) / static_cast<double>(resolves);
+}
+
 void register_benchmarks() {
   for (const bool incremental : {false, true}) {
     auto* b = benchmark::RegisterBenchmark(
@@ -208,6 +261,12 @@ void register_benchmarks() {
         [incremental](benchmark::State& state) {
           BM_ElpcDeltaResolve(state, incremental);
         });
+    b->Args({5, 10})->Args({10, 25})->Args({20, 100})->Args({40, 400});
+    b->Unit(benchmark::kMillisecond);
+  }
+  {
+    auto* b = benchmark::RegisterBenchmark("BM_ELPC_delta_resolve/stream",
+                                           BM_ElpcDeltaResolveStream);
     b->Args({5, 10})->Args({10, 25})->Args({20, 100})->Args({40, 400});
     b->Unit(benchmark::kMillisecond);
   }

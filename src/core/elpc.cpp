@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <limits>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -333,9 +334,27 @@ void improve_by_node_swaps(const Problem& problem,
 
     // No single-node replacement helps; try exchanging two interior path
     // positions (a heavy stage may simply sit on the wrong fast node).
+    // Exchanging a and b rewrites only terms 2a-1..2a+1 and 2b-1..2b+1,
+    // so the candidate is at least the max of the terms it keeps:
+    // prefix[2a-1], term[2a+2..2b-2] (`middle`, a running max over b) and
+    // suffix[2b+2].  When that max already reaches the acceptance bound
+    // the pair cannot be accepted, and skipping it is exact.
+    const double accept_below = bottleneck * (1.0 - 1e-12);
     bool exchanged = false;
     for (std::size_t a = 1; a + 1 < n && !exchanged; ++a) {
+      if (prefix[2 * a - 1] >= accept_below) {
+        break;  // prefix only grows with a: no later pair can pass either
+      }
+      double middle = 0.0;
+      std::size_t next_term = 2 * a + 2;
       for (std::size_t b = a + 1; b + 1 < n && !exchanged; ++b) {
+        for (; next_term + 2 <= 2 * b; ++next_term) {
+          middle = std::max(middle, term[next_term]);
+        }
+        if (std::max({prefix[2 * a - 1], middle, suffix[2 * b + 2]}) >=
+            accept_below) {
+          continue;
+        }
         std::swap(assignment[a], assignment[b]);
         bool valid = true;
         for (std::size_t t : {a, a + 1, b, b + 1}) {
@@ -356,7 +375,7 @@ void improve_by_node_swaps(const Problem& problem,
                                             assignment[j2]),
                  model.computing_time(j2, assignment[j2])});
           }
-          if (cand < bottleneck * (1.0 - 1e-12)) {
+          if (cand < accept_below) {
             bottleneck = cand;
             exchanged = true;
             break;
@@ -439,9 +458,11 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
   inc.cells_total = n * k;
   IncrementalCheckpoint::Fingerprint fp;
   bool run_incremental = false;
-  std::vector<NodeId> delta_targets;  // distinct `to` nodes of the delta
+  // The delta's links with their current attributes (duplicates kept:
+  // testing a link twice changes nothing).
+  std::vector<Edge> delta_links;
   if (ckpt != nullptr) {
-    // Covers the fingerprint fold (O(n*k)) and the reuse decision.
+    // Covers the fingerprint fold (O(n + k)) and the reuse decision.
     const util::ProfileScope ckpt_phase("checkpoint_decide", "dp");
     inc.attempted = true;
     fp.modules = n;
@@ -453,14 +474,19 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     fp.visited_check = options_.framerate_visited_check;
     fp.sum_tiebreak = options_.framerate_sum_tiebreak;
     fp.include_link_delay = model.options().include_link_delay;
+    // computing_time(j, v) is work_units(j) / processing_power(v), so
+    // folding the operands is at least as strict as folding the n * k
+    // quotients.
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (std::size_t j = 1; j < n; ++j) {
       h = incremental_mix(
           h, std::bit_cast<std::uint64_t>(problem.pipeline->input_mb(j)));
-      for (NodeId v = 0; v < k; ++v) {
-        h = incremental_mix(
-            h, std::bit_cast<std::uint64_t>(model.computing_time(j, v)));
-      }
+      h = incremental_mix(
+          h, std::bit_cast<std::uint64_t>(problem.pipeline->work_units(j)));
+    }
+    for (NodeId v = 0; v < k; ++v) {
+      h = incremental_mix(
+          h, std::bit_cast<std::uint64_t>(net.node(v).processing_power));
     }
     fp.problem_hash = h;
 
@@ -475,20 +501,25 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
       inc.fallback = "network-version-mismatch";
     } else {
       std::vector<std::uint8_t> is_target(k, 0);
+      std::size_t targets = 0;
       bool links_ok = true;
       for (const graph::LinkUpdate& u : *delta) {
-        if (u.from >= k || u.to >= k || !net.has_link(u.from, u.to)) {
+        const std::optional<graph::LinkAttr> attr =
+            u.from < k && u.to < k ? net.find_link(u.from, u.to)
+                                   : std::nullopt;
+        if (!attr.has_value()) {
           links_ok = false;
           break;
         }
+        delta_links.push_back(Edge{u.from, u.to, *attr});
         if (is_target[u.to] == 0) {
           is_target[u.to] = 1;
-          delta_targets.push_back(u.to);
+          ++targets;
         }
       }
       if (!links_ok) {
         inc.fallback = "unknown-link";
-      } else if (static_cast<double>(delta_targets.size()) >
+      } else if (static_cast<double>(targets) >
                  options_.incremental_max_dirty_fraction *
                      static_cast<double>(k)) {
         inc.fallback = "wide-update";
@@ -536,147 +567,97 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
   const Edge* const* const in_rows = net.in_row_pointers().data();
   const std::size_t* const in_off = net.in_row_offsets().data();
 
-  int prev_p = 0;
-  int cur_p = 1;
-  arena.clear_column(prev_p);
-  {
-    const std::size_t start = problem.source * beam;
-    arena.bottleneck(prev_p)[start] = 0.0;
-    arena.sum(prev_p)[start] = 0.0;
-    std::uint64_t* words = arena.words(prev_p);
-    const std::size_t stride = arena.word_plane_stride();
-    for (std::size_t w = 0; w < W; ++w) {
-      words[w * stride + start] = 0;
-    }
-    words[(problem.source >> 6) * stride + start] |=
-        std::uint64_t{1} << (problem.source & 63);
-    arena.counts(prev_p)[problem.source] = 1;
-  }
+  // Where each label column lives: the checkpoint's columns when one is
+  // supplied (a capturing full solve writes them in place, a re-solve
+  // replays them in place), else the arena's two rolling columns.  Both
+  // share one layout, so the kernels read either directly.
+  using Column = FrameRateArena::Column;
+  const auto column_at = [&](std::size_t j) {
+    return ckpt != nullptr ? ckpt->column(j)
+                           : arena.column(static_cast<int>(j & 1));
+  };
+  ParentRec* const parents =
+      ckpt != nullptr ? ckpt->parents() : arena.parents();
+  const std::size_t stride = arena.word_plane_stride();
+  const bool visited_check = options_.framerate_visited_check;
+  const bool sum_tiebreak = options_.framerate_sum_tiebreak;
 
-  // Computes cell (j, v) of the current column: scans incoming edges,
-  // keeps the top `beam` extensions, and materializes the survivors'
-  // visited sets and parent records.  Each predecessor node contributes
-  // at most its best extendable label, so survivors automatically have
-  // distinct predecessors — the diversity rule of the beam (identical-
-  // parent survivors have highly correlated visited sets and add little).
+  // Only the destination cell matters in the final column; other nodes
+  // would strand the sink module elsewhere.  Conversely, intermediate
+  // modules must stay OFF the destination: a simple path that consumes
+  // the destination mid-way can never host the pinned sink module, so
+  // such cells are dead ends that would only displace viable candidates.
+  // Dead cells cannot reach the destination in the remaining columns.
+  const auto cell_live = [&](std::size_t j, NodeId v) {
+    return (j + 1 == n) == (v == problem.destination) &&
+           !cell_dead(to_dest, v, j, n);
+  };
+
+  // Computes cell (j, v) of column `cur` from column `prev`: scans
+  // incoming edges, keeps the top `beam` extensions, and materializes the
+  // survivors' visited sets and parent records.  Each predecessor node
+  // contributes at most its best extendable label, so survivors
+  // automatically have distinct predecessors — the diversity rule of the
+  // beam (identical-parent survivors have highly correlated visited sets
+  // and add little).  A cell that is not live, or keeps nothing, leaves
+  // cur.counts[v] as the caller set it.
   const auto sweep_cell = [&](std::size_t j, NodeId v, double input_mb,
+                              const Column& prev, const Column& cur,
                               Candidate* cand) {
-    // Only the destination cell matters in the final column; other nodes
-    // would strand the sink module elsewhere.  Conversely, intermediate
-    // modules must stay OFF the destination: a simple path that consumes
-    // the destination mid-way can never host the pinned sink module, so
-    // such cells are dead ends that would only displace viable
-    // candidates.
-    if (j + 1 == n && v != problem.destination) {
+    if (!cell_live(j, v)) {
       return;
-    }
-    if (j + 1 < n && v == problem.destination) {
-      return;
-    }
-    if (cell_dead(to_dest, v, j, n)) {
-      return;  // cannot reach the destination in the remaining columns
     }
     kernels::CellInputs inputs;
     inputs.edges = in_rows[v];
     inputs.edge_count = in_off[v + 1] - in_off[v];
-    inputs.bottleneck = arena.bottleneck(prev_p);
-    inputs.sum = arena.sum(prev_p);
-    inputs.counts = arena.counts(prev_p);
+    inputs.bottleneck = prev.bottleneck;
+    inputs.sum = prev.sum;
+    inputs.counts = prev.counts;
     // Node v's bit lives in word v >> 6 of every visited set; with the
     // word-major layout that whole word plane is contiguous by slot.
     const std::size_t word_index = v >> 6;
     inputs.visited =
-        options_.framerate_visited_check
-            ? arena.words(prev_p) + word_index * arena.word_plane_stride()
-            : nullptr;
+        visited_check ? prev.words + word_index * stride : nullptr;
     inputs.beam = beam;
     inputs.bit = std::uint64_t{1} << (v & 63);
     inputs.input_mb = input_mb;
     inputs.comp = model.computing_time(j, v);
     inputs.include_link_delay = model.options().include_link_delay;
-    inputs.sum_tiebreak = options_.framerate_sum_tiebreak;
+    inputs.sum_tiebreak = sum_tiebreak;
     const std::size_t kept = cell_kernel(inputs, cand);
     if (kept == 0) {
       return;
     }
-    const std::uint64_t* prev_words = arena.words(prev_p);
-    double* cur_bn = arena.bottleneck(cur_p);
-    double* cur_sum = arena.sum(cur_p);
-    std::uint64_t* cur_words = arena.words(cur_p);
-    const std::size_t stride = arena.word_plane_stride();
-    ParentRec* parents = arena.parents();
     for (std::size_t s = 0; s < kept; ++s) {
-      cur_bn[v * beam + s] = cand[s].bottleneck;
-      cur_sum[v * beam + s] = cand[s].sum;
+      cur.bottleneck[v * beam + s] = cand[s].bottleneck;
+      cur.sum[v * beam + s] = cand[s].sum;
       // Copy the parent's visited set — W strided moves under the
       // word-major layout, paid per survivor (<= beam per cell), not
       // per scanned edge like the check the layout optimizes for.
       const std::size_t from_slot = cand[s].node * beam + cand[s].slot;
       const std::size_t to_slot = v * beam + s;
       for (std::size_t w = 0; w < W; ++w) {
-        cur_words[w * stride + to_slot] = prev_words[w * stride + from_slot];
+        cur.words[w * stride + to_slot] = prev.words[w * stride + from_slot];
       }
-      cur_words[word_index * stride + to_slot] |= inputs.bit;
+      cur.words[word_index * stride + to_slot] |= inputs.bit;
       parents[(j * k + v) * beam + s] = ParentRec{cand[s].node, cand[s].slot};
     }
-    arena.counts(cur_p)[v] = static_cast<std::uint32_t>(kept);
-  };
-
-  // ---- incremental helpers -----------------------------------------
-  // All close over the arena's SoA layout.
-  const std::size_t cells = k * beam;
-  const std::size_t word_stride = arena.word_plane_stride();
-  // Copies arena column `p` into checkpoint column j (tight layout,
-  // plane-major words).
-  const auto capture_column = [&](int p, std::size_t j) {
-    std::copy_n(arena.bottleneck(p), cells, ckpt->bottleneck_col(j));
-    std::copy_n(arena.sum(p), cells, ckpt->sum_col(j));
-    std::copy_n(arena.counts(p), k, ckpt->counts_col(j));
-    std::uint64_t* to = ckpt->words_col(j);
-    const std::uint64_t* from = arena.words(p);
-    for (std::size_t w = 0; w < W; ++w) {
-      std::copy_n(from + w * word_stride, cells, to + w * cells);
-    }
-  };
-  // Loads checkpoint column j into arena column `p` (the arena's pad
-  // tail is left as-is: kernels may read it but never use the values).
-  const auto load_column = [&](int p, std::size_t j) {
-    std::copy_n(ckpt->bottleneck_col(j), cells, arena.bottleneck(p));
-    std::copy_n(ckpt->sum_col(j), cells, arena.sum(p));
-    std::copy_n(ckpt->counts_col(j), k, arena.counts(p));
-    const std::uint64_t* from = ckpt->words_col(j);
-    std::uint64_t* to = arena.words(p);
-    for (std::size_t w = 0; w < W; ++w) {
-      std::copy_n(from + w * cells, cells, to + w * word_stride);
-    }
-  };
-  // Exact live-slot comparison of arena cell (p, v) against checkpoint
-  // cell (j, v) — the proof behind frontier pruning.  It stops at the
-  // first difference.
-  const auto cell_matches_checkpoint = [&](int p, NodeId v, std::size_t j) {
-    const std::uint32_t count = arena.counts(p)[v];
-    if (count != ckpt->counts_col(j)[v]) {
-      return false;
-    }
-    const std::size_t base = v * beam;
-    for (std::uint32_t s = 0; s < count; ++s) {
-      if (std::bit_cast<std::uint64_t>(arena.bottleneck(p)[base + s]) !=
-              std::bit_cast<std::uint64_t>(ckpt->bottleneck_col(j)[base + s]) ||
-          std::bit_cast<std::uint64_t>(arena.sum(p)[base + s]) !=
-              std::bit_cast<std::uint64_t>(ckpt->sum_col(j)[base + s])) {
-        return false;
-      }
-      for (std::size_t w = 0; w < W; ++w) {
-        if (arena.words(p)[w * word_stride + base + s] !=
-            ckpt->words_col(j)[w * cells + base + s]) {
-          return false;
-        }
-      }
-    }
-    return true;
+    cur.counts[v] = static_cast<std::uint32_t>(kept);
   };
 
   if (!run_incremental) {
+    const Column source = column_at(0);
+    std::fill_n(source.counts, k, 0u);
+    const std::size_t start = problem.source * beam;
+    source.bottleneck[start] = 0.0;
+    source.sum[start] = 0.0;
+    for (std::size_t w = 0; w < W; ++w) {
+      source.words[w * stride + start] = 0;
+    }
+    source.words[(problem.source >> 6) * stride + start] |=
+        std::uint64_t{1} << (problem.source & 63);
+    source.counts[problem.source] = 1;
+
     // One event pair per 64 columns (arg = segment's first column); the
     // per-cell beam top-k lives inside these segments — it runs in the
     // cell kernel, far too hot for per-cell events.
@@ -684,7 +665,9 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     for (std::size_t j = 1; j < n; ++j) {
       check_abort(options_);
       columns_phase.tick(j);
-      arena.clear_column(cur_p);
+      const Column prev = column_at(j - 1);
+      const Column cur = column_at(j);
+      std::fill_n(cur.counts, k, 0u);
       const double input_mb = problem.pipeline->input_mb(j);
       if (pool != nullptr && j + 1 < n) {
         pool->parallel_for(chunks, [&](std::size_t c) {
@@ -692,52 +675,116 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
           const NodeId hi = static_cast<NodeId>((c + 1) * k / chunks);
           Candidate* cand = arena.scratch(c);
           for (NodeId v = lo; v < hi; ++v) {
-            sweep_cell(j, v, input_mb, cand);
+            sweep_cell(j, v, input_mb, prev, cur, cand);
           }
         });
       } else if (j + 1 == n) {
         // The final column reduces to the destination cell: the beam's
         // last top-k selection, worth its own slice.
         const util::ProfileScope topk_phase("beam_topk", "dp", j);
-        sweep_cell(j, problem.destination, input_mb, arena.scratch(0));
+        sweep_cell(j, problem.destination, input_mb, prev, cur,
+                   arena.scratch(0));
       } else {
         Candidate* cand = arena.scratch(0);
         for (NodeId v = 0; v < k; ++v) {
-          sweep_cell(j, v, input_mb, cand);
+          sweep_cell(j, v, input_mb, prev, cur, cand);
         }
       }
-      if (ckpt != nullptr) {
-        capture_column(cur_p, j);  // column 0 is never read back
-      }
-      std::swap(prev_p, cur_p);
     }
     if (ckpt != nullptr) {
-      std::copy_n(arena.parents(), n * cells, ckpt->parents());
       ckpt->set_network_version(net.version());
       ckpt->set_valid();
     }
   } else {
-    // Column-reuse re-solve.  Invariant at the top of iteration j: the
-    // arena's prev column holds the NEW column j-1 (checkpoint cells
-    // patched with every recomputed difference), so dirty cells see
-    // exactly the inputs a from-scratch solve would.  A cell is dirty
-    // when an updated link points at it (the changed transport term can
-    // reach it in every column) or an in-neighbour's column-(j-1) state
-    // changed; everything else provably reproduces the checkpoint
-    // bit-for-bit and is replayed by a copy instead of a kernel run.
-    ckpt->invalidate();  // torn until the write-back below completes
+    // Column-reuse re-solve, in place.  Invariant at the top of iteration
+    // j: checkpoint column j-1 holds the NEW column j-1, and `changed`
+    // lists its cells whose state moved.  A changed input from
+    // in-neighbour u — u in `changed`, or u -> v in the delta — makes
+    // cell (j, v) dirty only when input_can_change says so (see
+    // core/incremental.hpp); every other cell provably reproduces its
+    // checkpointed state bit for bit and is never touched.
+    ckpt->invalidate();  // torn until set_valid below
     inc.incremental = true;
     inc.columns_reused = 1;  // column 0 is the fixed source init
     const Edge* const* const out_rows = net.out_row_pointers().data();
     const std::size_t* const out_off = net.out_row_offsets().data();
-    std::vector<std::uint8_t> dirty(k, 0);
+    const Column scratch = arena.column(0);
+    // Per-node stamps: the column that last tested / dirtied the cell.
+    std::vector<std::size_t> tested_in(k, 0);
+    std::vector<std::size_t> dirty_in(k, 0);
     std::vector<NodeId> dirty_list;
     std::vector<NodeId> changed;  // cells of column j-1 whose state moved
     std::vector<NodeId> next_changed;
-    ParentRec* const ckpt_parents = ckpt->parents();
+    Candidate* const cand = arena.scratch(0);
+
+    // Exact frontier test for live cell (j, v) against u's candidate over
+    // `attr`, with the kernel contract's operations (see
+    // kernels/framerate_kernel.hpp).  `old` is checkpoint column j before
+    // any write-back; `prev` is the new column j-1.
+    const auto input_can_change = [&](std::size_t j, NodeId u, NodeId v,
+                                      const graph::LinkAttr& attr,
+                                      double input_mb, const Column& prev,
+                                      const Column& old) {
+      if (old.counts[v] < beam) {
+        return true;
+      }
+      const ParentRec* kept = parents + (j * k + v) * beam;
+      for (std::size_t s = 0; s < beam; ++s) {
+        if (kept[s].node == u) {
+          return true;
+        }
+      }
+      const double transport = model.transport_time(input_mb, attr);
+      const double comp = model.computing_time(j, v);
+      const std::uint64_t* visited =
+          visited_check ? prev.words + (v >> 6) * stride : nullptr;
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+      bool found = false;
+      double best_bn = 0.0;
+      double best_sum = 0.0;
+      for (std::size_t s = 0; s < prev.counts[u]; ++s) {
+        const std::size_t slot = u * beam + s;
+        if (visited != nullptr && (visited[slot] & bit) != 0) {
+          continue;
+        }
+        const double bn = std::max({prev.bottleneck[slot], transport, comp});
+        const double sum = (prev.sum[slot] + transport) + comp;
+        if (!found || kernels::candidate_before(bn, sum, best_bn, best_sum,
+                                                sum_tiebreak)) {
+          found = true;
+          best_bn = bn;
+          best_sum = sum;
+        }
+      }
+      const std::size_t worst = v * beam + beam - 1;
+      return found &&
+             !kernels::candidate_before(old.bottleneck[worst], old.sum[worst],
+                                        best_bn, best_sum, sum_tiebreak);
+    };
+    // Exact live-slot comparison of cell v between two columns.
+    const auto same_cell = [&](const Column& a, const Column& b, NodeId v) {
+      const std::uint32_t count = a.counts[v];
+      if (count != b.counts[v]) {
+        return false;
+      }
+      for (std::size_t c = v * beam; c < v * beam + count; ++c) {
+        if (std::bit_cast<std::uint64_t>(a.bottleneck[c]) !=
+                std::bit_cast<std::uint64_t>(b.bottleneck[c]) ||
+            std::bit_cast<std::uint64_t>(a.sum[c]) !=
+                std::bit_cast<std::uint64_t>(b.sum[c])) {
+          return false;
+        }
+        for (std::size_t w = 0; w < W; ++w) {
+          if (a.words[w * stride + c] != b.words[w * stride + c]) {
+            return false;
+          }
+        }
+      }
+      return true;
+    };
+
     // Checkpoint replay, segmented like the full-solve column loop; each
-    // column's dirty recompute gets its own slice below, so a timeline
-    // splits replay copies from kernel re-runs at a glance.
+    // column's frontier work gets its own slice below.
     util::PhaseSegments replay_phase("replay_columns", "dp");
     for (std::size_t j = 1; j < n; ++j) {
       // An abort here leaves the checkpoint invalidated (the upfront
@@ -745,60 +792,63 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
       // never be reused; the next re-solve recaptures from scratch.
       check_abort(options_);
       replay_phase.tick(j);
-      load_column(cur_p, j);
+      const Column prev = ckpt->column(j - 1);
+      const Column old = ckpt->column(j);
+      const double input_mb = problem.pipeline->input_mb(j);
+      const std::size_t tested_before = inc.cells_tested;
+      util::ProfileScope dirty_phase("dirty_recompute", "dp", j);
       dirty_list.clear();
-      for (const NodeId v : delta_targets) {
-        if (dirty[v] == 0) {
-          dirty[v] = 1;
+      const auto consider = [&](NodeId u, NodeId v,
+                                const graph::LinkAttr& attr) {
+        if (dirty_in[v] == j || !cell_live(j, v)) {
+          return;
+        }
+        if (tested_in[v] != j) {
+          tested_in[v] = j;
+          ++inc.cells_tested;
+        }
+        if (input_can_change(j, u, v, attr, input_mb, prev, old)) {
+          dirty_in[v] = j;
           dirty_list.push_back(v);
         }
+      };
+      for (const Edge& e : delta_links) {
+        consider(e.from, e.to, e.attr);
       }
       for (const NodeId u : changed) {
         for (const Edge& e :
              std::span(out_rows[u], out_off[u + 1] - out_off[u])) {
-          const NodeId v = e.to;
-          if (dirty[v] == 0) {
-            dirty[v] = 1;
-            dirty_list.push_back(v);
-          }
+          consider(u, e.to, e.attr);
         }
       }
-      const double input_mb = problem.pipeline->input_mb(j);
-      Candidate* cand = arena.scratch(0);
       next_changed.clear();
-      const util::ProfileScope dirty_phase("dirty_recompute", "dp",
-                                           dirty_list.size());
       for (const NodeId v : dirty_list) {
-        dirty[v] = 0;  // reset for the next column's frontier build
-        // sweep_cell's early-outs (dead cell, endpoint column rules)
-        // leave the count untouched, so clear the copied one first.
-        arena.counts(cur_p)[v] = 0;
-        sweep_cell(j, v, input_mb, cand);
-        ++inc.cells_recomputed;
-        const std::uint32_t kept = arena.counts(cur_p)[v];
-        // Parents are a pure function of the (possibly changed) inputs:
-        // write them back even when the labels compare equal — two
-        // predecessors can tie on every label field yet differ as nodes.
-        std::copy_n(arena.parents() + (j * k + v) * beam, kept,
-                    ckpt_parents + (j * k + v) * beam);
-        if (!cell_matches_checkpoint(cur_p, v, j)) {
+        scratch.counts[v] = 0;
+        sweep_cell(j, v, input_mb, prev, scratch, cand);
+        if (!same_cell(scratch, old, v)) {
           next_changed.push_back(v);
-          ckpt->counts_col(j)[v] = kept;
-          std::copy_n(arena.bottleneck(cur_p) + v * beam, beam,
-                      ckpt->bottleneck_col(j) + v * beam);
-          std::copy_n(arena.sum(cur_p) + v * beam, beam,
-                      ckpt->sum_col(j) + v * beam);
+          const std::uint32_t kept = scratch.counts[v];
+          old.counts[v] = kept;
+          std::copy_n(scratch.bottleneck + v * beam, kept,
+                      old.bottleneck + v * beam);
+          std::copy_n(scratch.sum + v * beam, kept, old.sum + v * beam);
           for (std::size_t w = 0; w < W; ++w) {
-            std::copy_n(arena.words(cur_p) + w * word_stride + v * beam,
-                        beam, ckpt->words_col(j) + w * cells + v * beam);
+            std::copy_n(scratch.words + w * stride + v * beam, kept,
+                        old.words + w * stride + v * beam);
           }
         }
       }
+      inc.cells_recomputed += dirty_list.size();
+      inc.cells_changed += next_changed.size();
+      // Span arg: this column's tested | recomputed << 21 | changed << 42.
+      dirty_phase.set_end_arg(
+          (inc.cells_tested - tested_before) |
+          (std::uint64_t{dirty_list.size()} << 21) |
+          (std::uint64_t{next_changed.size()} << 42));
       if (next_changed.empty()) {
         ++inc.columns_reused;
       }
       changed.swap(next_changed);
-      std::swap(prev_p, cur_p);
     }
     ckpt->set_network_version(net.version());
     ckpt->set_valid();
@@ -810,20 +860,17 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
   static_cast<void>(realloc_baseline);
 
   publish_stats();
-  if (arena.counts(prev_p)[problem.destination] == 0) {
+  const Column last = column_at(n - 1);
+  if (last.counts[problem.destination] == 0) {
     return MapResult::infeasible(
         "no simple path of the pipeline's length reaches the destination "
         "(heuristic may also have exhausted candidate nodes)");
   }
 
-  // Reconstruct the best survivor (slot 0) by walking parent records —
-  // the arena's on a full solve, the checkpoint's merged table on a
-  // column-reuse re-solve (replayed cells never wrote arena parents).
+  // Reconstruct the best survivor (slot 0) by walking parent records.
   std::vector<NodeId> assignment(n, kInvalidNode);
   assignment[n - 1] = problem.destination;
   {
-    const ParentRec* parents =
-        run_incremental ? ckpt->parents() : arena.parents();
     NodeId v = problem.destination;
     std::uint32_t slot = 0;
     for (std::size_t j = n - 1; j > 0; --j) {
@@ -834,8 +881,7 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     }
   }
 
-  double bottleneck =
-      arena.bottleneck(prev_p)[problem.destination * beam];
+  double bottleneck = last.bottleneck[problem.destination * beam];
   if (options_.framerate_local_search) {
     const util::ProfileScope search_phase("local_search", "dp");
     improve_by_node_swaps(problem, model, assignment, bottleneck);

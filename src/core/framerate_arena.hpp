@@ -50,6 +50,17 @@ class FrameRateArena {
     std::uint32_t slot = 0;
   };
 
+  /// One label column's SoA fields: slot (node, s) at node * beam + s,
+  /// visited words in word-major planes word_plane_stride() apart.  The
+  /// DP reads and writes columns through this view, so a column can live
+  /// in the rolling arena or in an IncrementalCheckpoint (same layout).
+  struct Column {
+    double* bottleneck = nullptr;
+    double* sum = nullptr;
+    std::uint32_t* counts = nullptr;
+    std::uint64_t* words = nullptr;
+  };
+
   /// Trailing slots kept readable past the last cell in the label and
   /// word columns, so the row kernels can issue full-width vector loads
   /// at any row start without bounds branches (dead lanes are masked
@@ -118,6 +129,10 @@ class FrameRateArena {
   /// so full-width loads at the last row stay in bounds per plane).
   [[nodiscard]] std::size_t word_plane_stride() const noexcept {
     return plane_stride_;
+  }
+  /// Rolling column `parity` as a view.
+  [[nodiscard]] Column column(int parity) noexcept {
+    return {bottleneck(parity), sum(parity), counts(parity), words(parity)};
   }
   [[nodiscard]] ParentRec* parents() noexcept { return parents_.data(); }
   [[nodiscard]] Candidate* scratch(std::size_t chunk) noexcept {

@@ -3,28 +3,38 @@
 // solve, enabling delta-driven column-reuse re-solves (see
 // src/core/README.md, "Incremental re-solve").
 //
-// A full max_frame_rate solve with ElpcOptions::checkpoint set copies
-// every label column out of the rolling arena as it is produced — label
-// fields, per-cell counts, visited-word planes — plus the complete
-// parent table.  A later solve against a network that differs from the
-// captured one by a known list of metric deltas (ElpcOptions::delta)
-// then replays checkpointed columns verbatim and re-runs the cell
-// kernels only on the cells the deltas can actually reach: the updated
-// links' target nodes in every column, plus the out-neighbours of any
-// cell whose recomputed state differs from the checkpoint (an exact
-// live-slot comparison that stops at the first difference).  Cells
-// outside that frontier provably see bit-identical inputs, so skipping
-// them is bit-exact — the incremental result equals a from-scratch
-// solve byte for byte (pinned by tests/core/incremental_test.cpp and the
-// CI incremental-parity job).
+// A full max_frame_rate solve with ElpcOptions::checkpoint set writes
+// every label column — label fields, per-cell counts, visited-word
+// planes — and the complete parent table straight into the checkpoint
+// instead of the rolling arena.  A later solve against a network that
+// differs from the captured one by a known list of metric deltas
+// (ElpcOptions::delta) replays the checkpoint in place and re-runs the
+// cell kernel only on the cells the deltas can actually change.
 //
-// Storage is tight (no vector padding): column j's label slot
-// (node, s) lives at j * cells + node * beam + s where
-// cells = nodes * beam; visited words are plane-major per column (word w
-// of every slot, then word w+1).  Only the rolling arena, which the
-// kernels actually read, carries the kVectorPad over-read tail.
-// Column 0 is the fixed source initialization and is never read back,
-// so its slots stay unwritten.
+// Reuse frontier.  A cell keeps the stable top-`beam`, by (key, sum),
+// of its in-neighbours' best extendable labels in in-row order, so a
+// changed input from in-neighbour u — u's column-(j-1) labels moved, or
+// the link u -> v is in the delta — can alter cell (j, v) only when:
+//   * u is the parent node of one of the cell's kept slots; or
+//   * the cell keeps fewer than `beam` survivors; or
+//   * u's new best extendable candidate (computed with the kernel
+//     contract's exact operations) is not strictly worse than the
+//     cell's worst kept one — a tie counts, since an earlier in-row
+//     entry wins it.
+// Every other cell provably reproduces its checkpointed state bit for
+// bit and is never touched.  A re-run cell is computed into an arena
+// scratch column and copied back only when its live slots differ (an
+// exact comparison); those cells are the next column's changed inputs.
+// Dead and endpoint-excluded cells are never dirty.  The incremental
+// result equals a from-scratch solve byte for byte (pinned by
+// tests/core/incremental_test.cpp and the CI incremental-parity job).
+//
+// Storage uses the arena's padded column layout, so the kernels read a
+// checkpoint column directly: column j's label slot (node, s) lives at
+// j * stride + node * beam + s, where stride = nodes * beam +
+// FrameRateArena::kVectorPad, and its visited words are word-major
+// planes `stride` apart (word w of slot c at w * stride + c within the
+// column).  Column 0 holds the fixed source initialization.
 //
 // The checkpoint is a plain value object with no locking: the service
 // layer (each service::NetworkSession subscription owns one) serializes
@@ -59,21 +69,28 @@ struct IncrementalStats {
   /// propagated.  cells_recomputed below is the kernel-work metric.
   std::size_t columns_total = 0;
   std::size_t columns_reused = 0;
-  /// Cells re-run through the cell kernel vs. the full solve's n * k.
+  /// Live cells the exact frontier test examined (each at most once per
+  /// column), the dirty ones among them re-run through the cell kernel,
+  /// and the re-run ones whose state differed from the checkpoint.
+  /// Deterministic for a given checkpoint and delta, whatever the kernel.
+  std::size_t cells_tested = 0;
   std::size_t cells_recomputed = 0;
+  std::size_t cells_changed = 0;
+  /// The full solve's n * k cells.
   std::size_t cells_total = 0;
 };
 
 class IncrementalCheckpoint {
  public:
+  using Column = FrameRateArena::Column;
   using ParentRec = FrameRateArena::ParentRec;
 
   /// Everything the DP's non-link inputs contribute: a checkpoint is
   /// reusable only for a solve whose fingerprint matches exactly.
-  /// problem_hash folds in the per-module input sizes and per-(module,
-  /// node) computing times, so a re-submitted job with a different
-  /// pipeline (or a network whose node powers changed) can never replay
-  /// stale columns.
+  /// problem_hash folds in the per-module input sizes and work units
+  /// and every node's processing power — the operands of each computing
+  /// time — so a re-submitted job with a different pipeline (or a
+  /// network whose node powers changed) can never replay stale columns.
   struct Fingerprint {
     std::size_t modules = 0;
     std::size_t nodes = 0;
@@ -120,32 +137,27 @@ class IncrementalCheckpoint {
   void setup(const Fingerprint& fp) {
     invalidate();
     fp_ = fp;
-    cells_ = fp.nodes * fp.beam;
+    const std::size_t cells = fp.nodes * fp.beam;
+    stride_ = cells + FrameRateArena::kVectorPad;
     const std::size_t columns = fp.modules;
-    bottleneck_.resize(columns * cells_);
-    sum_.resize(columns * cells_);
+    bottleneck_.resize(columns * stride_);
+    sum_.resize(columns * stride_);
     counts_.resize(columns * fp.nodes);
-    words_.resize(columns * fp.words * cells_);
-    parents_.resize(columns * cells_);
+    words_.resize(columns * fp.words * stride_);
+    parents_.resize(columns * cells);
   }
 
-  /// Label slots per column (nodes * beam).
-  [[nodiscard]] std::size_t cells() const noexcept { return cells_; }
+  /// Distance between consecutive visited-word planes of one column
+  /// (nodes * beam + kVectorPad, equal to the arena's).
+  [[nodiscard]] std::size_t word_plane_stride() const noexcept {
+    return stride_;
+  }
 
-  // Column accessors; slot (node, s) of column j is at node * beam + s
-  // within the returned pointer.  Words are plane-major within the
-  // column: word w of slot c at w * cells() + c.
-  [[nodiscard]] double* bottleneck_col(std::size_t j) noexcept {
-    return bottleneck_.data() + j * cells_;
-  }
-  [[nodiscard]] double* sum_col(std::size_t j) noexcept {
-    return sum_.data() + j * cells_;
-  }
-  [[nodiscard]] std::uint32_t* counts_col(std::size_t j) noexcept {
-    return counts_.data() + j * fp_.nodes;
-  }
-  [[nodiscard]] std::uint64_t* words_col(std::size_t j) noexcept {
-    return words_.data() + j * fp_.words * cells_;
+  /// Column j, laid out exactly like a rolling arena column.
+  [[nodiscard]] Column column(std::size_t j) noexcept {
+    return {bottleneck_.data() + j * stride_, sum_.data() + j * stride_,
+            counts_.data() + j * fp_.nodes,
+            words_.data() + j * fp_.words * stride_};
   }
   /// Full parent table, indexed exactly like FrameRateArena::parents():
   /// (j * nodes + node) * beam + slot.
@@ -165,7 +177,7 @@ class IncrementalCheckpoint {
   Fingerprint fp_;
   std::uint64_t network_version_ = 0;
   bool valid_ = false;
-  std::size_t cells_ = 0;
+  std::size_t stride_ = 0;
   std::vector<double> bottleneck_;
   std::vector<double> sum_;
   std::vector<std::uint32_t> counts_;

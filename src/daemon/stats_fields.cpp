@@ -112,6 +112,8 @@ const std::vector<SocketServer::StatsField>& SocketServer::stats_fields() {
       {"incremental_misses", nullptr, ELPC_STAT(s.engine.incremental_misses)},
       {"incremental_columns_reused", nullptr,
        ELPC_STAT(s.engine.incremental_columns_reused)},
+      {"incremental_cells_recomputed", nullptr,
+       ELPC_STAT(s.engine.incremental_cells_recomputed)},
       {"checkpoints", "elpc_checkpoints", ELPC_STAT(s.engine.checkpoints),
        "Incremental DP checkpoints held"},
       {"checkpoint_bytes", "elpc_checkpoint_bytes",

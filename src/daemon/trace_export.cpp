@@ -44,6 +44,13 @@ util::Json end_event(const util::ProfileEvent& event) {
   doc.set("ts", static_cast<double>(event.ts_ns) / 1000.0);
   doc.set("pid", 1);
   doc.set("tid", static_cast<std::int64_t>(event.tid));
+  if (event.arg != 0) {
+    // Viewers merge an end event's args into its slice, so a distinct
+    // key keeps the begin arg visible beside it.
+    util::Json args{util::JsonObject{}};
+    args.set("end_arg", static_cast<std::int64_t>(event.arg));
+    doc.set("args", std::move(args));
+  }
   return doc;
 }
 

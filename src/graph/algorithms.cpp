@@ -58,7 +58,11 @@ std::vector<std::size_t> hops_to_target(const Network& net, NodeId target) {
   std::queue<NodeId> frontier;
   dist[target] = 0;
   frontier.push(target);
-  while (!frontier.empty()) {
+  // Stop once every node has its distance: BFS never revises one, and on
+  // a dense network that takes a couple of pops, not a scan of every
+  // in-edge.
+  std::size_t reached = 1;
+  while (!frontier.empty() && reached < dist.size()) {
     const NodeId v = frontier.front();
     frontier.pop();
     // Walk reversed edges: predecessors of v are one hop farther from the
@@ -67,6 +71,7 @@ std::vector<std::size_t> hops_to_target(const Network& net, NodeId target) {
       if (dist[e.from] == kUnreach) {
         dist[e.from] = dist[v] + 1;
         frontier.push(e.from);
+        ++reached;
       }
     }
   }

@@ -124,6 +124,9 @@ BatchEngine::BatchEngine(BatchEngineOptions options)
   incremental_columns_reused_ = &metrics_->counter(
       "elpc_incremental_columns_reused_total",
       "DP columns replayed from checkpoints instead of recomputed");
+  incremental_cells_recomputed_ = &metrics_->counter(
+      "elpc_incremental_cells_recomputed_total",
+      "DP cells incremental re-solves re-ran through the cell kernel");
 }
 
 util::Histogram& SolveHistograms::child(const SolveResult& result) {
@@ -309,6 +312,8 @@ EngineStats BatchEngine::stats() const {
   stats.incremental_hits = incremental_hits_->value();
   stats.incremental_misses = incremental_misses_->value();
   stats.incremental_columns_reused = incremental_columns_reused_->value();
+  stats.incremental_cells_recomputed =
+      incremental_cells_recomputed_->value();
   stats.kernel = core::kernels::kind_name(kernel_);
   // The engine's kernel never changes after construction, so at most the
   // one counter can be nonzero.
@@ -516,6 +521,7 @@ void BatchEngine::solve_one(
     if (inc_stats.incremental) {
       incremental_hits_->add();
       incremental_columns_reused_->add(inc_stats.columns_reused);
+      incremental_cells_recomputed_->add(inc_stats.cells_recomputed);
     } else {
       incremental_misses_->add();
     }

@@ -209,10 +209,12 @@ struct EngineStats {
   /// Incremental re-solve counters (cumulative): solves that reused
   /// checkpoint columns, eligible solves that fell back to a full solve
   /// (missing/evicted/stale checkpoint, wide update, lock contention),
-  /// and the total DP columns replayed from checkpoints.
+  /// the total DP columns replayed from checkpoints, and the DP cells
+  /// re-solves re-ran through the cell kernel.
   std::uint64_t incremental_hits = 0;
   std::uint64_t incremental_misses = 0;
   std::uint64_t incremental_columns_reused = 0;
+  std::uint64_t incremental_cells_recomputed = 0;
   /// Session checkpoint occupancy, summed over sessions.
   std::size_t checkpoints = 0;
   std::size_t checkpoint_bytes = 0;
@@ -370,6 +372,7 @@ class BatchEngine {
   util::Counter* incremental_hits_ = nullptr;
   util::Counter* incremental_misses_ = nullptr;
   util::Counter* incremental_columns_reused_ = nullptr;
+  util::Counter* incremental_cells_recomputed_ = nullptr;
   SolveHistograms solve_ms_;
   SolveHistograms staleness_ms_;
   mutable std::mutex mutex_;  // guards sessions_

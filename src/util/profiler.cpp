@@ -125,8 +125,9 @@ void Profiler::begin(const char* name, const char* category,
   thread_ring().record(/*begin=*/true, name, category, arg);
 }
 
-void Profiler::end(const char* name, const char* category) {
-  thread_ring().record(/*begin=*/false, name, category, 0);
+void Profiler::end(const char* name, const char* category,
+                   std::uint64_t arg) {
+  thread_ring().record(/*begin=*/false, name, category, arg);
 }
 
 ProfilerSnapshot Profiler::drain() {

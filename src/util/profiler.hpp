@@ -83,7 +83,10 @@ class Profiler {
   /// must be string literals (or otherwise outlive the process).
   static void begin(const char* name, const char* category,
                     std::uint64_t arg = 0);
-  static void end(const char* name, const char* category);
+  /// `arg` on an end event carries what the phase learned while it ran
+  /// (ProfileScope::set_end_arg); 0 when unused.
+  static void end(const char* name, const char* category,
+                  std::uint64_t arg = 0);
 
   /// Consumes every ring's buffered events (oldest first per thread) and
   /// reports the cumulative accounting.  Safe while writers record.
@@ -108,16 +111,20 @@ class ProfileScope {
   }
   ~ProfileScope() {
     if (armed_) {
-      Profiler::end(name_, category_);
+      Profiler::end(name_, category_, end_arg_);
     }
   }
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
+  /// Sets the end event's arg — counts known only once the phase ran.
+  void set_end_arg(std::uint64_t arg) noexcept { end_arg_ = arg; }
+
  private:
   const char* name_;
   const char* category_;
   bool armed_;
+  std::uint64_t end_arg_ = 0;
 };
 
 /// Segmented instrumentation for long uniform loops (the DP column

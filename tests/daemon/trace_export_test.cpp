@@ -208,6 +208,26 @@ TEST(TraceExport, ExportsOnlyMatchedPairsAndAccountsTheRest) {
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
 }
 
+TEST(TraceExport, EndArgIsExportedBesideTheBeginArg) {
+  util::ProfilerSnapshot snapshot;
+  util::ProfileEvent begin = make_profile_event(1, 1, 1000, true, "solve");
+  begin.arg = 7;
+  util::ProfileEvent end = make_profile_event(1, 2, 2000, false, "solve");
+  end.arg = 42;
+  snapshot.events = {begin, end,
+                     make_profile_event(1, 3, 3000, true, "arena"),
+                     make_profile_event(1, 4, 4000, false, "arena")};
+
+  const util::Json doc = chrome_trace_json(snapshot, {});
+  std::string error;
+  EXPECT_TRUE(validate_chrome_trace(doc, &error)) << error;
+  const util::JsonArray& events = doc.at("traceEvents").as_array();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].at("args").at("arg").as_int(), 7);
+  EXPECT_EQ(events[1].at("args").at("end_arg").as_int(), 42);
+  EXPECT_EQ(events[3].find("args"), nullptr);  // no end arg, no args
+}
+
 TEST(TraceExport, EqualTimestampsKeepRecordingOrderSoNestingSurvives) {
   // Two nested scopes whose four boundaries share one timestamp: a sort
   // that broke recording order would emit E "outer" before E "inner" and

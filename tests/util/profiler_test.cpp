@@ -93,6 +93,21 @@ TEST_F(ProfilerTest, ScopesBalanceAndCarryTheThreadTraceId) {
   EXPECT_EQ(again.drained, 4u);
 }
 
+TEST_F(ProfilerTest, EndArgRidesTheEndEvent) {
+  Profiler::set_enabled(true);
+  on_fresh_thread([] {
+    ProfileScope counted("recompute", "dp", 3);
+    counted.set_end_arg(42);
+    { const ProfileScope plain("arena", "core"); }
+  });
+  const ProfilerSnapshot snapshot = Profiler::drain();
+  ASSERT_EQ(snapshot.events.size(), 4u);
+  EXPECT_EQ(snapshot.events[0].arg, 3u);   // begin "recompute"
+  EXPECT_EQ(snapshot.events[2].arg, 0u);   // end "arena": never set
+  EXPECT_FALSE(snapshot.events[3].begin);  // end "recompute"
+  EXPECT_EQ(snapshot.events[3].arg, 42u);
+}
+
 TEST_F(ProfilerTest, RingWrapEvictsOldestAndCountsDropped) {
   Profiler::set_enabled(true);
   Profiler::set_ring_capacity(8);  // applies to the fresh thread's ring
