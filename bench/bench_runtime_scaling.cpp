@@ -8,6 +8,9 @@
 
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <chrono>
+
 #include "core/elpc.hpp"
 #include "core/kernels/framerate_kernel.hpp"
 #include "experiments/scaling.hpp"
@@ -205,7 +208,8 @@ void BM_ElpcDeltaResolve(benchmark::State& state, bool incremental) {
 /// each iteration applies the next one and re-solves through the
 /// checkpoint.  The fixed link above is one typical (p50) case; the
 /// stream's mean includes the tail, where an update reaches many cells.
-/// Reports the mean cells_recomputed per re-solve.
+/// Reports the mean cells_recomputed per re-solve, and the tail beside
+/// it: the stream's largest cells_recomputed and its slowest re-solve.
 void BM_ElpcDeltaResolveStream(benchmark::State& state) {
   const auto modules = static_cast<std::size_t>(state.range(0));
   const auto nodes = static_cast<std::size_t>(state.range(1));
@@ -239,11 +243,18 @@ void BM_ElpcDeltaResolveStream(benchmark::State& state) {
   const core::ElpcMapper mapper(options);
   std::size_t resolves = 0;
   std::size_t cells = 0;
+  std::size_t max_cells = 0;
+  double max_ms = 0.0;
   for (auto _ : state) {
     delta[0] = stream[resolves % stream.size()];
     scenario.network.apply_link_updates(delta);
+    const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(mapper.max_frame_rate(problem));
+    max_ms = std::max(max_ms, std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count());
     cells += stats.cells_recomputed;
+    max_cells = std::max(max_cells, stats.cells_recomputed);
     ++resolves;
   }
   state.counters["modules"] = static_cast<double>(modules);
@@ -251,6 +262,8 @@ void BM_ElpcDeltaResolveStream(benchmark::State& state) {
   state.counters["cells_recomputed"] =
       resolves == 0 ? 0.0
                     : static_cast<double>(cells) / static_cast<double>(resolves);
+  state.counters["max_cells_recomputed"] = static_cast<double>(max_cells);
+  state.counters["max_resolve_ms"] = max_ms;
 }
 
 void register_benchmarks() {

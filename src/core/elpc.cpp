@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <span>
@@ -20,6 +21,10 @@ namespace elpc::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A re-solve column sweeps in full once its dirty cells pass this share
+/// of the nodes: a scattered cell costs ~5 us, a swept one ~2.5 us (E6).
+constexpr double kWideColumnShare = 0.5;
 
 using graph::Edge;
 using graph::kInvalidNode;
@@ -500,37 +505,23 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     } else if (net.version() != ckpt->network_version() + delta->size()) {
       inc.fallback = "network-version-mismatch";
     } else {
-      std::vector<std::uint8_t> is_target(k, 0);
-      std::size_t targets = 0;
-      bool links_ok = true;
       for (const graph::LinkUpdate& u : *delta) {
         const std::optional<graph::LinkAttr> attr =
             u.from < k && u.to < k ? net.find_link(u.from, u.to)
                                    : std::nullopt;
         if (!attr.has_value()) {
-          links_ok = false;
+          inc.fallback = "unknown-link";
           break;
         }
         delta_links.push_back(Edge{u.from, u.to, *attr});
-        if (is_target[u.to] == 0) {
-          is_target[u.to] = 1;
-          ++targets;
-        }
       }
-      if (!links_ok) {
-        inc.fallback = "unknown-link";
-      } else if (static_cast<double>(targets) >
-                 options_.incremental_max_dirty_fraction *
-                     static_cast<double>(k)) {
-        inc.fallback = "wide-update";
-      } else {
-        run_incremental = true;
-      }
+      run_incremental = inc.fallback == nullptr;
     }
     if (!run_incremental) {
       ckpt->setup(fp);  // the full solve below recaptures from scratch
     }
   }
+
   const auto publish_stats = [&]() {
     if (options_.incremental_stats != nullptr) {
       *options_.incremental_stats = inc;
@@ -645,6 +636,36 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     cur.counts[v] = static_cast<std::uint32_t>(kept);
   };
 
+  // Sweeps column j from `prev` into `cur`: every column of a full solve,
+  // a re-solve's wide columns.  Cells write disjoint slots, so the
+  // pool-chunked sweep is bit-identical to the serial one.
+  const auto sweep_column = [&](std::size_t j, const Column& prev,
+                                const Column& cur) {
+    std::fill_n(cur.counts, k, 0u);
+    const double input_mb = problem.pipeline->input_mb(j);
+    if (pool != nullptr && j + 1 < n) {
+      pool->parallel_for(chunks, [&](std::size_t c) {
+        const NodeId lo = static_cast<NodeId>(c * k / chunks);
+        const NodeId hi = static_cast<NodeId>((c + 1) * k / chunks);
+        Candidate* cand = arena.scratch(c);
+        for (NodeId v = lo; v < hi; ++v) {
+          sweep_cell(j, v, input_mb, prev, cur, cand);
+        }
+      });
+    } else if (j + 1 == n) {
+      // The final column reduces to the destination cell: the beam's
+      // last top-k selection, worth its own slice.
+      const util::ProfileScope topk_phase("beam_topk", "dp", j);
+      sweep_cell(j, problem.destination, input_mb, prev, cur,
+                 arena.scratch(0));
+    } else {
+      Candidate* cand = arena.scratch(0);
+      for (NodeId v = 0; v < k; ++v) {
+        sweep_cell(j, v, input_mb, prev, cur, cand);
+      }
+    }
+  };
+
   if (!run_incremental) {
     const Column source = column_at(0);
     std::fill_n(source.counts, k, 0u);
@@ -665,35 +686,7 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     for (std::size_t j = 1; j < n; ++j) {
       check_abort(options_);
       columns_phase.tick(j);
-      const Column prev = column_at(j - 1);
-      const Column cur = column_at(j);
-      std::fill_n(cur.counts, k, 0u);
-      const double input_mb = problem.pipeline->input_mb(j);
-      if (pool != nullptr && j + 1 < n) {
-        pool->parallel_for(chunks, [&](std::size_t c) {
-          const NodeId lo = static_cast<NodeId>(c * k / chunks);
-          const NodeId hi = static_cast<NodeId>((c + 1) * k / chunks);
-          Candidate* cand = arena.scratch(c);
-          for (NodeId v = lo; v < hi; ++v) {
-            sweep_cell(j, v, input_mb, prev, cur, cand);
-          }
-        });
-      } else if (j + 1 == n) {
-        // The final column reduces to the destination cell: the beam's
-        // last top-k selection, worth its own slice.
-        const util::ProfileScope topk_phase("beam_topk", "dp", j);
-        sweep_cell(j, problem.destination, input_mb, prev, cur,
-                   arena.scratch(0));
-      } else {
-        Candidate* cand = arena.scratch(0);
-        for (NodeId v = 0; v < k; ++v) {
-          sweep_cell(j, v, input_mb, prev, cur, cand);
-        }
-      }
-    }
-    if (ckpt != nullptr) {
-      ckpt->set_network_version(net.version());
-      ckpt->set_valid();
+      sweep_column(j, column_at(j - 1), column_at(j));
     }
   } else {
     // Column-reuse re-solve, in place.  Invariant at the top of iteration
@@ -715,7 +708,6 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     std::vector<NodeId> dirty_list;
     std::vector<NodeId> changed;  // cells of column j-1 whose state moved
     std::vector<NodeId> next_changed;
-    Candidate* const cand = arena.scratch(0);
 
     // Exact frontier test for live cell (j, v) against u's candidate over
     // `attr`, with the kernel contract's operations (see
@@ -761,26 +753,21 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
              !kernels::candidate_before(old.bottleneck[worst], old.sum[worst],
                                         best_bn, best_sum, sum_tiebreak);
     };
-    // Exact live-slot comparison of cell v between two columns.
+    // Exact (bitwise) live-slot comparison of cell v between two columns.
     const auto same_cell = [&](const Column& a, const Column& b, NodeId v) {
+      const std::size_t first = v * beam;
       const std::uint32_t count = a.counts[v];
-      if (count != b.counts[v]) {
-        return false;
+      bool same = count == b.counts[v] &&
+                  std::memcmp(a.bottleneck + first, b.bottleneck + first,
+                              count * sizeof(double)) == 0 &&
+                  std::memcmp(a.sum + first, b.sum + first,
+                              count * sizeof(double)) == 0;
+      for (std::size_t w = 0; w < W && same; ++w) {
+        same = std::memcmp(a.words + w * stride + first,
+                           b.words + w * stride + first,
+                           count * sizeof(std::uint64_t)) == 0;
       }
-      for (std::size_t c = v * beam; c < v * beam + count; ++c) {
-        if (std::bit_cast<std::uint64_t>(a.bottleneck[c]) !=
-                std::bit_cast<std::uint64_t>(b.bottleneck[c]) ||
-            std::bit_cast<std::uint64_t>(a.sum[c]) !=
-                std::bit_cast<std::uint64_t>(b.sum[c])) {
-          return false;
-        }
-        for (std::size_t w = 0; w < W; ++w) {
-          if (a.words[w * stride + c] != b.words[w * stride + c]) {
-            return false;
-          }
-        }
-      }
-      return true;
+      return same;
     };
 
     // Checkpoint replay, segmented like the full-solve column loop; each
@@ -798,9 +785,10 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
       const std::size_t tested_before = inc.cells_tested;
       util::ProfileScope dirty_phase("dirty_recompute", "dp", j);
       dirty_list.clear();
+      bool wide = false;
       const auto consider = [&](NodeId u, NodeId v,
                                 const graph::LinkAttr& attr) {
-        if (dirty_in[v] == j || !cell_live(j, v)) {
+        if (wide || dirty_in[v] == j || !cell_live(j, v)) {
           return;
         }
         if (tested_in[v] != j) {
@@ -810,21 +798,35 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
         if (input_can_change(j, u, v, attr, input_mb, prev, old)) {
           dirty_in[v] = j;
           dirty_list.push_back(v);
+          wide = static_cast<double>(dirty_list.size()) >
+                 kWideColumnShare * static_cast<double>(k);
         }
       };
       for (const Edge& e : delta_links) {
         consider(e.from, e.to, e.attr);
       }
-      for (const NodeId u : changed) {
+      for (std::size_t i = 0; i < changed.size() && !wide; ++i) {
+        const NodeId u = changed[i];
         for (const Edge& e :
              std::span(out_rows[u], out_off[u + 1] - out_off[u])) {
           consider(u, e.to, e.attr);
         }
       }
+      if (wide) {
+        sweep_column(j, prev, scratch);
+        dirty_list.clear();
+        for (NodeId v = 0; v < k; ++v) {
+          if (cell_live(j, v)) {
+            dirty_list.push_back(v);
+          }
+        }
+      }
       next_changed.clear();
       for (const NodeId v : dirty_list) {
-        scratch.counts[v] = 0;
-        sweep_cell(j, v, input_mb, prev, scratch, cand);
+        if (!wide) {
+          scratch.counts[v] = 0;
+          sweep_cell(j, v, input_mb, prev, scratch, arena.scratch(0));
+        }
         if (!same_cell(scratch, old, v)) {
           next_changed.push_back(v);
           const std::uint32_t kept = scratch.counts[v];
@@ -850,6 +852,8 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
       }
       changed.swap(next_changed);
     }
+  }
+  if (ckpt != nullptr) {  // a capture or a replay completed
     ckpt->set_network_version(net.version());
     ckpt->set_valid();
   }

@@ -126,11 +126,6 @@ struct ElpcOptions {
   /// "unknown" and forces the full-solve path; an EMPTY list is valid
   /// and replays every column.  Ignored without `checkpoint`.
   const std::vector<graph::LinkUpdate>* delta = nullptr;
-  /// Reuse is skipped (full solve + recapture) when the delta's distinct
-  /// target nodes exceed this fraction of the network: a wide update
-  /// dirties most cells anyway, and the full sweep's streaming memory
-  /// order beats the scattered recompute.
-  double incremental_max_dirty_fraction = 0.25;
   /// When non-null, filled with this solve's incremental outcome
   /// (hit/fallback reason, columns replayed, cells recomputed).
   IncrementalStats* incremental_stats = nullptr;

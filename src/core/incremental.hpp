@@ -11,23 +11,21 @@
 // (ElpcOptions::delta) replays the checkpoint in place and re-runs the
 // cell kernel only on the cells the deltas can actually change.
 //
-// Reuse frontier.  A cell keeps the stable top-`beam`, by (key, sum),
-// of its in-neighbours' best extendable labels in in-row order, so a
-// changed input from in-neighbour u — u's column-(j-1) labels moved, or
-// the link u -> v is in the delta — can alter cell (j, v) only when:
-//   * u is the parent node of one of the cell's kept slots; or
-//   * the cell keeps fewer than `beam` survivors; or
-//   * u's new best extendable candidate (computed with the kernel
-//     contract's exact operations) is not strictly worse than the
-//     cell's worst kept one — a tie counts, since an earlier in-row
-//     entry wins it.
-// Every other cell provably reproduces its checkpointed state bit for
-// bit and is never touched.  A re-run cell is computed into an arena
-// scratch column and copied back only when its live slots differ (an
-// exact comparison); those cells are the next column's changed inputs.
-// Dead and endpoint-excluded cells are never dirty.  The incremental
-// result equals a from-scratch solve byte for byte (pinned by
-// tests/core/incremental_test.cpp and the CI incremental-parity job).
+// Reuse frontier.  A cell keeps the stable top-`beam`, by (key, sum), of
+// its in-neighbours' best extendable labels in in-row order, so a changed
+// input from in-neighbour u (u's column-(j-1) labels moved, or u -> v is
+// in the delta) can alter cell (j, v) only when u is the parent node of a
+// kept slot, the cell keeps fewer than `beam` survivors, or u's new best
+// extendable candidate (the kernel contract's exact operations) ties or
+// beats the cell's worst kept one.  Every other cell provably reproduces
+// its checkpointed state bit for bit and is never touched; dead and
+// endpoint-excluded cells are never dirty.  A column whose dirty cells
+// pass half the nodes stops testing and is swept in full by the full
+// solve's own column sweep.  Re-run cells go to an arena scratch column
+// and are copied back only when their live slots differ (exactly); those
+// are the next column's changed inputs, so a change that dies out after
+// a wide column returns to the scattered path.  The result equals a
+// scratch solve byte for byte (tests/core/incremental_test.cpp).
 //
 // Storage uses the arena's padded column layout, so the kernels read a
 // checkpoint column directly: column j's label slot (node, s) lives at
@@ -70,9 +68,11 @@ struct IncrementalStats {
   std::size_t columns_total = 0;
   std::size_t columns_reused = 0;
   /// Live cells the exact frontier test examined (each at most once per
-  /// column), the dirty ones among them re-run through the cell kernel,
-  /// and the re-run ones whose state differed from the checkpoint.
-  /// Deterministic for a given checkpoint and delta, whatever the kernel.
+  /// column), the live cells re-run through the cell kernel, and the
+  /// re-run ones whose state differed from the checkpoint.  A wide column
+  /// stops testing at the switch and re-runs all its live cells, so there
+  /// cells_recomputed can exceed cells_tested.  Deterministic for a given
+  /// checkpoint and delta, whatever the kernel.
   std::size_t cells_tested = 0;
   std::size_t cells_recomputed = 0;
   std::size_t cells_changed = 0;

@@ -208,7 +208,7 @@ struct EngineStats {
   std::vector<std::pair<std::string, std::uint64_t>> kernel_jobs;
   /// Incremental re-solve counters (cumulative): solves that reused
   /// checkpoint columns, eligible solves that fell back to a full solve
-  /// (missing/evicted/stale checkpoint, wide update, lock contention),
+  /// (missing/evicted/stale checkpoint, lock contention),
   /// the total DP columns replayed from checkpoints, and the DP cells
   /// re-solves re-ran through the cell kernel.
   std::uint64_t incremental_hits = 0;
