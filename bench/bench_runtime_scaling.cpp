@@ -203,13 +203,19 @@ void BM_ElpcDeltaResolve(benchmark::State& state, bool incremental) {
   state.counters["nodes"] = static_cast<double>(nodes);
 }
 
-/// Delta re-solve over a seeded stream of 200 random single-link
-/// updates (bandwidth x0.5 or x2 of the link's original value), cycled:
-/// each iteration applies the next one and re-solves through the
-/// checkpoint.  The fixed link above is one typical (p50) case; the
-/// stream's mean includes the tail, where an update reaches many cells.
-/// Reports the mean cells_recomputed per re-solve, and the tail beside
-/// it: the stream's largest cells_recomputed and its slowest re-solve.
+/// Updates in the delta re-solve stream, and the stream bench's pinned
+/// iteration count: the values are absolute, so a second pass would
+/// re-apply what the links already hold and time no-op re-solves.
+constexpr std::size_t kStreamLength = 200;
+
+/// Delta re-solve over a seeded stream of kStreamLength random
+/// single-link updates (bandwidth x0.5 or x2 of the link's original
+/// value), each applied once: iteration i applies update i and
+/// re-solves through the checkpoint.  The fixed link above is one
+/// typical (p50) case; the stream's mean includes the tail, where an
+/// update reaches many cells.  Reports the mean cells_recomputed per
+/// re-solve, and the tail beside it: the stream's largest
+/// cells_recomputed and its slowest re-solve.
 void BM_ElpcDeltaResolveStream(benchmark::State& state) {
   const auto modules = static_cast<std::size_t>(state.range(0));
   const auto nodes = static_cast<std::size_t>(state.range(1));
@@ -218,7 +224,7 @@ void BM_ElpcDeltaResolveStream(benchmark::State& state) {
   const mapping::Problem problem = scenario.problem();
   util::Rng rng(7);
   std::vector<graph::LinkUpdate> stream;
-  while (stream.size() < 200) {
+  while (stream.size() < kStreamLength) {
     const graph::NodeId from = rng.index(nodes);
     const auto out = scenario.network.out_edges(from);
     if (out.empty()) {
@@ -246,7 +252,7 @@ void BM_ElpcDeltaResolveStream(benchmark::State& state) {
   std::size_t max_cells = 0;
   double max_ms = 0.0;
   for (auto _ : state) {
-    delta[0] = stream[resolves % stream.size()];
+    delta[0] = stream[resolves];
     scenario.network.apply_link_updates(delta);
     const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(mapper.max_frame_rate(problem));
@@ -281,6 +287,7 @@ void register_benchmarks() {
     auto* b = benchmark::RegisterBenchmark("BM_ELPC_delta_resolve/stream",
                                            BM_ElpcDeltaResolveStream);
     b->Args({5, 10})->Args({10, 25})->Args({20, 100})->Args({40, 400});
+    b->Iterations(kStreamLength);
     b->Unit(benchmark::kMillisecond);
   }
   for (const char* name : {"ELPC", "Streamline", "Greedy"}) {

@@ -497,7 +497,7 @@ void JobManager::expiry_loop() {
     }
     // Answer the drains that are due — idle, stopping, or out of time —
     // with their reports taken now, then call them unlocked.  The state
-    // may move while they run, so the scan repeats before any sleep.
+    // may move while they run, so the scan runs again before any sleep.
     std::vector<std::pair<PendingDrain, DrainReport>> due;
     const bool release_all = idle() || stopping_;
     std::erase_if(drains_, [&](PendingDrain& drain) {

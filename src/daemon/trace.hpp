@@ -21,7 +21,7 @@
 namespace elpc::daemon {
 
 /// One job ticket's lifecycle.  Phase attribution: queue_wait_ms covers
-/// submitted→dispatched, solve_ms the mapper itself, and e2e_ms
+/// submitted→dispatched, solve_ms the job's one mapper call, and e2e_ms
 /// submitted→terminal (the gap beyond queue+solve is dispatch batching and
 /// result serialization).  columns_reused vs (columns_total -
 /// columns_reused) splits an incremental solve into checkpoint replay vs

@@ -1,7 +1,6 @@
 #include "experiments/scaling.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 #include "core/elpc.hpp"
@@ -9,8 +8,6 @@
 #include "experiments/registry.hpp"
 #include "graph/generators.hpp"
 #include "pipeline/generator.hpp"
-#include "service/batch_engine.hpp"
-#include "service/serialize.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 #include "workload/scenario.hpp"
@@ -25,25 +22,7 @@ std::vector<ScalingPoint> run_scaling_study(const ScalingConfig& config) {
   util::Rng master(config.seed);
   const std::vector<std::string> names = scaling_algorithm_names();
 
-  // One engine for the whole study: networks are registered (and
-  // finalized) once per scale, the worker pool and DP arena exist once,
-  // and the timed repeats run inside the engine.  A single worker keeps
-  // the measurements serial and uncontended, exactly like the old
-  // hand-rolled timing loop this replaces.  The factory deliberately
-  // does NOT use the engine's serving configuration for ELPC: the study
-  // times the library default (internal column sweep enabled where it
-  // engages), because that is what default-configured callers get and
-  // what the checked-in perf trajectory has always measured.
-  service::BatchEngineOptions engine_options;
-  engine_options.threads = 1;
-  engine_options.factory = [](const service::SolveJob& job,
-                              const service::MapperContext&) {
-    return make_mapper(job.algorithm);
-  };
-  service::BatchEngine engine(engine_options);
-
   std::vector<ScalingPoint> points;
-  std::vector<service::SolveJob> jobs;
   for (std::size_t s = 0; s < config.sizes.size(); ++s) {
     const auto [modules, nodes] = config.sizes[s];
     const std::size_t max_links = nodes * (nodes - 1);
@@ -54,7 +33,6 @@ std::vector<ScalingPoint> run_scaling_study(const ScalingConfig& config) {
 
     util::Rng rng = master.split(s + 1);
     workload::Scenario scenario;
-    scenario.name = "scale" + std::to_string(s);
     scenario.pipeline =
         pipeline::random_pipeline(rng, modules, pipeline::PipelineRanges{});
     scenario.network = graph::random_connected_network(
@@ -63,6 +41,7 @@ std::vector<ScalingPoint> run_scaling_study(const ScalingConfig& config) {
     do {
       scenario.destination = rng.index(nodes);
     } while (scenario.destination == scenario.source);
+    scenario.network.finalize();
 
     ScalingPoint point;
     point.modules = modules;
@@ -70,13 +49,12 @@ std::vector<ScalingPoint> run_scaling_study(const ScalingConfig& config) {
     point.links = links;
 
     // Delta-driven re-solve dimension (ELPC frame rate only — the one
-    // code path with an incremental solver).  Measured through the core
-    // API on a private copy so the engine-timed study below is
-    // untouched: flip one link's bandwidth, re-solve from scratch; then
-    // recapture and re-solve the same flip sequence with column reuse.
+    // code path with an incremental solver).  Measured on a private copy
+    // so the timed study below is untouched: flip one link's bandwidth,
+    // re-solve from scratch; then recapture and re-solve the same flip
+    // sequence with column reuse.
     {
-      graph::Network net = scenario.network;  // engine gets its own copy
-      net.finalize();
+      graph::Network net = scenario.network;
       const mapping::Problem problem(scenario.pipeline, net,
                                      scenario.source, scenario.destination,
                                      pipeline::CostOptions{});
@@ -121,50 +99,31 @@ std::vector<ScalingPoint> run_scaling_study(const ScalingConfig& config) {
           timer.elapsed_ms() / static_cast<double>(resolves);
     }
 
-    engine.register_network(scenario.name, std::move(scenario.network));
-    points.push_back(point);
-
-    // The historical study timed both objectives under the default cost
-    // model; keep that convention so the perf trajectory stays
-    // comparable across PRs.
+    // Time each algorithm's library-default mapper (internal column sweep
+    // on where it engages) on both objectives under the default cost
+    // model, one untimed call before the timed ones: the convention the
+    // checked-in perf trajectory was measured under.
+    const mapping::Problem problem(scenario.pipeline, scenario.network,
+                                   scenario.source, scenario.destination,
+                                   pipeline::CostOptions{});
+    const std::size_t repeats = std::max<std::size_t>(1, config.repeats);
     for (const std::string& name : names) {
-      for (const service::Objective objective :
-           {service::Objective::kMinDelay, service::Objective::kMaxFrameRate}) {
-        service::SolveJob job;
-        job.id = scenario.name + "/" + name + "/" +
-                 service::objective_name(objective);
-        job.network = scenario.name;
-        job.pipeline = scenario.pipeline;
-        job.source = scenario.source;
-        job.destination = scenario.destination;
-        job.objective = objective;
-        job.algorithm = name;
-        job.cost = pipeline::CostOptions{};
-        job.repeats = std::max<std::size_t>(1, config.repeats);
-        job.warmup = true;  // the study always measured warm solves
-        jobs.push_back(std::move(job));
+      const mapping::MapperPtr mapper = make_mapper(name);
+      for (const bool framerate : {false, true}) {
+        const auto run = [&]() {
+          return framerate ? mapper->max_frame_rate(problem)
+                           : mapper->min_delay(problem);
+        };
+        (void)run();
+        const util::WallTimer timer;
+        for (std::size_t r = 0; r < repeats; ++r) {
+          (void)run();
+        }
+        (framerate ? point.max_frame_rate_ms : point.min_delay_ms)
+            .push_back(timer.elapsed_ms() / static_cast<double>(repeats));
       }
     }
-  }
-
-  const std::vector<service::SolveResult> results = engine.solve(jobs);
-  for (const service::SolveResult& result : results) {
-    // A solver failure must fail the study: recording the 0 ms of a job
-    // that never ran would read as a phantom speedup in the perf gate.
-    if (!result.error.empty()) {
-      throw std::runtime_error("scaling study: job '" + result.job_id +
-                               "' failed: " + result.error);
-    }
-  }
-
-  // Unpack in submission order: per scale, per algorithm, delay then
-  // frame rate.
-  std::size_t r = 0;
-  for (ScalingPoint& point : points) {
-    for (std::size_t a = 0; a < names.size(); ++a) {
-      point.min_delay_ms.push_back(results[r++].mean_runtime_ms);
-      point.max_frame_rate_ms.push_back(results[r++].mean_runtime_ms);
-    }
+    points.push_back(std::move(point));
   }
   return points;
 }

@@ -201,7 +201,7 @@ NetworkSession& BatchEngine::session(const std::string& id) const {
 bool BatchEngine::incremental_job(const SolveJob& job) const {
   return options_.incremental && job.resolve_on_update &&
          job.objective == Objective::kMaxFrameRate &&
-         job.algorithm == "ELPC" && job.repeats <= 1 && !job.warmup;
+         job.algorithm == "ELPC";
 }
 
 std::vector<SolveResult> BatchEngine::solve(const std::vector<SolveJob>& jobs,
@@ -469,23 +469,11 @@ void BatchEngine::solve_one(
     const mapping::MapperPtr mapper = options_.factory(job, job_ctx);
     const mapping::Problem problem(job.pipeline, *snap.network, job.source,
                                    job.destination, job.cost);
-    const bool framerate = job.objective == Objective::kMaxFrameRate;
-    const auto run = [&]() {
-      return framerate ? mapper->max_frame_rate(problem)
-                       : mapper->min_delay(problem);
-    };
-    const std::size_t repeats = std::max<std::size_t>(1, job.repeats);
-    if (job.warmup) {
-      (void)run();  // untimed, excluded from mean_runtime_ms
-    }
-    util::WallTimer timer;
-    mapping::MapResult result;
-    for (std::size_t r = 0; r < repeats; ++r) {
-      result = run();
-    }
-    out.mean_runtime_ms =
-        timer.elapsed_ms() / static_cast<double>(repeats);
-    out.result = std::move(result);
+    const util::WallTimer timer;
+    out.result = job.objective == Objective::kMaxFrameRate
+                     ? mapper->max_frame_rate(problem)
+                     : mapper->min_delay(problem);
+    out.mean_runtime_ms = timer.elapsed_ms();
     if (kernel_serves) {
       kernel_jobs_->add();
     }

@@ -77,6 +77,8 @@ struct SolveResult {
   /// set for ELPC frame-rate jobs, empty for algorithms/objectives the
   /// kernel never runs under.
   std::string kernel;
+  /// Wall time of the job's one solve, the mapper call alone (0 when it
+  /// failed or aborted).  Named as its `include_timing` key.
   double mean_runtime_ms = 0.0;
   /// Participant slot that ran the job (0 = the calling thread).
   std::size_t shard = 0;
@@ -329,9 +331,7 @@ class BatchEngine {
  private:
   [[nodiscard]] NetworkSession* find_session(const std::string& id) const;
   /// True when the engine retains/reuses a checkpoint for this job:
-  /// incremental engines, subscribed ELPC frame-rate jobs, single
-  /// plain run (repeats/warmup re-run the solve with one delta, which
-  /// only the first run could apply).
+  /// incremental engines, subscribed ELPC frame-rate jobs.
   [[nodiscard]] bool incremental_job(const SolveJob& job) const;
   /// `snapshots` and `checkpoints` (null = plain solve; held = pinned
   /// against eviction) are index-aligned with `jobs`, resolved up front

@@ -58,11 +58,6 @@ namespace elpc::service {
 
 enum class Objective { kMinDelay, kMaxFrameRate };
 
-/// Upper bound on SolveJob::repeats accepted from a job document: a
-/// bench knob, and an unbounded count would let one job hold an engine
-/// worker indefinitely.
-inline constexpr std::int64_t kMaxRepeats = 1000;
-
 /// One queued solve: which session, what pipeline, which objective.
 struct SolveJob {
   /// Caller-chosen identifier echoed in the result.
@@ -76,14 +71,6 @@ struct SolveJob {
   /// Mapper name resolved by the engine's factory ("ELPC" built in).
   std::string algorithm = "ELPC";
   pipeline::CostOptions cost;
-  /// Timed solve repetitions (benchmark use).  The reported result is
-  /// the last run's — all runs are identical — and mean_runtime_ms
-  /// averages the timed ones.
-  std::size_t repeats = 1;
-  /// Run one untimed solve before the timed ones (benchmark-style:
-  /// excludes first-call arena growth and cold caches from the mean).
-  /// Serving jobs leave this off — a job must not run twice.
-  bool warmup = false;
   /// Retain this job as a subscription: apply_link_updates on its
   /// network re-solves it against the new revision.
   bool resolve_on_update = false;

@@ -32,8 +32,6 @@ util::Json to_json(const SolveJob& job) {
   doc.set("source", job.source);
   doc.set("destination", job.destination);
   doc.set("include_link_delay", job.cost.include_link_delay);
-  doc.set("repeats", job.repeats);
-  doc.set("warmup", job.warmup);
   doc.set("resolve_on_update", job.resolve_on_update);
   if (job.deadline_ms > 0) {
     doc.set("deadline_ms", job.deadline_ms);
@@ -59,18 +57,6 @@ SolveJob job_from_json(const util::Json& doc) {
   job.cost = default_cost(job.objective);
   if (const util::Json* mld = doc.find("include_link_delay")) {
     job.cost.include_link_delay = mld->as_bool();
-  }
-  if (const util::Json* repeats = doc.find("repeats")) {
-    const std::int64_t n = repeats->as_int();
-    if (n < 1 || n > kMaxRepeats) {
-      throw std::invalid_argument("job '" + job.id +
-                                  "': repeats must be in [1, " +
-                                  std::to_string(kMaxRepeats) + "]");
-    }
-    job.repeats = static_cast<std::size_t>(n);
-  }
-  if (const util::Json* warmup = doc.find("warmup")) {
-    job.warmup = warmup->as_bool();
   }
   if (const util::Json* resolve = doc.find("resolve_on_update")) {
     job.resolve_on_update = resolve->as_bool();

@@ -9,9 +9,10 @@
 //              "destination",
 //              optional: "algorithm" (default "ELPC"),
 //                        "include_link_delay" (default per objective),
-//                        "repeats" (1..kMaxRepeats, default 1),
-//                        "warmup" (default false),
-//                        "resolve_on_update" (default false)}]}
+//                        "resolve_on_update" (default false),
+//                        "deadline_ms" (>= 0, default 0 = none),
+//                        "trace_id"}]}
+// Other members are ignored.  Each job is solved exactly once.
 //
 // Result document ({"results": [...]}, one entry per job, job order):
 // canonical by construction — sorted object keys, no timing or shard

@@ -25,10 +25,10 @@
 //                      (detectable: the next incremental re-solve fails
 //                      its version check and falls back to a full solve
 //                      — results stay bit-identical)
-//   socket_send_epipe  UnixSocket::send_line throws before sending
-//   socket_short_write UnixSocket::send_line sends a torn frame, then
+//   socket_send_epipe  StreamSocket::send_line throws before sending
+//   socket_short_write StreamSocket::send_line sends a torn frame, then
 //                      throws
-//   socket_recv_slow   UnixSocket::recv_line sleeps param ms first
+//   socket_recv_slow   StreamSocket::recv_line sleeps param ms first
 
 #include <atomic>
 #include <cstdint>

@@ -158,11 +158,6 @@ class StreamSocket {
   std::size_t max_line_bytes_ = kDefaultMaxLineBytes;
 };
 
-/// The pre-TCP name, kept so call sites (and test suites) predating the
-/// transport split keep reading naturally where the socket really is
-/// Unix-domain.
-using UnixSocket = StreamSocket;
-
 /// Listening Unix-domain socket bound to a filesystem path.  A stale
 /// socket file from a crashed daemon is unlinked before bind — but only
 /// after a trial connect proves nothing is accepting on it, so starting

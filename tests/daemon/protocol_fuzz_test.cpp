@@ -88,7 +88,8 @@ TEST(SocketServer, SurvivesMalformedAndHostileFrames) {
       "",                                        // empty line
   };
   {
-    util::UnixSocket hostile = util::UnixSocket::connect(server.socket_path());
+    util::StreamSocket hostile =
+        util::StreamSocket::connect(server.socket_path());
     for (const std::string& frame : bad_frames) {
       hostile.send_line(frame);
       const std::optional<std::string> answer = hostile.recv_line();
@@ -139,11 +140,11 @@ TEST(DaemonClient, RetriesReconnectAfterTransientConnectionLoss) {
     // First connection: accepted, then dropped without an answer — the
     // "daemon restarted under the client" shape.
     {
-      std::optional<util::UnixSocket> first = listener.accept();
+      std::optional<util::StreamSocket> first = listener.accept();
       ASSERT_TRUE(first.has_value());
     }  // closed on scope exit
     // Second connection (the retry): answer one request properly.
-    std::optional<util::UnixSocket> second = listener.accept();
+    std::optional<util::StreamSocket> second = listener.accept();
     ASSERT_TRUE(second.has_value());
     const std::optional<std::string> line = second->recv_line();
     ASSERT_TRUE(line.has_value());
@@ -171,7 +172,7 @@ TEST(DaemonClient, ZeroRetriesSurfacesTheFirstFailure) {
   util::UnixListener listener(socket_path("noretry"));
   std::thread closing_server([&listener]() {
     // Drop every connection unanswered until the listener closes.
-    while (std::optional<util::UnixSocket> peer = listener.accept()) {
+    while (std::optional<util::StreamSocket> peer = listener.accept()) {
     }
   });
 
@@ -196,7 +197,7 @@ TEST(DaemonClient, SubmitAllNeverResendsAfterAFrameLeft) {
   util::UnixListener listener(socket_path("noresend"));
   int connections = 0;
   std::thread dropping_server([&listener, &connections]() {
-    while (std::optional<util::UnixSocket> peer = listener.accept()) {
+    while (std::optional<util::StreamSocket> peer = listener.accept()) {
       if (++connections == 1) {
         (void)peer->recv_line();  // a submit arrived; hang up unanswered
         continue;
@@ -239,7 +240,7 @@ TEST(DaemonClient, WaitAllReissuesOnlyUnansweredWaitsAfterReconnect) {
   };
   std::thread flaky_server([&]() {
     {
-      std::optional<util::UnixSocket> first = listener.accept();
+      std::optional<util::StreamSocket> first = listener.accept();
       ASSERT_TRUE(first.has_value());
       std::vector<Ticket> asked;
       for (int i = 0; i < 3; ++i) {
@@ -251,7 +252,7 @@ TEST(DaemonClient, WaitAllReissuesOnlyUnansweredWaitsAfterReconnect) {
       first->send_line(status_line(9));
       first->send_line(status_line(7));
     }  // dropped with ticket 8 unanswered
-    std::optional<util::UnixSocket> second = listener.accept();
+    std::optional<util::StreamSocket> second = listener.accept();
     ASSERT_TRUE(second.has_value());
     const std::optional<std::string> line = second->recv_line();
     ASSERT_TRUE(line.has_value());

@@ -781,7 +781,7 @@ TEST(SocketServer, DemandingV2FromAV1OnlyServerFailsLoudly) {
   const std::string path = socket_path("v1only");
   util::UnixListener listener(path);
   std::thread old_server([&listener]() {
-    std::optional<util::UnixSocket> peer = listener.accept();
+    std::optional<util::StreamSocket> peer = listener.accept();
     ASSERT_TRUE(peer.has_value());
     const std::optional<std::string> line = peer->recv_line();
     ASSERT_TRUE(line.has_value());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -354,23 +355,73 @@ TEST(BatchEngine, SupersededRevisionFreedAfterResolve) {
   EXPECT_EQ(stats.cached_bytes, session.snapshot()->approx_bytes());
 }
 
-TEST(BatchEngine, RepeatsReportTimingWithoutChangingResults) {
-  BatchEngine engine;
+/// Forwards to the engine's ELPC mapper and counts every solve.
+class CountingMapper : public mapping::Mapper {
+ public:
+  CountingMapper(mapping::MapperPtr inner, std::atomic<int>& solves)
+      : inner_(std::move(inner)), solves_(solves) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] mapping::MapResult min_delay(
+      const mapping::Problem& problem) const override {
+    ++solves_;
+    return inner_->min_delay(problem);
+  }
+  [[nodiscard]] mapping::MapResult max_frame_rate(
+      const mapping::Problem& problem) const override {
+    ++solves_;
+    return inner_->max_frame_rate(problem);
+  }
+
+ private:
+  mapping::MapperPtr inner_;
+  std::atomic<int>& solves_;
+};
+
+/// `jobs` as an older client sends them, carrying the former timing
+/// fields at the most solves they could ask for.
+std::vector<SolveJob> with_legacy_timing_fields(
+    const std::vector<SolveJob>& jobs) {
+  std::vector<SolveJob> parsed;
+  for (const SolveJob& job : jobs) {
+    util::Json doc = to_json(job);
+    doc.set("repeats", 1000);
+    doc.set("warmup", true);
+    parsed.push_back(job_from_json(doc));
+  }
+  return parsed;
+}
+
+TEST(BatchEngine, JobSolvesOnceWhateverTimingFieldsItCarries) {
+  std::atomic<int> solves{0};
+  BatchEngineOptions options;
+  options.factory = [&](const SolveJob&, const MapperContext& ctx) {
+    return std::make_unique<CountingMapper>(make_engine_elpc(ctx), solves);
+  };
+  BatchEngine engine(options);
   engine.register_network("shared", make_network(5, 12, 70));
   std::vector<SolveJob> jobs = shared_network_jobs();
-  jobs.resize(2);
-  jobs[0].repeats = 5;
-  const std::vector<SolveResult> timed = engine.solve(jobs);
+  jobs.resize(2);  // one delay job, one frame-rate job
+  const std::vector<SolveResult> results =
+      engine.solve(with_legacy_timing_fields(jobs));
+  EXPECT_EQ(solves.load(), 2);
+  for (const SolveResult& result : results) {
+    EXPECT_TRUE(result.error.empty()) << result.error;
+    EXPECT_GE(result.mean_runtime_ms, 0.0);
+  }
+}
 
-  BatchEngine plain;
-  plain.register_network("shared", make_network(5, 12, 70));
-  std::vector<SolveJob> once = jobs;
-  once[0].repeats = 1;
-  const std::vector<SolveResult> single = plain.solve(once);
-
-  EXPECT_EQ(timed[0].result.seconds, single[0].result.seconds);
-  EXPECT_EQ(timed[0].result.mapping, single[0].result.mapping);
-  EXPECT_GE(timed[0].mean_runtime_ms, 0.0);
+TEST(BatchEngine, SubscribedJobCarryingTimingFieldsKeepsItsCheckpoint) {
+  BatchEngineOptions options;
+  options.incremental = true;
+  BatchEngine engine(options);
+  engine.register_network("shared", make_network(5, 12, 70));
+  SolveJob job = shared_network_jobs()[1];
+  ASSERT_EQ(job.objective, Objective::kMaxFrameRate);
+  job.resolve_on_update = true;
+  const std::vector<SolveResult> results =
+      engine.solve(with_legacy_timing_fields({job}));
+  ASSERT_TRUE(results[0].error.empty()) << results[0].error;
+  EXPECT_NE(engine.session("shared").checkpoint(job.id), nullptr);
 }
 
 TEST(BatchSerialize, JobRoundTripsThroughJson) {
@@ -383,8 +434,6 @@ TEST(BatchSerialize, JobRoundTripsThroughJson) {
   job.objective = Objective::kMaxFrameRate;
   job.algorithm = "Greedy";
   job.cost = pipeline::CostOptions{.include_link_delay = true};
-  job.repeats = 4;
-  job.warmup = true;
   job.resolve_on_update = true;
 
   const SolveJob back = job_from_json(to_json(job));
@@ -395,28 +444,31 @@ TEST(BatchSerialize, JobRoundTripsThroughJson) {
   EXPECT_EQ(back.source, job.source);
   EXPECT_EQ(back.destination, job.destination);
   EXPECT_EQ(back.cost.include_link_delay, job.cost.include_link_delay);
-  EXPECT_EQ(back.repeats, job.repeats);
-  EXPECT_EQ(back.warmup, job.warmup);
   EXPECT_EQ(back.resolve_on_update, job.resolve_on_update);
   EXPECT_EQ(back.pipeline.module_count(), job.pipeline.module_count());
 }
 
-TEST(BatchSerialize, RepeatsOutsideTheBoundRejected) {
+/// Documents from older clients may still carry the former timing
+/// fields, with any value: they parse exactly like a document without
+/// them, and nothing writes them back.
+TEST(BatchSerialize, LegacyTimingFieldsAreIgnored) {
   SolveJob job;
   job.id = "r";
   job.network = "n";
   job.pipeline = make_pipeline(3, 3);
   job.source = 0;
   job.destination = 1;
-  job.repeats = static_cast<std::size_t>(kMaxRepeats);
-  util::Json doc = to_json(job);
-  EXPECT_EQ(job_from_json(doc).repeats, job.repeats);
-
-  const auto over = static_cast<double>(kMaxRepeats + 1);
-  for (const double repeats : {0.0, over, 1e12}) {
-    doc.set("repeats", repeats);
-    EXPECT_THROW((void)job_from_json(doc), std::invalid_argument)
-        << "repeats=" << repeats;
+  const std::string plain = to_json(job).dump();
+  EXPECT_EQ(plain.find("repeats"), std::string::npos);
+  EXPECT_EQ(plain.find("warmup"), std::string::npos);
+  for (const double repeats : {1.0, 0.0, 1001.0, 1e12}) {
+    for (const bool warmup : {false, true}) {
+      util::Json doc = to_json(job);
+      doc.set("repeats", repeats);
+      doc.set("warmup", warmup);
+      EXPECT_EQ(to_json(job_from_json(doc)).dump(), plain)
+          << "repeats=" << repeats << " warmup=" << warmup;
+    }
   }
 }
 

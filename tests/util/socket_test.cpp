@@ -19,7 +19,7 @@ std::string socket_path(const std::string& tag) {
 TEST(UnixSocket, LineFramedEchoRoundTrip) {
   UnixListener listener(socket_path("echo"));
   std::thread server([&listener]() {
-    std::optional<UnixSocket> peer = listener.accept();
+    std::optional<StreamSocket> peer = listener.accept();
     ASSERT_TRUE(peer.has_value());
     for (;;) {
       const std::optional<std::string> line = peer->recv_line();
@@ -30,7 +30,7 @@ TEST(UnixSocket, LineFramedEchoRoundTrip) {
     }
   });
 
-  UnixSocket client = UnixSocket::connect(listener.path());
+  StreamSocket client = StreamSocket::connect(listener.path());
   client.send_line("hello");
   EXPECT_EQ(client.recv_line(), "echo:hello");
   // Framing survives several messages on one connection, including
@@ -48,7 +48,7 @@ TEST(UnixSocket, LineFramedEchoRoundTrip) {
 TEST(UnixSocket, OverlongUnterminatedLineThrowsFrameError) {
   UnixListener listener(socket_path("cap"));
   std::thread server([&listener]() {
-    std::optional<UnixSocket> peer = listener.accept();
+    std::optional<StreamSocket> peer = listener.accept();
     ASSERT_TRUE(peer.has_value());
     // A message under the cap still frames fine...
     peer->send_line(std::string(32, 'a'));
@@ -60,7 +60,7 @@ TEST(UnixSocket, OverlongUnterminatedLineThrowsFrameError) {
     }
   });
 
-  UnixSocket client = UnixSocket::connect(listener.path());
+  StreamSocket client = StreamSocket::connect(listener.path());
   client.set_max_line_bytes(256);
   EXPECT_EQ(client.recv_line(), std::string(32, 'a'));
   // The 4 KiB frame exceeds the 256-byte cap long before its terminator
@@ -72,7 +72,7 @@ TEST(UnixSocket, OverlongUnterminatedLineThrowsFrameError) {
 
 TEST(UnixSocket, ZeroLineCapRejected) {
   // An uncapped buffer is exactly the failure mode the cap exists for.
-  UnixSocket socket;
+  StreamSocket socket;
   EXPECT_THROW(socket.set_max_line_bytes(0), SocketError);
 }
 
@@ -85,12 +85,12 @@ TEST(UnixSocket, FrameErrorIsASocketError) {
 }
 
 TEST(UnixSocket, ConnectToNothingThrows) {
-  EXPECT_THROW((void)UnixSocket::connect(socket_path("absent")),
+  EXPECT_THROW((void)StreamSocket::connect(socket_path("absent")),
                SocketError);
 }
 
 TEST(UnixSocket, OverlongPathRejectedNotTruncated) {
-  EXPECT_THROW((void)UnixSocket::connect("/tmp/" + std::string(200, 'x')),
+  EXPECT_THROW((void)StreamSocket::connect("/tmp/" + std::string(200, 'x')),
                SocketError);
 }
 

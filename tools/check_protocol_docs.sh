@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Docs-consistency gate: every verb the daemon dispatches, every stable
 # error code it answers, and every stats field it reports must be
-# documented.
+# documented, and the submit verb's job-field table must match the job
+# parser key for key.
 #
 # The sources of truth are the tables in the code:
 #   * the verb table's name column in src/daemon/socket_server.cpp
@@ -12,7 +13,11 @@
 #   * the stats-field table in src/daemon/stats_fields.cpp (rows
 #     `{"key" | nullptr, "elpc_family" | nullptr, ...}`) — each JSON key
 #     must appear in the `stats` section of docs/protocol.md §3, and each
-#     metric family in the metrics catalog of docs/operations.md.
+#     metric family in the metrics catalog of docs/operations.md;
+#   * the keys job_from_json in src/service/serialize.cpp reads
+#     (`doc.at("key")` / `doc.find("key")`) — each must be a row of the
+#     job-field table in the `submit` section of docs/protocol.md, and
+#     each row must be a key it reads.
 # Section headers use the bare name, tables and prose use `backticks`.
 # Run from anywhere:
 #
@@ -26,10 +31,11 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 server="$repo_root/src/daemon/socket_server.cpp"
 stats="$repo_root/src/daemon/stats_fields.cpp"
 codes="$repo_root/src/daemon/error_codes.hpp"
+serialize="$repo_root/src/service/serialize.cpp"
 doc="$repo_root/docs/protocol.md"
 ops="$repo_root/docs/operations.md"
 
-for f in "$server" "$stats" "$codes" "$doc" "$ops"; do
+for f in "$server" "$stats" "$codes" "$serialize" "$doc" "$ops"; do
   [ -f "$f" ] || { echo "check_protocol_docs: missing $f" >&2; exit 2; }
 done
 
@@ -84,5 +90,18 @@ catalog=$(awk '/^## .*Metrics catalog/ { on = 1; next } on && /^## / { exit } on
 report "metric families declared" "src/daemon/stats_fields.cpp" \
   "the metrics catalog of docs/operations.md" "$(names_missing "$families" "$catalog")"
 
+job_keys=$(awk '/^SolveJob job_from_json\(/ { on = 1 } on && /^}/ { exit } on' "$serialize" |
+  grep -oE 'doc\.(at|find)\("[a-z_]+"\)' | sed 's/^.*("\([a-z_]*\)")$/\1/' | sort -u)
+[ -n "$job_keys" ] || { echo "check_protocol_docs: no job_from_json keys found in $serialize (pattern drift?)" >&2; exit 2; }
+# A row's first cell may name several fields: | `source`, `destination` |.
+job_rows=$(awk '/^### submit/ { on = 1; next } on && /^##/ { exit } on' "$doc" |
+  awk '/^\| field \|/ { on = 1; next } on && !/^\|/ { exit } on' |
+  sed -n 's/^| \([^|]*\) |.*/\1/p' | grep -oE '`[a-z_]+`' | tr -d '`' | sort -u)
+[ -n "$job_rows" ] || { echo "check_protocol_docs: no job-field table in the submit section of $doc (pattern drift?)" >&2; exit 2; }
+report "job fields read" "job_from_json (src/service/serialize.cpp)" \
+  "the submit job-field table of docs/protocol.md" "$(names_missing "$job_keys" "$job_rows")"
+report "job fields documented" "the submit job-field table of docs/protocol.md" \
+  "what job_from_json (src/service/serialize.cpp) reads" "$(names_missing "$job_rows" "$job_keys")"
+
 count() { printf '%s\n' "$1" | wc -l | tr -d ' '; }
-echo "check_protocol_docs: ok ($(count "$verbs") verbs, $(count "$code_names") error codes, $(count "$stat_keys") stats keys, $(count "$families") metric families documented)"
+echo "check_protocol_docs: ok ($(count "$verbs") verbs, $(count "$code_names") error codes, $(count "$stat_keys") stats keys, $(count "$families") metric families, $(count "$job_keys") job fields documented)"
