@@ -33,7 +33,8 @@ constexpr const char* kJsonPath = "BENCH_runtime_scaling.json";
 /// per-objective milliseconds, plus the delta-driven re-solve dimension
 /// as two pseudo-algorithm records per scale ("ELPC-resolve-full" /
 /// "ELPC-resolve-incremental" — frame-rate-only by construction, so the
-/// delay field is zero).  The nightly perf run uploads this document;
+/// delay field is zero; their `*_mean_ms` keys, kept for the gate's
+/// reference, carry the median of the timed flips).  The nightly perf run uploads this document;
 /// the regression gate only compares keys present in its reference.
 void write_scaling_json(const std::vector<experiments::ScalingPoint>& points,
                         const std::vector<std::string>& names) {

@@ -246,7 +246,10 @@ util::Json DaemonClient::recv_response() {
 }
 
 util::Json DaemonClient::request(const util::Json& frame) {
-  const std::string payload = frame.dump();
+  return request_line(frame.dump());
+}
+
+util::Json DaemonClient::request_line(const std::string& payload) {
   util::Json response;
   with_retries([&] {
     socket_.send_line(payload);
@@ -296,7 +299,11 @@ void DaemonClient::stamp_trace(util::Json& frame) {
 
 util::Json DaemonClient::checked(util::Json frame) {
   stamp_trace(frame);
-  util::Json response = request(frame);
+  return checked_line(frame.dump());
+}
+
+util::Json DaemonClient::checked_line(const std::string& payload) {
+  util::Json response = request_line(payload);
   if (!response.at("ok").as_bool()) {
     throw DaemonError(response.at("error").as_string());
   }
@@ -305,10 +312,18 @@ util::Json DaemonClient::checked(util::Json frame) {
 
 void DaemonClient::register_network(const std::string& id,
                                     const graph::Network& network) {
-  util::Json frame = verb_frame("register_network");
-  frame.set("id", id);
-  frame.set("network", graph::to_json(network));
-  (void)checked(std::move(frame));
+  // The frame checked() would send, written as text around the network
+  // document: members in key order, the trace id stamped the same way.
+  std::string line = "{\"id\":";
+  util::dump_string(line, id);
+  line += ",\"network\":";
+  graph::append_json(line, network);
+  if (options_.auto_trace) {
+    line += ",\"trace_id\":";
+    util::dump_string(line, next_trace_id());
+  }
+  line += ",\"verb\":\"register_network\"}";
+  (void)checked_line(line);
 }
 
 Ticket DaemonClient::submit(const service::SolveJob& job, int priority) {

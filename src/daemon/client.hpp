@@ -207,6 +207,8 @@ class DaemonClient {
   [[nodiscard]] int protocol_version() const { return hello_.version; }
   [[nodiscard]] const HelloInfo& hello_info() const { return hello_; }
 
+  /// Writes the frame straight to text (graph::append_json, no Json
+  /// tree); its bytes equal the dump() of the frame built as a tree.
   void register_network(const std::string& id, const graph::Network& network);
   [[nodiscard]] Ticket submit(const service::SolveJob& job, int priority = 0);
   /// Non-blocking status; "result" present once terminal.
@@ -291,6 +293,10 @@ class DaemonClient {
   /// request() + raise DaemonError on ok=false.  Stamps the auto trace
   /// id first (see DaemonClientOptions::auto_trace).
   util::Json checked(util::Json frame);
+  /// checked() of a frame already dumped (and stamped) to `payload`.
+  util::Json checked_line(const std::string& payload);
+  /// request() of a frame already dumped to `payload`.
+  util::Json request_line(const std::string& payload);
   /// Stamps the auto trace id on `frame` unless it already carries one
   /// or auto_trace is off.
   void stamp_trace(util::Json& frame);

@@ -22,31 +22,24 @@ constexpr std::uint64_t kTcpListenerTag = 2;
 /// monopolize its worker's pass.
 constexpr std::size_t kRecvBudgetBytes = 256u << 10;
 
-/// True when the read buffer holds something process_frames can act on
-/// without more input: a complete text line, a complete binary frame,
-/// a malformed binary header, or a binary frame whose declared length
-/// already exceeds the cap (rejected without buffering it).
-bool has_actionable_frame(std::string_view buf,
-                          std::size_t max_line_bytes) {
-  if (buf.empty()) {
-    return false;
-  }
-  if (wire::is_frame_start(static_cast<unsigned char>(buf[0]))) {
-    try {
-      const std::optional<wire::FrameHeader> header = wire::parse_header(buf);
-      if (!header.has_value()) {
-        return false;  // torn header
-      }
-      return header->length > max_line_bytes ||
-             buf.size() >= wire::kHeaderBytes + header->length;
-    } catch (const wire::WireFormatError&) {
-      return true;  // malformed magic/flags: actionable as an error
-    }
-  }
-  return buf.find('\n') != std::string_view::npos;
+}  // namespace
+
+std::size_t MuxConnection::find_line_end() {
+  const std::size_t newline =
+      read_buffer_.find('\n', std::max(scan_offset_, read_offset_));
+  scan_offset_ = newline == std::string::npos ? read_buffer_.size() : newline;
+  return newline;
 }
 
-}  // namespace
+void MuxConnection::compact_read_buffer() {
+  read_buffer_.erase(0, read_offset_);
+  scan_offset_ -= std::min(scan_offset_, read_offset_);
+  read_offset_ = 0;
+  if (read_buffer_.capacity() > kReadBufferKeepBytes &&
+      read_buffer_.size() <= kReadBufferKeepBytes) {
+    read_buffer_.shrink_to_fit();
+  }
+}
 
 void MuxConnection::send_line(const std::string& line) {
   std::vector<std::string> chunks;
@@ -337,7 +330,9 @@ void ConnectionMux::frame_violation(Worker& worker,
   // one error frame (best effort), then close — the stream can never
   // re-sync to a frame boundary.
   conn->read_buffer_.clear();
+  conn->read_buffer_.shrink_to_fit();
   conn->read_offset_ = 0;
+  conn->scan_offset_ = 0;
   conn->reading_paused_ = true;
   const std::uint32_t interest =
       conn->epollout_armed_ ? util::Poller::kWritable : 0;
@@ -351,6 +346,27 @@ void ConnectionMux::frame_violation(Worker& worker,
     conn->send_line(callbacks_.frame_error_line(diagnostic));
   }
   conn->close_after_flush("protocol");
+}
+
+bool ConnectionMux::has_actionable_frame(MuxConnection& conn) const {
+  const std::string_view buf =
+      std::string_view(conn.read_buffer_).substr(conn.read_offset_);
+  if (buf.empty()) {
+    return false;
+  }
+  if (wire::is_frame_start(static_cast<unsigned char>(buf[0]))) {
+    try {
+      const std::optional<wire::FrameHeader> header = wire::parse_header(buf);
+      if (!header.has_value()) {
+        return false;  // torn header
+      }
+      return header->length > options_.max_line_bytes ||
+             buf.size() >= wire::kHeaderBytes + header->length;
+    } catch (const wire::WireFormatError&) {
+      return true;  // malformed magic/flags: actionable as an error
+    }
+  }
+  return conn.find_line_end() != std::string::npos;
 }
 
 void ConnectionMux::process_frames(Worker& worker,
@@ -404,13 +420,14 @@ void ConnectionMux::process_frames(Worker& worker,
       callbacks_.on_binary_frame(
           conn, *header, buf.substr(wire::kHeaderBytes, header->length));
     } else {
-      const std::size_t newline = buf.find('\n');
-      if (newline == std::string_view::npos) {
+      const std::size_t newline = conn->find_line_end();
+      if (newline == std::string::npos) {
         break;
       }
-      conn->read_offset_ += newline + 1;
+      const std::size_t length = newline - conn->read_offset_;
+      conn->read_offset_ = newline + 1;
       if (callbacks_.on_frame) {
-        callbacks_.on_frame(conn, buf.substr(0, newline));
+        callbacks_.on_frame(conn, buf.substr(0, length));
       }
     }
     ++handled;
@@ -421,8 +438,7 @@ void ConnectionMux::process_frames(Worker& worker,
       }
     }
   }
-  const std::string_view rest = unread();
-  if (has_actionable_frame(rest, options_.max_line_bytes)) {
+  if (has_actionable_frame(*conn)) {
     // More complete frames buffered: rotate to the back of the ready
     // ring instead of hogging this pass (round-robin fairness).
     if (!conn->in_ready_) {
@@ -431,6 +447,11 @@ void ConnectionMux::process_frames(Worker& worker,
     }
     return;
   }
+  // Nothing left to act on, so the buffer holds at most one torn frame:
+  // drop what this pass consumed (and a large frame's capacity) now
+  // rather than at the next read, which may never come.
+  conn->compact_read_buffer();
+  const std::string_view rest = unread();
   if (!rest.empty() &&
       !wire::is_frame_start(static_cast<unsigned char>(rest[0])) &&
       rest.size() > options_.max_line_bytes) {
@@ -450,8 +471,7 @@ void ConnectionMux::handle_readable(Worker& worker,
     return;
   }
   // Drop what earlier passes consumed: one compaction per read.
-  conn->read_buffer_.erase(0, conn->read_offset_);
-  conn->read_offset_ = 0;
+  conn->compact_read_buffer();
   switch (conn->socket_.recv_available(conn->read_buffer_, kRecvBudgetBytes)) {
     case util::StreamSocket::IoStatus::kOk:
       process_frames(worker, conn, /*drain_all=*/false);

@@ -73,6 +73,11 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
   void close_after_flush(const std::string& reason);
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+  /// Bytes the read buffer has allocated.  Owning worker only (call it
+  /// from on_frame).
+  [[nodiscard]] std::size_t read_capacity() const noexcept {
+    return read_buffer_.capacity();
+  }
   /// "unix" or "tcp" — the metrics label of the accepting listener.
   [[nodiscard]] const std::string& transport() const noexcept {
     return transport_;
@@ -107,6 +112,17 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
   /// dropped once per read instead of once per frame.
   std::string read_buffer_;
   std::size_t read_offset_ = 0;
+  /// [read_offset_, scan_offset_) is known to hold no '\n', so a torn
+  /// line is scanned once as it arrives, not from its start every wake.
+  std::size_t scan_offset_ = 0;
+
+  /// Position of the '\n' that ends the text line at read_offset_, or
+  /// npos; scans only bytes no earlier call has scanned.
+  [[nodiscard]] std::size_t find_line_end();
+  /// Drops the consumed prefix; once the unread tail fits under
+  /// kReadBufferKeepBytes, also hands back the capacity a large frame
+  /// grew the buffer to.
+  void compact_read_buffer();
   /// Set after a frame-cap violation: the stream cannot re-sync, so the
   /// worker stops extracting (and polling for) input while the error
   /// frame drains.
@@ -130,6 +146,14 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
   bool overflowed_ = false;    // write_queue_bytes_ crossed the cap
   bool closed_ = false;        // fd gone; everything else is a no-op
 };
+
+/// Most read-buffer capacity a connection keeps between frames.  Once
+/// the unread bytes fit under it, a buffer grown past it (by a
+/// multi-MiB register_network) is cut back to those bytes, so a
+/// long-lived connection does not hold one large frame's peak for the
+/// rest of its life.  Ordinary traffic never reaches it: one wake reads
+/// at most 256 KiB.
+inline constexpr std::size_t kReadBufferKeepBytes = 1u << 20;
 
 struct MuxOptions {
   /// IO worker threads — the daemon's steady-state thread bill for ANY
@@ -223,6 +247,11 @@ class ConnectionMux {
   /// the connection died.
   void handle_readable(Worker& worker,
                        const std::shared_ptr<MuxConnection>& conn);
+  /// True when the unread bytes hold something process_frames can act
+  /// on without more input: a complete text line, a complete binary
+  /// frame, a malformed binary header, or a binary frame whose declared
+  /// length already exceeds the cap (rejected without buffering it).
+  [[nodiscard]] bool has_actionable_frame(MuxConnection& conn) const;
   /// Extracts up to max_frames_per_wake frames (all of them with
   /// drain_all — the EOF path, where no later wakeup is coming);
   /// re-queues the connection on the ready ring when more remain.

@@ -9,6 +9,7 @@
 #include "graph/generators.hpp"
 #include "pipeline/generator.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 #include "workload/scenario.hpp"
 
@@ -68,6 +69,19 @@ std::vector<ScalingPoint> run_scaling_study(const ScalingConfig& config) {
       };
       const std::size_t resolves =
           std::max<std::size_t>(1, config.resolve_repeats);
+      // Each flip and its re-solve timed on its own, reported as the
+      // median: one stalled run cannot set the row.
+      const auto median_resolve_ms = [&](const core::ElpcMapper& mapper,
+                                         std::size_t first_flip) {
+        std::vector<double> ms(resolves);
+        for (std::size_t i = 0; i < resolves; ++i) {
+          const util::WallTimer timer;
+          flip(first_flip + i);
+          (void)mapper.max_frame_rate(problem);
+          ms[i] = timer.elapsed_ms();
+        }
+        return util::percentile(std::move(ms), 50.0);
+      };
 
       core::IncrementalCheckpoint checkpoint;
       core::ElpcOptions capture_options;
@@ -75,28 +89,16 @@ std::vector<ScalingPoint> run_scaling_study(const ScalingConfig& config) {
       // Capture doubles as the warm-up solve for both timed loops.
       (void)core::ElpcMapper(capture_options).max_frame_rate(problem);
 
-      const core::ElpcMapper scratch_mapper;
-      util::WallTimer timer;
-      for (std::size_t i = 0; i < resolves; ++i) {
-        flip(i);
-        (void)scratch_mapper.max_frame_rate(problem);
-      }
       point.elpc_resolve_full_ms =
-          timer.elapsed_ms() / static_cast<double>(resolves);
+          median_resolve_ms(core::ElpcMapper(), 0);
 
       // Re-capture against the post-flip network so the incremental
       // loop's first delta applies (versions must line up exactly).
       (void)core::ElpcMapper(capture_options).max_frame_rate(problem);
       core::ElpcOptions incremental_options = capture_options;
       incremental_options.delta = &updates;
-      const core::ElpcMapper incremental_mapper(incremental_options);
-      timer.reset();
-      for (std::size_t i = 0; i < resolves; ++i) {
-        flip(i + 1);
-        (void)incremental_mapper.max_frame_rate(problem);
-      }
       point.elpc_resolve_incremental_ms =
-          timer.elapsed_ms() / static_cast<double>(resolves);
+          median_resolve_ms(core::ElpcMapper(incremental_options), 1);
     }
 
     // Time each algorithm's library-default mapper (internal column sweep

@@ -24,8 +24,10 @@ struct ScalingPoint {
   /// BENCH_runtime_scaling.json perf trajectory.
   std::vector<double> min_delay_ms;
   std::vector<double> max_frame_rate_ms;
-  /// Delta-driven re-solve dimension: mean milliseconds to re-solve the
-  /// ELPC frame-rate problem after a single-link bandwidth delta — once
+  /// Delta-driven re-solve dimension: median milliseconds, over
+  /// `resolve_repeats` flips each timed on its own, to apply a
+  /// single-link bandwidth delta and re-solve the ELPC frame-rate
+  /// problem — once
   /// recomputing from scratch, once reusing the retained column
   /// checkpoint (core/incremental.hpp).  Same answers by contract; the
   /// ratio is the incremental speedup the nightly perf run tracks.
@@ -39,7 +41,8 @@ struct ScalingConfig {
       {5, 10}, {10, 25}, {15, 50}, {20, 100}, {30, 200}, {40, 400}};
   double density = 0.6;
   std::size_t repeats = 3;
-  /// Timed single-link re-solves per variant of the re-solve dimension.
+  /// Timed single-link re-solves per variant of the re-solve dimension
+  /// (the row reports their median).
   std::size_t resolve_repeats = 5;
   std::uint64_t seed = 11;
 };

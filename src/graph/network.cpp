@@ -105,6 +105,10 @@ void Network::add_link(NodeId from, NodeId to, LinkAttr attr) {
   ++version_;
 }
 
+void Network::reserve_links(std::size_t count) {
+  staged_.reserve(staged_.size() + count);
+}
+
 void Network::index_staged() {
   const auto insert = [this](std::size_t index) {
     const std::uint64_t key = link_key(staged_[index].from, staged_[index].to);

@@ -117,6 +117,10 @@ class Network {
   /// delay.  Invalidates the CSR view until the next finalize().
   void add_link(NodeId from, NodeId to, LinkAttr attr);
 
+  /// Makes room to stage `count` more links, so a loader that knows its
+  /// link count up front fills the staging without regrowing it.
+  void reserve_links(std::size_t count);
+
   /// Adds links in both directions with the same attributes.
   void add_duplex_link(NodeId a, NodeId b, LinkAttr attr);
 

@@ -188,8 +188,6 @@ Json& Json::push_back(Json value) {
   return *this;
 }
 
-namespace {
-
 void dump_string(std::string& out, std::string_view s) {
   out += '"';
   std::size_t run = 0;  // start of the bytes not yet copied
@@ -240,6 +238,8 @@ void dump_number(std::string& out, double d) {
                           std::chars_format::general, 17);
   out.append(buf, r.ptr);
 }
+
+namespace {
 
 /// Scratch stacks shared by one thread's parses.  The members and
 /// elements of the containers still open collect here; a container

@@ -158,6 +158,12 @@ class Json {
       value_;
 };
 
+/// The encoders dump() prints strings and numbers with, for writers that
+/// emit a canonical document straight to text (graph::append_json): the
+/// same bytes dump() gives for Json(s) / Json(d), appended to `out`.
+void dump_string(std::string& out, std::string_view s);
+void dump_number(std::string& out, double d);
+
 // JsonObject's inline members need Json complete.
 inline JsonObject::const_iterator JsonObject::begin() const {
   return members_.begin();

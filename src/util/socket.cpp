@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "util/fault_injector.hpp"
@@ -26,6 +27,34 @@ namespace {
 [[noreturn]] void throw_errno(const std::string& what) {
   throw SocketError(what + ": " + std::strerror(errno));
 }
+
+/// Sends `head` then `tail` in full (blocking), gathered by sendmsg so
+/// the two leave without being copied together; retries partial writes
+/// and EINTR.
+void send_all(int fd, std::string_view head, std::string_view tail) {
+  while (!head.empty() || !tail.empty()) {
+    iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                    {const_cast<char*>(tail.data()), tail.size()}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      throw_errno("send");
+    }
+    const auto sent = static_cast<std::size_t>(n);
+    const std::size_t from_head = std::min(sent, head.size());
+    head.remove_prefix(from_head);
+    tail.remove_prefix(sent - from_head);
+  }
+}
+
+/// First read of each recv_available step; each read that fills its
+/// window doubles the next one, up to the caller's byte budget.
+constexpr std::size_t kRecvWindowBytes = 16u << 10;
 
 /// Fills a sockaddr_un for `path`; rejects paths longer than sun_path
 /// (the silent-truncation alternative would bind somewhere unexpected).
@@ -194,27 +223,20 @@ void StreamSocket::send_line(const std::string& message) {
   if (faults.enabled() && faults.should_fire("socket_send_epipe")) {
     throw SocketError("send: injected EPIPE");
   }
-  std::string framed = message + "\n";
+  std::string_view head = message;
+  std::string_view tail = "\n";
   // A torn frame: deliver a prefix with no terminator, then fail the
   // send — the peer sees "closed mid-message", exactly what a process
   // dying between write() calls produces.
   const bool short_write =
       faults.enabled() && faults.should_fire("socket_short_write");
   if (short_write) {
-    framed.resize(std::max<std::size_t>(1, framed.size() / 2));
+    const std::size_t prefix =
+        std::max<std::size_t>(1, (message.size() + 1) / 2);
+    tail = tail.substr(0, prefix - std::min(prefix, head.size()));
+    head = head.substr(0, prefix);
   }
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw_errno("send");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  send_all(fd_, head, tail);
   if (short_write) {
     throw SocketError("send: injected short write");
   }
@@ -228,18 +250,7 @@ void StreamSocket::send_bytes(const std::string& bytes) {
   if (faults.enabled() && faults.should_fire("socket_send_epipe")) {
     throw SocketError("send: injected EPIPE");
   }
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw_errno("send");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  send_all(fd_, bytes, {});
 }
 
 void StreamSocket::compact_buffer() {
@@ -363,24 +374,34 @@ StreamSocket::IoStatus StreamSocket::recv_available(std::string& buffer,
   if (!valid()) {
     return IoStatus::kError;
   }
+  // Reads land in `buffer` itself, in a window grown past its end and
+  // trimmed back to what arrived: no bounce through a stack chunk.
   std::size_t received = 0;
-  char chunk[16384];
+  std::size_t window = kRecvWindowBytes;
   while (received < max_bytes) {
-    const std::size_t want =
-        std::min(sizeof(chunk), max_bytes - received);
-    const ssize_t n = ::recv(fd_, chunk, want, 0);
+    const std::size_t want = std::min(window, max_bytes - received);
+    const std::size_t size = buffer.size();
+    buffer.resize(size + want);
+    const ssize_t n = ::recv(fd_, buffer.data() + size, want, 0);
+    const int error = errno;
+    buffer.resize(size + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
     if (n > 0) {
-      buffer.append(chunk, static_cast<std::size_t>(n));
       received += static_cast<std::size_t>(n);
+      if (static_cast<std::size_t>(n) < want) {
+        // A short read took everything the kernel held; epoll is
+        // level-triggered, so bytes arriving later wake the worker again.
+        return IoStatus::kOk;
+      }
+      window *= 2;
       continue;
     }
     if (n == 0) {
       return IoStatus::kEof;
     }
-    if (errno == EINTR) {
+    if (error == EINTR) {
       continue;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+    if (error == EAGAIN || error == EWOULDBLOCK) {
       return received > 0 ? IoStatus::kOk : IoStatus::kWouldBlock;
     }
     return IoStatus::kError;

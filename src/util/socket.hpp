@@ -78,7 +78,8 @@ class StreamSocket {
   [[nodiscard]] int fd() const noexcept { return fd_; }
 
   /// Sends `message` plus the '\n' terminator (message must not itself
-  /// contain '\n' — the framing invariant).
+  /// contain '\n' — the framing invariant), gathered by one sendmsg
+  /// rather than copied into a terminated string.
   void send_line(const std::string& message);
 
   /// Sends `bytes` verbatim — the protocol-v2 binary frame path, where
@@ -128,7 +129,9 @@ class StreamSocket {
   };
 
   /// Appends whatever the kernel has buffered (up to max_bytes) to
-  /// `buffer` without blocking.  kOk means at least one byte arrived.
+  /// `buffer` without blocking, receiving straight into its tail.  kOk
+  /// means at least one byte arrived; it returns after a read that came
+  /// up short of its window, since that read emptied the kernel buffer.
   [[nodiscard]] IoStatus recv_available(std::string& buffer,
                                         std::size_t max_bytes);
 

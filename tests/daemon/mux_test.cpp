@@ -1,8 +1,9 @@
 // Edge cases of the epoll connection multiplexer front end: torn and
-// pipelined frames, write-queue backpressure, auth gating, per-client
-// quotas, waits outliving their submitter's connection, TCP transport
-// byte-identity, and the fixed-pool thread invariant idle connections
-// must not break.  The happy-path protocol flow lives in
+// pipelined frames (and the scan cursor that frames them in one pass),
+// read-buffer release after a large frame, write-queue backpressure,
+// auth gating, per-client quotas, waits outliving their submitter's
+// connection, TCP transport byte-identity, and the fixed-pool thread
+// invariant idle connections must not break.  The happy-path protocol flow lives in
 // socket_server_test.cpp; hostile-input robustness in
 // protocol_fuzz_test.cpp.
 
@@ -11,12 +12,16 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "daemon/client.hpp"
+#include "daemon/connection_mux.hpp"
 #include "daemon/socket_server.hpp"
 #include "daemon/wire_format.hpp"
 #include "graph/generators.hpp"
@@ -544,6 +549,159 @@ TEST(ConnectionMux, MalformedBinaryFramesAnswerProtocolErrorAndClose) {
   early.send_line(verb_frame("stats").dump());
   EXPECT_TRUE(util::Json::parse(early.recv_line().value()).at("ok").as_bool());
   early.close();
+
+  DaemonClient client(server.socket_path());
+  client.shutdown_server();
+  serve_thread.join();
+}
+
+/// "<bytes>:<hash>" — enough to tell an intact frame from a torn,
+/// doubled or shifted one without echoing megabytes back.
+std::string describe(std::string_view bytes) {
+  return std::to_string(bytes.size()) + ":" +
+         std::to_string(std::hash<std::string_view>{}(bytes));
+}
+
+/// A bare mux on one IO worker whose handlers answer each text frame
+/// with describe(line) and the read buffer's capacity at that moment,
+/// and each binary frame with "bin " + describe(payload): what the
+/// scan-cursor and buffer tests observe, with no verb layer in between.
+class EchoMux {
+ public:
+  explicit EchoMux(const std::string& tag) : listener_(socket_path(tag)) {
+    MuxOptions options;
+    options.io_workers = 1;
+    MuxCallbacks callbacks;
+    callbacks.on_frame = [](const std::shared_ptr<MuxConnection>& conn,
+                            std::string_view line) {
+      conn->send_line(describe(line) + " " +
+                      std::to_string(conn->read_capacity()));
+    };
+    callbacks.on_binary_frame = [](const std::shared_ptr<MuxConnection>& conn,
+                                   const wire::FrameHeader&,
+                                   std::string_view payload) {
+      conn->send_line("bin " + describe(payload));
+    };
+    mux_ = std::make_unique<ConnectionMux>(options, std::move(callbacks));
+    mux_->add_listener(&listener_);
+    mux_->start();
+  }
+
+  [[nodiscard]] util::StreamSocket connect() {
+    util::StreamSocket socket = util::StreamSocket::connect(listener_.path());
+    socket.set_recv_timeout(10000);
+    return socket;
+  }
+
+ private:
+  util::UnixListener listener_;
+  std::unique_ptr<ConnectionMux> mux_;  // stops before the listener dies
+};
+
+/// The answer's describe() part and its capacity figure.
+std::pair<std::string, std::size_t> echo_of(util::StreamSocket& socket) {
+  const std::string line = socket.recv_line().value();
+  const std::size_t space = line.rfind(' ');
+  return {line.substr(0, space), std::stoull(line.substr(space + 1))};
+}
+
+/// A line written in many small pieces, its '\n' in the last one, is
+/// handled exactly once and intact, however many wakes it spans.
+TEST(ConnectionMux, LineInManySmallWritesIsHandledOnceAndIntact) {
+  EchoMux mux("cursor_dribble");
+  util::StreamSocket raw = mux.connect();
+  std::string line(300u << 10, 'x');
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    line[i] = static_cast<char>('a' + i % 26);
+  }
+  const std::size_t piece = 4u << 10;
+  for (std::size_t at = 0; at < line.size(); at += piece) {
+    send_raw(raw, line.substr(at, piece));
+    if (at % (8 * piece) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  send_raw(raw, "\n");
+  EXPECT_EQ(echo_of(raw).first, describe(line));
+  // Nothing else was handled: the next answer is the next line's.
+  send_raw(raw, "ping\n");
+  EXPECT_EQ(echo_of(raw).first, describe("ping"));
+}
+
+/// A second line pipelined behind a torn first one (the first's end and
+/// all of the second in one write) is handled, in order.
+TEST(ConnectionMux, LinePipelinedBehindATornLineIsHandled) {
+  EchoMux mux("cursor_pipelined");
+  util::StreamSocket raw = mux.connect();
+  const std::string head(40u << 10, 'h');
+  send_raw(raw, head);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  send_raw(raw, "tail\nsecond\n");
+  EXPECT_EQ(echo_of(raw).first, describe(head + "tail"));
+  EXPECT_EQ(echo_of(raw).first, describe("second"));
+}
+
+/// A text line and a binary frame in the same buffer are both handled:
+/// the line's scan stops at its '\n', and the frame after it is framed
+/// by its header, whether the line arrived whole or torn.
+TEST(ConnectionMux, TextLineThenBinaryFrameInOneBuffer) {
+  EchoMux mux("cursor_binary");
+  util::StreamSocket raw = mux.connect();
+  const std::string payload = "binary\npayload";
+  const std::string frame =
+      wire::encode_header(wire::FrameType::kLinkUpdateTable, 0,
+                          static_cast<std::uint32_t>(payload.size())) +
+      payload;
+  send_raw(raw, "line\n" + frame);
+  EXPECT_EQ(echo_of(raw).first, describe("line"));
+  EXPECT_EQ(raw.recv_line().value(), "bin " + describe(payload));
+
+  send_raw(raw, "torn ");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  send_raw(raw, "line\n" + frame + "after\n");
+  EXPECT_EQ(echo_of(raw).first, describe("torn line"));
+  EXPECT_EQ(raw.recv_line().value(), "bin " + describe(payload));
+  EXPECT_EQ(echo_of(raw).first, describe("after"));
+}
+
+/// Past a large frame the read buffer is cut back: the connection's
+/// next frame sees a capacity under kReadBufferKeepBytes, not the large
+/// frame's peak.
+TEST(ConnectionMux, ReadBufferIsCutBackAfterALargeFrame) {
+  EchoMux mux("cursor_release");
+  util::StreamSocket raw = mux.connect();
+  const std::string large(4u << 20, 'L');
+  send_raw(raw, large + "\n");
+  const auto [large_echo, large_capacity] = echo_of(raw);
+  EXPECT_EQ(large_echo, describe(large));
+  EXPECT_GT(large_capacity, kReadBufferKeepBytes);
+
+  send_raw(raw, "small\n");
+  const auto [small_echo, small_capacity] = echo_of(raw);
+  EXPECT_EQ(small_echo, describe("small"));
+  EXPECT_LE(small_capacity, kReadBufferKeepBytes);
+}
+
+/// An unterminated line past the cap is still refused with
+/// code "protocol" when its scan cursor has already moved through the
+/// first part of it on earlier wakes.
+TEST(ConnectionMux, OverCapLineIsRefusedAfterTheCursorMoved) {
+  SocketServer server(socket_path("cursor_cap"), SocketServerOptions{});
+  std::thread serve_thread([&server]() { server.serve(); });
+
+  util::StreamSocket raw = util::StreamSocket::connect(server.socket_path());
+  raw.set_recv_timeout(10000);
+  const std::size_t cap = util::StreamSocket::kDefaultMaxLineBytes;
+  send_raw(raw, std::string(1u << 20, 'x'));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  send_raw(raw, std::string(cap - (1u << 20) + 1, 'x'));
+  const std::optional<std::string> line = raw.recv_line();
+  ASSERT_TRUE(line.has_value());
+  const util::Json error = util::Json::parse(*line);
+  EXPECT_FALSE(error.at("ok").as_bool());
+  EXPECT_EQ(error.at("code").as_string(), "protocol");
+  EXPECT_FALSE(raw.recv_line().has_value());
+  raw.close();
 
   DaemonClient client(server.socket_path());
   client.shutdown_server();

@@ -19,6 +19,8 @@
 #include "util/rng.hpp"
 #include "util/socket.hpp"
 
+#include "../graph/tree_json_oracle.hpp"
+
 namespace elpc::daemon {
 namespace {
 
@@ -798,6 +800,43 @@ TEST(SocketServer, DemandingV2FromAV1OnlyServerFailsLoudly) {
 
   listener.close();
   old_server.join();
+}
+
+/// register_network writes its frame as text around graph::append_json.
+/// The line a listener receives must equal the dump() of the frame built
+/// as a Json tree, with and without the auto trace id.
+TEST(SocketServer, RegisterNetworkFrameMatchesTheTreeFrame) {
+  const graph::Network network = make_network(5);
+  const std::string id = "net \"1\"\\";
+  for (const bool auto_trace : {true, false}) {
+    const std::string path = socket_path(auto_trace ? "regtrace" : "reg");
+    util::UnixListener listener(path);
+    std::string captured;
+    std::thread peer_thread([&listener, &captured]() {
+      std::optional<util::StreamSocket> peer = listener.accept();
+      ASSERT_TRUE(peer.has_value());
+      captured = peer->recv_line().value_or("");
+      peer->send_line(R"({"ok":true})");
+      (void)peer->recv_line();  // until the client hangs up
+    });
+    {
+      DaemonClientOptions options;
+      options.protocol = ProtocolPreference::kV1;
+      options.auto_trace = auto_trace;
+      DaemonClient client(path, options);
+      client.register_network(id, network);
+    }
+    peer_thread.join();
+
+    util::Json frame = util::JsonObject{};
+    frame.set("verb", "register_network");
+    frame.set("id", id);
+    frame.set("network", graph::testing::tree_to_json(network));
+    if (auto_trace) {
+      frame.set("trace_id", "c" + std::to_string(::getpid()) + "-1");
+    }
+    EXPECT_EQ(captured, frame.dump()) << "auto_trace " << auto_trace;
+  }
 }
 
 }  // namespace
