@@ -231,16 +231,9 @@ util::Json DaemonClient::recv_response() {
   // The reinflated bytes equal the v1 frame's: %.17g doubles
   // round-trip, and the binary f64s are bit-exact.
   Received received = recv_frame();
-  if (received.payload_field == "result") {
-    received.frame.set("result",
-                       service::result_entry_to_json(received.results.front()));
-  } else if (received.payload_field == "results") {
-    util::JsonArray entries;
-    entries.reserve(received.results.size());
-    for (const service::SolveResult& r : received.results) {
-      entries.push_back(service::result_entry_to_json(r));
-    }
-    received.frame.set("results", util::Json(std::move(entries)));
+  if (!received.payload_field.empty()) {
+    wire::inline_results(received.frame, received.payload_field,
+                         received.results);
   }
   return std::move(received.frame);
 }

@@ -3,6 +3,7 @@
 #include <sys/epoll.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "util/log.hpp"
@@ -12,10 +13,10 @@ namespace elpc::daemon {
 
 namespace {
 
-// Epoll tags below the first connection id.
+// Epoll tags below the first connection id: the wake fd's, then
+// listener i's is kFirstListenerTag + i.
 constexpr std::uint64_t kWakeTag = 0;
-constexpr std::uint64_t kUnixListenerTag = 1;
-constexpr std::uint64_t kTcpListenerTag = 2;
+constexpr std::uint64_t kFirstListenerTag = 1;
 
 /// Read budget per connection per wakeup: big enough to swallow a burst
 /// in one syscall batch, small enough that one fat connection cannot
@@ -105,12 +106,11 @@ ConnectionMux::ConnectionMux(MuxOptions options, MuxCallbacks callbacks)
 
 ConnectionMux::~ConnectionMux() { stop(); }
 
-void ConnectionMux::add_listener(util::UnixListener* listener) {
-  unix_listener_ = listener;
-}
-
-void ConnectionMux::add_listener(util::TcpListener* listener) {
-  tcp_listener_ = listener;
+void ConnectionMux::add_listener(util::Listener* listener) {
+  if (kFirstListenerTag + listeners_.size() >= kFirstConnectionId) {
+    throw std::logic_error("ConnectionMux: too many listeners");
+  }
+  listeners_.emplace_back().listener = listener;
 }
 
 void ConnectionMux::start() {
@@ -120,13 +120,9 @@ void ConnectionMux::start() {
   started_ = true;
   // Worker 0 owns the listeners: accepts are serialized there, and the
   // accepted sockets fan out round-robin.
-  if (unix_listener_ != nullptr) {
-    workers_[0]->poller.add(unix_listener_->fd(), util::Poller::kReadable,
-                            kUnixListenerTag);
-  }
-  if (tcp_listener_ != nullptr) {
-    workers_[0]->poller.add(tcp_listener_->fd(), util::Poller::kReadable,
-                            kTcpListenerTag);
+  for (std::size_t i = 0; i < listeners_.size(); ++i) {
+    workers_[0]->poller.add(listeners_[i].listener->fd(),
+                            util::Poller::kReadable, kFirstListenerTag + i);
   }
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     workers_[i]->thread = std::thread([this, i]() { worker_loop(i); });
@@ -149,38 +145,27 @@ void ConnectionMux::stop() {
   }
 }
 
-std::size_t ConnectionMux::connection_count() const {
-  return live_unix_.load(std::memory_order_relaxed) +
-         live_tcp_.load(std::memory_order_relaxed);
-}
-
-std::size_t ConnectionMux::connection_count(
-    const std::string& transport) const {
-  return transport == "tcp" ? live_tcp_.load(std::memory_order_relaxed)
-                            : live_unix_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t ConnectionMux::connections_total(
-    const std::string& transport) const {
-  return transport == "tcp" ? total_tcp_.load(std::memory_order_relaxed)
-                            : total_unix_.load(std::memory_order_relaxed);
+const MuxListener& ConnectionMux::counts(
+    const util::Listener& listener) const {
+  const auto it = std::find_if(
+      listeners_.begin(), listeners_.end(),
+      [&listener](const MuxListener& e) { return e.listener == &listener; });
+  if (it == listeners_.end()) {
+    throw std::invalid_argument("ConnectionMux: listener was never added");
+  }
+  return *it;
 }
 
 void ConnectionMux::assign_connection(util::StreamSocket socket,
-                                      const std::string& transport) {
+                                      MuxListener& origin) {
   const std::size_t target =
       next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
   const std::uint64_t id =
       next_conn_id_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<MuxConnection> conn(
-      new MuxConnection(this, target, id, transport, std::move(socket)));
-  if (transport == "tcp") {
-    total_tcp_.fetch_add(1, std::memory_order_relaxed);
-    live_tcp_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    total_unix_.fetch_add(1, std::memory_order_relaxed);
-    live_unix_.fetch_add(1, std::memory_order_relaxed);
-  }
+      new MuxConnection(this, target, id, origin, std::move(socket)));
+  origin.accepted.fetch_add(1, std::memory_order_relaxed);
+  origin.live.fetch_add(1, std::memory_order_relaxed);
   Worker& worker = *workers_[target];
   {
     const std::lock_guard<std::mutex> lock(worker.mutex);
@@ -219,8 +204,7 @@ void ConnectionMux::adopt_incoming(Worker& worker) {
         const std::lock_guard<std::mutex> lock(conn->write_mutex_);
         conn->closed_ = true;
       }
-      auto& live = conn->transport_ == "tcp" ? live_tcp_ : live_unix_;
-      live.fetch_sub(1, std::memory_order_relaxed);
+      conn->origin_.live.fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
     worker.conns.emplace(conn->id_, std::move(conn));
@@ -248,8 +232,8 @@ void ConnectionMux::flush_writes(Worker& worker,
       action = Action::kClose;
       reason = "backpressure";
       ELPC_LOG(util::LogLevel::kWarn)
-          << "mux: disconnecting " << conn->transport_ << " conn "
-          << conn->id_ << ": " << conn->close_reason_;
+          << "mux: disconnecting " << conn->origin_.listener->transport()
+          << " conn " << conn->id_ << ": " << conn->close_reason_;
     } else {
       // The write syscalls themselves; socket_server's `write_enqueue`
       // phase only times handing the bytes to this queue.
@@ -315,8 +299,7 @@ void ConnectionMux::finish_close(Worker& worker,
   }
   conn->socket_.close();
   worker.conns.erase(conn->id_);
-  auto& live = conn->transport_ == "tcp" ? live_tcp_ : live_unix_;
-  live.fetch_sub(1, std::memory_order_relaxed);
+  conn->origin_.live.fetch_sub(1, std::memory_order_relaxed);
   if (callbacks_.on_disconnect) {
     callbacks_.on_disconnect(conn, reason);
   }
@@ -533,15 +516,10 @@ void ConnectionMux::worker_loop(std::size_t index) {
       if (event.tag == kWakeTag) {
         continue;  // drained above
       }
-      if (event.tag == kUnixListenerTag) {
-        while (auto socket = unix_listener_->try_accept()) {
-          assign_connection(std::move(*socket), "unix");
-        }
-        continue;
-      }
-      if (event.tag == kTcpListenerTag) {
-        while (auto socket = tcp_listener_->try_accept()) {
-          assign_connection(std::move(*socket), "tcp");
+      if (event.tag < kFirstConnectionId) {
+        MuxListener& origin = listeners_[event.tag - kFirstListenerTag];
+        while (auto socket = origin.listener->try_accept()) {
+          assign_connection(std::move(*socket), origin);
         }
         continue;
       }

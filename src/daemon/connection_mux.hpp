@@ -5,7 +5,7 @@
 // clients (a thousand idle subscribers = a thousand parked threads).
 //
 // Shape:
-//   * Worker 0 owns the listeners (Unix-domain, optionally TCP);
+//   * Worker 0 owns the listeners (any number, of either transport);
 //     accepted connections are assigned round-robin across all workers.
 //   * Each worker owns an epoll set, an eventfd wake, and its
 //     connections' read side: non-blocking sockets, a per-connection
@@ -49,6 +49,14 @@ namespace elpc::daemon {
 
 class ConnectionMux;
 
+/// One listener the mux accepts from, with the counts of the
+/// connections it accepted: live now, and ever.
+struct MuxListener {
+  util::Listener* listener = nullptr;
+  std::atomic<std::size_t> live{0};
+  std::atomic<std::uint64_t> accepted{0};
+};
+
 /// One multiplexed client connection.  Created by the mux on accept;
 /// workers hold the strong references.  send_line / close_after_flush
 /// are safe from any thread at any time (after close they are no-ops).
@@ -78,11 +86,6 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
   [[nodiscard]] std::size_t read_capacity() const noexcept {
     return read_buffer_.capacity();
   }
-  /// "unix" or "tcp" — the metrics label of the accepting listener.
-  [[nodiscard]] const std::string& transport() const noexcept {
-    return transport_;
-  }
-
   /// Owner-attached per-connection protocol state (auth flag, quota
   /// counters).  Touched only from on_frame — i.e. only by the owning
   /// worker — so it needs no lock of its own here; share it into
@@ -93,17 +96,18 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
   friend class ConnectionMux;
 
   MuxConnection(ConnectionMux* mux, std::size_t worker, std::uint64_t id,
-                std::string transport, util::StreamSocket socket)
+                MuxListener& origin, util::StreamSocket socket)
       : mux_(mux),
         worker_(worker),
         id_(id),
-        transport_(std::move(transport)),
+        origin_(origin),
         socket_(std::move(socket)) {}
 
   ConnectionMux* mux_;
   const std::size_t worker_;
   const std::uint64_t id_;
-  const std::string transport_;
+  /// The listener that accepted it, which counts it live.
+  MuxListener& origin_;
 
   // ---- owning-worker-only state (no locks) ----
   util::StreamSocket socket_;
@@ -207,22 +211,19 @@ class ConnectionMux {
   ConnectionMux& operator=(const ConnectionMux&) = delete;
 
   /// Listeners are borrowed and must outlive the mux; call before
-  /// start().  Either may be omitted (a TCP-only or Unix-only daemon).
-  void add_listener(util::UnixListener* listener);
-  void add_listener(util::TcpListener* listener);
+  /// start().  At most 15: their epoll tags sit between the wake fd's
+  /// and the first connection id.
+  void add_listener(util::Listener* listener);
 
   void start();
   /// Closes every connection (on_disconnect reason "shutdown"), joins
   /// the workers.  Idempotent; the destructor calls it.
   void stop();
 
-  /// Live connections, total and per transport label.
-  [[nodiscard]] std::size_t connection_count() const;
-  [[nodiscard]] std::size_t connection_count(
-      const std::string& transport) const;
-  /// Cumulative accepted connections per transport label.
-  [[nodiscard]] std::uint64_t connections_total(
-      const std::string& transport) const;
+  /// The counts of the connections `listener` accepted; throws
+  /// std::invalid_argument for a listener never added.
+  [[nodiscard]] const MuxListener& counts(
+      const util::Listener& listener) const;
 
  private:
   struct Worker {
@@ -274,27 +275,22 @@ class ConnectionMux {
                     const std::shared_ptr<MuxConnection>& conn,
                     const std::string& reason);
   /// Routes a freshly accepted socket to the next worker round-robin.
-  void assign_connection(util::StreamSocket socket,
-                         const std::string& transport);
+  void assign_connection(util::StreamSocket socket, MuxListener& origin);
   /// Queues `conn` on its worker's dirty list and wakes the worker.
   void mark_dirty(const std::shared_ptr<MuxConnection>& conn);
 
   const MuxOptions options_;
   const MuxCallbacks callbacks_;
-  util::UnixListener* unix_listener_ = nullptr;
-  util::TcpListener* tcp_listener_ = nullptr;
+  /// A deque, so entries stay put while connections point at them.
+  std::deque<MuxListener> listeners_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
-  /// Ids double as epoll tags; low values are reserved for the wake fd
-  /// and the listeners.
-  std::atomic<std::uint64_t> next_conn_id_{16};
+  /// Ids double as epoll tags; the values below the first are the wake
+  /// fd's (0) and listener i's (i + 1).
+  static constexpr std::uint64_t kFirstConnectionId = 16;
+  std::atomic<std::uint64_t> next_conn_id_{kFirstConnectionId};
   std::atomic<std::size_t> next_worker_{0};
-
-  std::atomic<std::size_t> live_unix_{0};
-  std::atomic<std::size_t> live_tcp_{0};
-  std::atomic<std::uint64_t> total_unix_{0};
-  std::atomic<std::uint64_t> total_tcp_{0};
 
   friend class MuxConnection;
 };

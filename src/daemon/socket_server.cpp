@@ -9,7 +9,6 @@
 #include "daemon/trace_export.hpp"
 #include "graph/serialize.hpp"
 #include "service/serialize.hpp"
-#include "util/fault_injector.hpp"
 #include "util/profiler.hpp"
 #include "util/strings.hpp"
 #include "util/trace_context.hpp"
@@ -102,20 +101,18 @@ const SocketServer::Verb* SocketServer::find_verb(std::string_view name) {
 
 SocketServer::SocketServer(std::string socket_path,
                            SocketServerOptions options)
-    : listener_(socket_path),
-      tcp_listener_(options.tcp ? std::make_unique<util::TcpListener>(
-                                      options.tcp_host, options.tcp_port)
-                                : nullptr),
-      slowlog_(options.slowlog_capacity),
-      tracelog_(options.tracelog_capacity),
+    : slowlog_(kSlowLogCapacity),
+      tracelog_(kTraceLogCapacity),
       options_(std::move(options)),
       started_(std::chrono::steady_clock::now()),
       started_unix_ms_(std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::system_clock::now().time_since_epoch())
                            .count()) {
-  if (!options_.faults.empty()) {
-    util::FaultInjector::instance().configure(options_.faults,
-                                              options_.fault_seed);
+  // Bound before any thread starts, so an unusable endpoint throws here.
+  listeners_.push_back(util::Listener::unix_at(socket_path));
+  if (options_.tcp) {
+    listeners_.push_back(
+        util::Listener::tcp_at(options_.tcp_host, options_.tcp_port));
   }
   if (options_.profile) {
     util::Profiler::set_enabled(true);
@@ -177,9 +174,8 @@ SocketServer::SocketServer(std::string socket_path,
         .dump();
   };
   mux_ = std::make_unique<ConnectionMux>(mux_options, std::move(callbacks));
-  mux_->add_listener(&listener_);
-  if (tcp_listener_) {
-    mux_->add_listener(tcp_listener_.get());
+  for (const auto& listener : listeners_) {
+    mux_->add_listener(listener.get());
   }
 }
 
@@ -197,13 +193,10 @@ void SocketServer::serve() {
       return shutdown_requested_.load(std::memory_order_acquire);
     });
   }
-  listener_.close();
-  if (tcp_listener_) {
-    tcp_listener_->close();
-  }
-  // Stop the manager FIRST: pending `wait` callbacks fire with
-  // shutting_down set and their responses enter the write queues, which
-  // the mux flushes best-effort while tearing down.
+  // stop(), the only way here, closed the listeners.  Stop the manager
+  // FIRST: pending `wait` callbacks fire with shutting_down set and their
+  // responses enter the write queues, which the mux flushes best-effort
+  // while tearing down.
   manager_->stop();
   mux_->stop();
 }
@@ -212,9 +205,8 @@ void SocketServer::stop() {
   shutdown_requested_.store(true, std::memory_order_release);
   serve_cv_.notify_all();
   // New connections must find a closed door while teardown runs.
-  listener_.close();
-  if (tcp_listener_) {
-    tcp_listener_->close();
+  for (const auto& listener : listeners_) {
+    listener->close();
   }
 }
 
@@ -361,23 +353,10 @@ void SocketServer::send(MuxConnection& conn, Reply reply, int version) {
 }
 
 util::Json SocketServer::inline_results(Reply reply) {
-  if (reply.payload == nullptr) {
-    return std::move(reply.control);
-  }
-  // The payload marker doubles as the v1 key: "result" holds one entry,
-  // "results" the list.
-  const util::ProfileScope serialize_phase("serialize", "daemon",
-                                           reply.results.size());
-  if (std::string_view(reply.payload) == "result") {
-    reply.control.set("result",
-                      service::result_entry_to_json(reply.results.front()));
-  } else {
-    util::JsonArray entries;
-    entries.reserve(reply.results.size());
-    for (const service::SolveResult& r : reply.results) {
-      entries.push_back(service::result_entry_to_json(r));
-    }
-    reply.control.set("results", util::Json(std::move(entries)));
+  if (reply.payload != nullptr) {
+    const util::ProfileScope serialize_phase("serialize", "daemon",
+                                             reply.results.size());
+    wire::inline_results(reply.control, reply.payload, reply.results);
   }
   return std::move(reply.control);
 }

@@ -93,26 +93,15 @@ struct SocketServerOptions {
   /// Mapper resolution for the engine (empty = built-in "ELPC" only;
   /// the CLI installs the full registry).
   service::MapperFactory factory;
-  /// Fault-injection spec applied at construction (the ELPC_FAULTS
-  /// format, util::FaultInjector::configure); empty = leave the
-  /// process-global injector as it is.  Chaos/CI use only.
-  std::string faults;
-  std::uint64_t fault_seed = 1;
   /// Slow-solve threshold (`serve --slow-ms`): a terminal job whose
   /// end-to-end time reaches this many milliseconds is retained in the
   /// slowlog ring, dumpable via the `slowlog` verb.  0 = off.
   std::int64_t slow_ms = 0;
-  /// Slowlog ring capacity (oldest evicted first).
-  std::size_t slowlog_capacity = 128;
   /// Enable the phase profiler at construction (`serve --profile`):
   /// solves record begin/end events into the per-thread rings that the
   /// `trace` verb drains.  Off, the instrumentation costs one relaxed
   /// atomic load per scope; the `trace` verb still answers (spans only).
   bool profile = false;
-  /// Trace ring capacity: terminal spans retained for the `trace`
-  /// verb's timeline export (EVERY terminal job lands here, unlike the
-  /// slowlog's threshold).
-  std::size_t tracelog_capacity = 2048;
 
   // ---- front-end (multiplexer / TCP / auth / quota) options ----
   /// Serve the same protocol over TCP as well (`serve --tcp host:port`).
@@ -156,11 +145,12 @@ class SocketServer {
   void stop();
 
   [[nodiscard]] const std::string& socket_path() const {
-    return listener_.path();
+    return listeners_[kUnixListener]->path();
   }
   /// The bound TCP port (resolves a port-0 request), or -1 with TCP off.
   [[nodiscard]] int tcp_port() const {
-    return tcp_listener_ ? tcp_listener_->port() : -1;
+    return listeners_.size() > kTcpListener ? listeners_[kTcpListener]->port()
+                                            : -1;
   }
 
   /// The owned engine/manager, exposed for in-process tests that compare
@@ -178,6 +168,14 @@ class SocketServer {
   /// the slow ones.
   [[nodiscard]] SlowLog& tracelog() { return tracelog_; }
 
+  /// Positions in the listener list: the Unix socket always, then TCP
+  /// when enabled.
+  enum ListenerSlot : std::size_t {
+    kUnixListener,
+    kTcpListener,
+    kListenerSlots
+  };
+
   /// Runs one already-parsed request through the verb table and returns
   /// the response frame — exactly the JSON line a v1 connection receives
   /// for the same request.  A thin adapter over the socket path: the
@@ -193,12 +191,11 @@ class SocketServer {
     const SocketServer& server;
     JobManagerStats jobs;
     service::EngineStats engine;
-    std::size_t live_unix = 0;  // open connections per transport
-    std::size_t live_tcp = 0;
+    /// Per listener slot: connections open now, and ever accepted.
+    std::size_t live_on[kListenerSlots] = {};
+    std::uint64_t accepted_on[kListenerSlots] = {};
     std::size_t live = 0;
     std::size_t live_v2 = 0;  // ...of which negotiated v2
-    std::uint64_t accepted_unix = 0;  // connections ever accepted
-    std::uint64_t accepted_tcp = 0;
     double uptime_ms = 0.0;
   };
   /// One stats field, declared once: rendered into the `stats` verb's
@@ -332,8 +329,8 @@ class SocketServer {
   Answer verb_drain(const util::Json& request, ConnCtx& ctx);
   Answer verb_shutdown(const util::Json& request, ConnCtx& ctx);
 
-  util::UnixListener listener_;
-  std::unique_ptr<util::TcpListener> tcp_listener_;
+  /// Indexed by ListenerSlot.
+  std::vector<std::unique_ptr<util::Listener>> listeners_;
   /// Declared before the engine/manager so the metric references they
   /// resolve at construction outlive them on teardown.
   util::MetricsRegistry metrics_;

@@ -130,10 +130,12 @@ const std::vector<SocketServer::StatsField>& SocketServer::stats_fields() {
        "Pinned revision bytes"},
       {"kernel", nullptr, ELPC_STAT(s.engine.kernel)},
       {"connections", nullptr, ELPC_STAT(s.live)},
-      {"connections_unix", "elpc_connections", ELPC_STAT(s.live_unix),
-       "Live client connections", {{"transport", "unix"}}},
-      {"connections_tcp", "elpc_connections", ELPC_STAT(s.live_tcp),
-       "Live client connections", {{"transport", "tcp"}}},
+      {"connections_unix", "elpc_connections",
+       ELPC_STAT(s.live_on[kUnixListener]), "Live client connections",
+       {{"transport", "unix"}}},
+      {"connections_tcp", "elpc_connections",
+       ELPC_STAT(s.live_on[kTcpListener]), "Live client connections",
+       {{"transport", "tcp"}}},
       // Its own family: a proto label in elpc_connections{transport}
       // would fork that family's label set.
       {"connections_v1", "elpc_connections_proto",
@@ -146,10 +148,13 @@ const std::vector<SocketServer::StatsField>& SocketServer::stats_fields() {
       {"protocol_min", nullptr, ELPC_STAT(wire::kProtocolVersionMin)},
       {"protocol_max", nullptr, ELPC_STAT(wire::kProtocolVersionMax)},
       {"connections_accepted", nullptr,
-       ELPC_STAT(s.accepted_unix + s.accepted_tcp)},
-      {nullptr, "elpc_connections_accepted_total", ELPC_STAT(s.accepted_unix),
+       ELPC_STAT(s.accepted_on[kUnixListener] +
+                 s.accepted_on[kTcpListener])},
+      {nullptr, "elpc_connections_accepted_total",
+       ELPC_STAT(s.accepted_on[kUnixListener]),
        "Connections ever accepted", {{"transport", "unix"}}, true},
-      {nullptr, "elpc_connections_accepted_total", ELPC_STAT(s.accepted_tcp),
+      {nullptr, "elpc_connections_accepted_total",
+       ELPC_STAT(s.accepted_on[kTcpListener]),
        "Connections ever accepted", {{"transport", "tcp"}}, true},
       {"auth_required", nullptr,
        ELPC_STAT(!s.server.options_.auth_token.empty())},
@@ -176,13 +181,12 @@ const std::vector<SocketServer::StatsField>& SocketServer::stats_fields() {
 
 SocketServer::StatsSample SocketServer::sample_stats() const {
   StatsSample sample{*this, manager_->stats(), engine_->stats()};
-  if (mux_) {
-    sample.live_unix = mux_->connection_count("unix");
-    sample.live_tcp = mux_->connection_count("tcp");
-    sample.accepted_unix = mux_->connections_total("unix");
-    sample.accepted_tcp = mux_->connections_total("tcp");
+  for (std::size_t i = 0; i < listeners_.size(); ++i) {
+    const MuxListener& counts = mux_->counts(*listeners_[i]);
+    sample.live_on[i] = counts.live.load(std::memory_order_relaxed);
+    sample.accepted_on[i] = counts.accepted.load(std::memory_order_relaxed);
+    sample.live += sample.live_on[i];
   }
-  sample.live = sample.live_unix + sample.live_tcp;
   sample.live_v2 = live_v2_.load(std::memory_order_relaxed);
   sample.uptime_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - started_)

@@ -50,13 +50,20 @@ struct TraceSpan {
 
 [[nodiscard]] util::Json span_to_json(const TraceSpan& span);
 
+/// Spans the daemon's slowlog keeps, oldest evicted first.
+inline constexpr std::size_t kSlowLogCapacity = 128;
+/// Spans the daemon's trace ring keeps for the `trace` verb's timeline
+/// export.  Every terminal job lands there, unlike the slowlog's
+/// threshold, so it is the larger ring.
+inline constexpr std::size_t kTraceLogCapacity = 2048;
+
 /// Thread-safe fixed-capacity ring of spans, oldest evicted first.  The
 /// JobManager adds a span when its end-to-end time crosses `--slow-ms`;
 /// `total_added` keeps counting past evictions so conservation checks
 /// (chaos) see every slow span ever logged.
 class SlowLog {
  public:
-  explicit SlowLog(std::size_t capacity = 128);
+  explicit SlowLog(std::size_t capacity = kSlowLogCapacity);
 
   void add(const TraceSpan& span);
   [[nodiscard]] std::vector<TraceSpan> entries() const;  // oldest first

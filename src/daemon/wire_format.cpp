@@ -4,6 +4,8 @@
 #include <limits>
 #include <utility>
 
+#include "service/serialize.hpp"
+
 namespace elpc::daemon::wire {
 
 namespace {
@@ -293,6 +295,20 @@ LinkUpdateTable decode_link_update_table(std::string_view payload) {
     throw WireFormatError("link-update table has trailing bytes");
   }
   return table;
+}
+
+void inline_results(util::Json& control, std::string_view marker,
+                    std::span<const service::SolveResult> results) {
+  if (marker == "result") {
+    control.set("result", service::result_entry_to_json(results.front()));
+    return;
+  }
+  util::JsonArray entries;
+  entries.reserve(results.size());
+  for (const service::SolveResult& r : results) {
+    entries.push_back(service::result_entry_to_json(r));
+  }
+  control.set("results", util::Json(std::move(entries)));
 }
 
 }  // namespace elpc::daemon::wire

@@ -43,6 +43,7 @@
 
 #include "graph/network.hpp"
 #include "service/batch_engine.hpp"
+#include "util/json.hpp"
 
 namespace elpc::daemon::wire {
 
@@ -107,6 +108,14 @@ struct FrameHeader {
 /// truncation or out-of-range descriptor.
 [[nodiscard]] std::vector<service::SolveResult> decode_result_table(
     std::string_view payload);
+
+/// The v1 form of the results a result table carries: sets `marker` on
+/// `control` to their canonical JSON entries ("result" holds the one
+/// entry, "results" the list).  The server's v1 replies and a v2
+/// client's reinflated answers both come from here, so they share
+/// their bytes.
+void inline_results(util::Json& control, std::string_view marker,
+                    std::span<const service::SolveResult> results);
 
 // ---- link-update table (FrameType::kLinkUpdateTable) ----
 

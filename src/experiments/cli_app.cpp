@@ -22,6 +22,7 @@
 #include "service/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "util/cli.hpp"
+#include "util/fault_injector.hpp"
 #include "util/file_io.hpp"
 #include "util/strings.hpp"
 #include "workload/small_case.hpp"
@@ -43,6 +44,8 @@ const char* kUsage =
     "--slow-ms 50 --profile\n"
     "  elpc serve --socket /tmp/elpc.sock --tcp 0.0.0.0:7447 "
     "--auth-token SECRET --max-inflight-jobs 64\n"
+    "  ELPC_FAULTS=engine_stall=0.05:50 ELPC_FAULT_SEED=42 elpc serve "
+    "--socket /tmp/elpc.sock  # fault injection (chaos testing)\n"
     "  elpc client <load|poll|wait|cancel|update|stats|metrics|slowlog|"
     "trace|top|pause|resume|drain|shutdown> --socket /tmp/elpc.sock "
     "[options]\n"
@@ -250,24 +253,15 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   parser.add_flag("incremental",
                   "retain DP checkpoints for subscribed frame-rate jobs "
                   "and re-solve deltas by column reuse (bit-identical)");
-  parser.add_string("faults", "",
-                    "fault-injection spec, point=prob[:param_ms],... "
-                    "(chaos/CI only; also settable via ELPC_FAULTS)");
-  parser.add_int("fault-seed", 1, "fault-injection rng seed");
   parser.add_int("slow-ms", 0,
                  "slow-solve threshold: terminal jobs whose end-to-end time "
                  "reaches this many ms land in the slowlog ring, dumpable "
                  "via `client slowlog` (0 = off)");
-  parser.add_int("slowlog-capacity", 128,
-                 "slowlog ring size; oldest entries are evicted first");
   parser.add_flag("profile",
                   "enable the phase profiler: solves record begin/end "
                   "events into per-thread rings, exported as a Chrome "
                   "trace via `client trace` (off: ~one atomic load per "
                   "phase)");
-  parser.add_int("tracelog-capacity", 2048,
-                 "terminal spans retained for the trace timeline; oldest "
-                 "evicted first");
   parser.add_string("tcp", "",
                     "also serve the protocol on this TCP host:port "
                     "(port 0 binds an ephemeral port, printed at startup)");
@@ -294,8 +288,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   }
   if (parser.get_int("session-cache-bytes") < 0 ||
       parser.get_int("threads") < 0 ||
-      parser.get_int("slow-ms") < 0 || parser.get_int("slowlog-capacity") < 0 ||
-      parser.get_int("tracelog-capacity") < 0 ||
+      parser.get_int("slow-ms") < 0 ||
       parser.get_int("io-workers") < 1 ||
       parser.get_int("max-write-queue-bytes") < 1 ||
       parser.get_int("max-inflight-jobs") < 0 ||
@@ -309,15 +302,8 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
       static_cast<std::size_t>(parser.get_int("session-cache-bytes"));
   options.kernel = core::kernels::kind_from_name(parser.get_string("kernel"));
   options.incremental = parser.flag("incremental");
-  options.faults = parser.get_string("faults");
-  options.fault_seed =
-      static_cast<std::uint64_t>(parser.get_int("fault-seed"));
   options.slow_ms = parser.get_int("slow-ms");
-  options.slowlog_capacity =
-      static_cast<std::size_t>(parser.get_int("slowlog-capacity"));
   options.profile = parser.flag("profile");
-  options.tracelog_capacity =
-      static_cast<std::size_t>(parser.get_int("tracelog-capacity"));
   options.factory = engine_mapper_factory();
   if (!parser.get_string("tcp").empty()) {
     const auto [host, port] =
@@ -334,6 +320,9 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
       static_cast<std::size_t>(parser.get_int("max-inflight-jobs"));
   options.max_inflight_bytes =
       static_cast<std::size_t>(parser.get_int("max-inflight-bytes"));
+  // Reads ELPC_FAULTS/ELPC_FAULT_SEED now: a malformed spec fails the
+  // start, not the first IO or engine thread to reach a fault point.
+  (void)util::FaultInjector::instance();
   daemon::SocketServer server(parser.get_string("socket"), options);
   out << "elpc daemon listening on " << server.socket_path() << " (kernel "
       << core::kernels::kind_name(

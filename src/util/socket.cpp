@@ -56,6 +56,9 @@ void send_all(int fd, std::string_view head, std::string_view tail) {
 /// window doubles the next one, up to the caller's byte budget.
 constexpr std::size_t kRecvWindowBytes = 16u << 10;
 
+/// Pending-connection queue length for both listener transports.
+constexpr int kListenBacklog = 256;
+
 /// Fills a sockaddr_un for `path`; rejects paths longer than sun_path
 /// (the silent-truncation alternative would bind somewhere unexpected).
 sockaddr_un make_address(const std::string& path) {
@@ -96,62 +99,6 @@ addrinfo* resolve(const std::string& host, int port, bool for_bind) {
                       std::to_string(port) + ": " + ::gai_strerror(rc));
   }
   return result;
-}
-
-/// Shared poll-until-closed accept loop for both listener flavours.
-std::optional<StreamSocket> poll_accept(int fd,
-                                        const std::atomic<bool>& closed,
-                                        bool tcp) {
-  while (!closed.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw_errno("poll");
-    }
-    if (ready == 0) {
-      continue;  // timeout: re-check the closed flag
-    }
-    const int client = ::accept(fd, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == ECONNABORTED || errno == EINVAL) {
-        continue;  // EINVAL: a concurrent close() shut the listener down
-      }
-      throw_errno("accept");
-    }
-    if (tcp) {
-      set_tcp_nodelay(client);
-    }
-    return StreamSocket(client);
-  }
-  return std::nullopt;
-}
-
-/// Non-blocking variant: one poll(0ms) probe, then accept or nullopt.
-std::optional<StreamSocket> probe_accept(int fd,
-                                         const std::atomic<bool>& closed,
-                                         bool tcp) {
-  if (closed.load(std::memory_order_acquire)) {
-    return std::nullopt;
-  }
-  pollfd pfd{};
-  pfd.fd = fd;
-  pfd.events = POLLIN;
-  if (::poll(&pfd, 1, /*timeout_ms=*/0) <= 0) {
-    return std::nullopt;
-  }
-  const int client = ::accept(fd, nullptr, nullptr);
-  if (client < 0) {
-    return std::nullopt;  // raced with another accept or the close path
-  }
-  if (tcp) {
-    set_tcp_nodelay(client);
-  }
-  return StreamSocket(client);
 }
 
 }  // namespace
@@ -470,11 +417,8 @@ void StreamSocket::close() noexcept {
   }
 }
 
-UnixListener::UnixListener(const std::string& path) : path_(path) {
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    throw_errno("socket");
-  }
+std::unique_ptr<Listener> Listener::unix_at(const std::string& path) {
+  const sockaddr_un address = make_address(path);
   // A file already at the path is either a live daemon's endpoint or a
   // crashed one's leftover.  A trial connect tells them apart: replace
   // only the stale file — silently unlinking a live endpoint would
@@ -482,132 +426,139 @@ UnixListener::UnixListener(const std::string& path) : path_(path) {
   // delete the successor's socket too.
   bool occupied = false;
   try {
-    (void)StreamSocket::connect(path_);
+    (void)StreamSocket::connect(path);
     occupied = true;
   } catch (const SocketError&) {
     // Nothing accepting there (ECONNREFUSED/ENOENT/...): safe to claim.
   }
   if (occupied) {
-    ::close(fd_);
-    fd_ = -1;
-    throw SocketError("bind " + path_ +
+    throw SocketError("bind " + path +
                       ": another process is already listening here");
   }
-  const sockaddr_un address = make_address(path_);
-  ::unlink(path_.c_str());  // a stale file from a crashed daemon blocks bind
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&address),
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    throw_errno("socket");
+  }
+  ::unlink(path.c_str());  // a stale file from a crashed daemon blocks bind
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&address),
              sizeof(address)) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    throw_errno("bind " + path_);
+    const int saved = errno;
+    ::close(fd);
+    errno = saved;
+    throw_errno("bind " + path);
   }
-  if (::listen(fd_, 256) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    ::unlink(path_.c_str());
-    throw_errno("listen " + path_);
+  // Owns the fd and the bound file from here: a failed listen closes
+  // and unlinks both.
+  std::unique_ptr<Listener> listener(new Listener(fd, path, -1));
+  if (::listen(fd, kListenBacklog) != 0) {
+    throw_errno("listen " + path);
   }
+  return listener;
 }
 
-UnixListener::~UnixListener() {
-  close();
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  ::unlink(path_.c_str());
-}
-
-std::optional<StreamSocket> UnixListener::accept() {
-  return poll_accept(fd_, closed_, /*tcp=*/false);
-}
-
-std::optional<StreamSocket> UnixListener::try_accept() {
-  return probe_accept(fd_, closed_, /*tcp=*/false);
-}
-
-void UnixListener::close() noexcept {
-  closed_.store(true, std::memory_order_release);
-  if (fd_ >= 0) {
-    // Wakes a blocked poll immediately instead of waiting out the
-    // interval; errors (e.g. ENOTCONN on some kernels) are harmless —
-    // the flag alone suffices within one poll period.
-    ::shutdown(fd_, SHUT_RDWR);
-  }
-}
-
-TcpListener::TcpListener(const std::string& host, int port) : host_(host) {
+std::unique_ptr<Listener> Listener::tcp_at(const std::string& host,
+                                           int port) {
   addrinfo* candidates = resolve(host, port, /*for_bind=*/true);
+  int fd = -1;
   int last_errno = EADDRNOTAVAIL;
   for (addrinfo* ai = candidates; ai != nullptr; ai = ai->ai_next) {
-    fd_ = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd_ < 0) {
+    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+    if (fd < 0) {
       last_errno = errno;
       continue;
     }
     const int one = 1;
-    (void)::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd_, ai->ai_addr, ai->ai_addrlen) == 0 &&
-        ::listen(fd_, 256) == 0) {
+    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    if (::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
+        ::listen(fd, kListenBacklog) == 0) {
       break;
     }
     last_errno = errno;
-    ::close(fd_);
-    fd_ = -1;
+    ::close(fd);
+    fd = -1;
   }
   ::freeaddrinfo(candidates);
-  if (fd_ < 0) {
+  if (fd < 0) {
     errno = last_errno;
     throw_errno("bind " + (host.empty() ? "*" : host) + ":" +
                 std::to_string(port));
   }
+  // Accepted connections inherit TCP_NODELAY from the listening socket.
+  set_tcp_nodelay(fd);
+  std::unique_ptr<Listener> listener(new Listener(fd, "", port));
   // Read back the bound address: with port 0 the kernel chose one, and
   // callers (tests, the serve banner) need the real number.
   sockaddr_storage bound{};
   socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
       0) {
-    const int saved = errno;
-    ::close(fd_);
-    fd_ = -1;
-    errno = saved;
     throw_errno("getsockname");
   }
   if (bound.ss_family == AF_INET) {
-    port_ = ntohs(reinterpret_cast<const sockaddr_in&>(bound).sin_port);
+    listener->port_ =
+        ntohs(reinterpret_cast<const sockaddr_in&>(bound).sin_port);
   } else if (bound.ss_family == AF_INET6) {
-    port_ = ntohs(reinterpret_cast<const sockaddr_in6&>(bound).sin6_port);
-  } else {
-    port_ = port;
+    listener->port_ =
+        ntohs(reinterpret_cast<const sockaddr_in6&>(bound).sin6_port);
   }
+  return listener;
 }
 
-TcpListener::~TcpListener() {
+Listener::~Listener() {
   close();
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+  ::close(fd_);
+  if (!path_.empty()) {
+    ::unlink(path_.c_str());
   }
 }
 
-std::string TcpListener::endpoint() const {
-  return (host_.empty() ? std::string("0.0.0.0") : host_) + ":" +
-         std::to_string(port_);
+std::optional<StreamSocket> Listener::accept() {
+  while (!closed_.load(std::memory_order_acquire)) {
+    pollfd pfd{};
+    pfd.fd = fd_;
+    pfd.events = POLLIN;
+    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
+    if (ready < 0 && errno != EINTR) {
+      throw_errno("poll");
+    }
+    if (ready <= 0) {
+      continue;  // timeout or EINTR: re-check the closed flag
+    }
+    const int client = ::accept(fd_, nullptr, nullptr);
+    if (client >= 0) {
+      return StreamSocket(client);
+    }
+    // EINVAL: a concurrent close() shut the listener down.
+    if (errno != EINTR && errno != ECONNABORTED && errno != EINVAL) {
+      throw_errno("accept");
+    }
+  }
+  return std::nullopt;
 }
 
-std::optional<StreamSocket> TcpListener::accept() {
-  return poll_accept(fd_, closed_, /*tcp=*/true);
+std::optional<StreamSocket> Listener::try_accept() {
+  if (closed_.load(std::memory_order_acquire)) {
+    return std::nullopt;
+  }
+  pollfd pfd{};
+  pfd.fd = fd_;
+  pfd.events = POLLIN;
+  if (::poll(&pfd, 1, /*timeout_ms=*/0) <= 0) {
+    return std::nullopt;
+  }
+  const int client = ::accept(fd_, nullptr, nullptr);
+  if (client < 0) {
+    return std::nullopt;  // raced with another accept or the close path
+  }
+  return StreamSocket(client);
 }
 
-std::optional<StreamSocket> TcpListener::try_accept() {
-  return probe_accept(fd_, closed_, /*tcp=*/true);
-}
-
-void TcpListener::close() noexcept {
+void Listener::close() noexcept {
   closed_.store(true, std::memory_order_release);
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-  }
+  // Wakes a blocked poll immediately instead of waiting out the
+  // interval; errors (e.g. ENOTCONN on some kernels) are harmless — the
+  // flag alone suffices within one poll period.
+  ::shutdown(fd_, SHUT_RDWR);
 }
 
 }  // namespace elpc::util

@@ -1,7 +1,7 @@
 #pragma once
 // Minimal stream-socket primitives for the mapping daemon: an RAII
-// connection with newline-framed message IO, and listeners (Unix-domain
-// and TCP) whose accept loops can be unblocked from another thread.
+// connection with newline-framed message IO, and a listener (Unix-domain
+// or TCP) whose accept loop can be unblocked from another thread.
 //
 // Framing is one message per line (the daemon speaks line-delimited JSON
 // request/response pairs; JSON never contains a raw newline, so '\n' is
@@ -10,19 +10,22 @@
 // failures; SIGPIPE is avoided via MSG_NOSIGNAL, so a peer vanishing
 // mid-send surfaces as an exception, not a process kill.
 //
-// The same StreamSocket serves both transports — every operation is
-// fd-generic; only the connect/listen entry points know the address
-// family.  The blocking calls (send_line/recv_line) are the client and
-// test surface; the non-throwing chunked calls (recv_available/
-// send_pending) are the daemon multiplexer's surface, where readiness
-// is epoll's job and partial progress is the normal case.
+// The same StreamSocket and Listener serve both transports — every
+// operation is fd-generic; only the connect entry points and the
+// Listener's named constructors know the address family.  The blocking
+// calls (send_line/recv_line) are the client and test surface; the
+// non-throwing chunked calls (recv_available/send_pending) are the
+// daemon multiplexer's surface, where readiness is epoll's job and
+// partial progress is the normal case.
 
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace elpc::util {
 
@@ -161,23 +164,42 @@ class StreamSocket {
   std::size_t max_line_bytes_ = kDefaultMaxLineBytes;
 };
 
-/// Listening Unix-domain socket bound to a filesystem path.  A stale
-/// socket file from a crashed daemon is unlinked before bind — but only
-/// after a trial connect proves nothing is accepting on it, so starting
-/// a second daemon on a live endpoint fails loudly instead of silently
-/// hijacking (and later deleting) the first one's socket.  The path is
-/// unlinked again on destruction.
-class UnixListener {
+/// A listening stream socket, Unix-domain or TCP.  Only the two named
+/// constructors know the address family; accepting, closing and
+/// teardown are the same for both.
+class Listener {
  public:
-  /// Throws SocketError when the path is unusable or another process is
-  /// actively listening on it.
-  explicit UnixListener(const std::string& path);
-  ~UnixListener();
+  /// Binds the Unix-domain socket `path`.  A stale socket file from a
+  /// crashed daemon is unlinked before bind — but only after a trial
+  /// connect proves nothing is accepting on it, so starting a second
+  /// daemon on a live endpoint fails loudly instead of silently
+  /// hijacking (and later deleting) the first one's socket.  The path
+  /// is unlinked again on destruction.  Throws SocketError when the
+  /// path is unusable or another process is actively listening on it.
+  [[nodiscard]] static std::unique_ptr<Listener> unix_at(
+      const std::string& path);
 
-  UnixListener(const UnixListener&) = delete;
-  UnixListener& operator=(const UnixListener&) = delete;
+  /// Binds a TCP socket.  Host "" or "0.0.0.0" binds every interface;
+  /// port 0 asks the kernel for an ephemeral port, reported by port() —
+  /// the test-friendly way to avoid fixture port collisions.  Accepted
+  /// connections get TCP_NODELAY (see connect_tcp).
+  [[nodiscard]] static std::unique_ptr<Listener> tcp_at(
+      const std::string& host, int port);
 
+  ~Listener();
+
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  /// "unix" or "tcp": the transport label of the connections it accepts.
+  [[nodiscard]] const char* transport() const noexcept {
+    return port_ < 0 ? "unix" : "tcp";
+  }
+  /// The bound socket path; "" for TCP.
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  /// The actually-bound TCP port (resolves port 0 requests); -1 for a
+  /// Unix-domain socket.
+  [[nodiscard]] int port() const noexcept { return port_; }
   [[nodiscard]] int fd() const noexcept { return fd_; }
 
   /// Blocks for the next connection; nullopt once close() was called
@@ -194,45 +216,15 @@ class UnixListener {
   void close() noexcept;
 
  private:
+  Listener(int fd, std::string path, int port)
+      : path_(std::move(path)), port_(port), fd_(fd) {}
+
   std::string path_;
-  int fd_ = -1;
+  int port_;
+  int fd_;
   /// Set by close(); the accept loop polls with a short timeout, so a
   /// concurrent close is observed within one interval even if the
   /// wake-up shutdown() is missed.
-  std::atomic<bool> closed_{false};
-};
-
-/// Listening TCP socket.  Host "" or "0.0.0.0" binds every interface;
-/// port 0 asks the kernel for an ephemeral port, reported by port() —
-/// the test-friendly way to avoid fixture port collisions.  Accepted
-/// connections get TCP_NODELAY (see connect_tcp).
-class TcpListener {
- public:
-  TcpListener(const std::string& host, int port);
-  ~TcpListener();
-
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  /// The actually-bound port (resolves port 0 requests).
-  [[nodiscard]] int port() const noexcept { return port_; }
-  [[nodiscard]] const std::string& host() const noexcept { return host_; }
-  /// "host:port" with the resolved port, for log lines.
-  [[nodiscard]] std::string endpoint() const;
-  [[nodiscard]] int fd() const noexcept { return fd_; }
-
-  /// Blocking accept with the same close()-aware polling contract as
-  /// UnixListener::accept.
-  [[nodiscard]] std::optional<StreamSocket> accept();
-  /// Non-blocking accept (the epoll path).
-  [[nodiscard]] std::optional<StreamSocket> try_accept();
-
-  void close() noexcept;
-
- private:
-  std::string host_;
-  int port_ = 0;
-  int fd_ = -1;
   std::atomic<bool> closed_{false};
 };
 

@@ -2,8 +2,9 @@
 // pipelined frames (and the scan cursor that frames them in one pass),
 // read-buffer release after a large frame, write-queue backpressure,
 // auth gating, per-client quotas, waits outliving their submitter's
-// connection, TCP transport byte-identity, and the fixed-pool thread
-// invariant idle connections must not break.  The happy-path protocol flow lives in
+// connection, TCP transport byte-identity, exact per-transport
+// connection accounting, and the fixed-pool thread invariant idle
+// connections must not break.  The happy-path protocol flow lives in
 // socket_server_test.cpp; hostile-input robustness in
 // protocol_fuzz_test.cpp.
 
@@ -404,6 +405,89 @@ TEST(ConnectionMux, TcpTransportIsByteIdenticalToUnix) {
   serve_thread.join();
 }
 
+/// The value of one sample line of a metrics exposition ("" when the
+/// series is absent).
+std::string sample_of(const std::string& exposition,
+                      const std::string& series) {
+  const std::size_t at = exposition.find("\n" + series + " ");
+  if (at == std::string::npos) {
+    return "";
+  }
+  const std::size_t begin = at + series.size() + 2;
+  return exposition.substr(begin, exposition.find('\n', begin) - begin);
+}
+
+/// Connections are counted per transport exactly: two Unix clients and
+/// one TCP client beside the observing Unix client show in every stats
+/// key and metric series that splits by transport, and once they close
+/// the live counts fall back while the accepted totals keep them.
+TEST(ConnectionMux, PerTransportAccountingIsExact) {
+  SocketServerOptions options;
+  options.tcp = true;
+  options.tcp_host = "127.0.0.1";
+  options.tcp_port = 0;
+  SocketServer server(socket_path("acct"), options);
+  std::thread serve_thread([&server]() { server.serve(); });
+  ASSERT_GT(server.tcp_port(), 0);
+
+  DaemonClient observer(server.socket_path());
+  // Polls stats until `connections` reads `live` (accepts and closes
+  // are asynchronous), then returns that stats frame.
+  const auto stats_at = [&observer](std::int64_t live) {
+    util::Json stats = observer.stats();
+    for (int i = 0; i < 500 && stats.at("connections").as_int() != live;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      stats = observer.stats();
+    }
+    return stats;
+  };
+  const util::Json before = stats_at(1);
+  EXPECT_EQ(before.at("connections_unix").as_int(), 1);
+  EXPECT_EQ(before.at("connections_tcp").as_int(), 0);
+  EXPECT_EQ(before.at("connections_accepted").as_int(), 1);
+
+  std::vector<util::StreamSocket> clients;
+  clients.push_back(util::StreamSocket::connect(server.socket_path()));
+  clients.push_back(util::StreamSocket::connect(server.socket_path()));
+  clients.push_back(
+      util::StreamSocket::connect_tcp("127.0.0.1", server.tcp_port()));
+  const util::Json open = stats_at(4);
+  EXPECT_EQ(open.at("connections").as_int(), 4);
+  EXPECT_EQ(open.at("connections_unix").as_int(), 3);
+  EXPECT_EQ(open.at("connections_tcp").as_int(), 1);
+  EXPECT_EQ(open.at("connections_accepted").as_int(), 4);
+  std::string text = observer.metrics();
+  EXPECT_EQ(sample_of(text, "elpc_connections{transport=\"unix\"}"), "3");
+  EXPECT_EQ(sample_of(text, "elpc_connections{transport=\"tcp\"}"), "1");
+  EXPECT_EQ(
+      sample_of(text, "elpc_connections_accepted_total{transport=\"unix\"}"),
+      "3");
+  EXPECT_EQ(
+      sample_of(text, "elpc_connections_accepted_total{transport=\"tcp\"}"),
+      "1");
+
+  clients.clear();
+  const util::Json closed = stats_at(1);
+  EXPECT_EQ(closed.at("connections").as_int(), 1);
+  EXPECT_EQ(closed.at("connections_unix").as_int(), 1);
+  EXPECT_EQ(closed.at("connections_tcp").as_int(), 0);
+  EXPECT_EQ(closed.at("connections_accepted").as_int(), 4);
+  text = observer.metrics();
+  EXPECT_EQ(sample_of(text, "elpc_connections{transport=\"unix\"}"), "1");
+  EXPECT_EQ(sample_of(text, "elpc_connections{transport=\"tcp\"}"), "0");
+  EXPECT_EQ(
+      sample_of(text, "elpc_connections_accepted_total{transport=\"unix\"}"),
+      "3");
+  EXPECT_EQ(
+      sample_of(text, "elpc_connections_accepted_total{transport=\"tcp\"}"),
+      "1");
+  EXPECT_EQ(sample_of(text, "elpc_disconnects_total{reason=\"eof\"}"), "3");
+
+  observer.shutdown_server();
+  serve_thread.join();
+}
+
 /// The reason the multiplexer exists: connections must cost buffers,
 /// not threads.  Holding N idle connections leaves the process thread
 /// count exactly where it was, while the stats gauge reports them.
@@ -568,7 +652,8 @@ std::string describe(std::string_view bytes) {
 /// scan-cursor and buffer tests observe, with no verb layer in between.
 class EchoMux {
  public:
-  explicit EchoMux(const std::string& tag) : listener_(socket_path(tag)) {
+  explicit EchoMux(const std::string& tag)
+      : listener_(util::Listener::unix_at(socket_path(tag))) {
     MuxOptions options;
     options.io_workers = 1;
     MuxCallbacks callbacks;
@@ -583,18 +668,19 @@ class EchoMux {
       conn->send_line("bin " + describe(payload));
     };
     mux_ = std::make_unique<ConnectionMux>(options, std::move(callbacks));
-    mux_->add_listener(&listener_);
+    mux_->add_listener(listener_.get());
     mux_->start();
   }
 
   [[nodiscard]] util::StreamSocket connect() {
-    util::StreamSocket socket = util::StreamSocket::connect(listener_.path());
+    util::StreamSocket socket =
+        util::StreamSocket::connect(listener_->path());
     socket.set_recv_timeout(10000);
     return socket;
   }
 
  private:
-  util::UnixListener listener_;
+  std::unique_ptr<util::Listener> listener_;
   std::unique_ptr<ConnectionMux> mux_;  // stops before the listener dies
 };
 

@@ -135,16 +135,16 @@ TEST(SocketServer, SurvivesMalformedAndHostileFrames) {
 }
 
 TEST(DaemonClient, RetriesReconnectAfterTransientConnectionLoss) {
-  util::UnixListener listener(socket_path("retry"));
+  const auto listener = util::Listener::unix_at(socket_path("retry"));
   std::thread flaky_server([&listener]() {
     // First connection: accepted, then dropped without an answer — the
     // "daemon restarted under the client" shape.
     {
-      std::optional<util::StreamSocket> first = listener.accept();
+      std::optional<util::StreamSocket> first = listener->accept();
       ASSERT_TRUE(first.has_value());
     }  // closed on scope exit
     // Second connection (the retry): answer one request properly.
-    std::optional<util::StreamSocket> second = listener.accept();
+    std::optional<util::StreamSocket> second = listener->accept();
     ASSERT_TRUE(second.has_value());
     const std::optional<std::string> line = second->recv_line();
     ASSERT_TRUE(line.has_value());
@@ -159,7 +159,7 @@ TEST(DaemonClient, RetriesReconnectAfterTransientConnectionLoss) {
   // constructor does not block negotiating against it (this test is
   // about the retry policy, not the protocol version).
   options.protocol = ProtocolPreference::kV1;
-  DaemonClient client(listener.path(), options);
+  DaemonClient client(listener->path(), options);
   util::Json frame = util::JsonObject{};
   frame.set("verb", "noop");
   const util::Json response = client.request(frame);
@@ -169,22 +169,22 @@ TEST(DaemonClient, RetriesReconnectAfterTransientConnectionLoss) {
 }
 
 TEST(DaemonClient, ZeroRetriesSurfacesTheFirstFailure) {
-  util::UnixListener listener(socket_path("noretry"));
+  const auto listener = util::Listener::unix_at(socket_path("noretry"));
   std::thread closing_server([&listener]() {
     // Drop every connection unanswered until the listener closes.
-    while (std::optional<util::StreamSocket> peer = listener.accept()) {
+    while (std::optional<util::StreamSocket> peer = listener->accept()) {
     }
   });
 
   DaemonClientOptions options;
   options.max_retries = 0;
   options.protocol = ProtocolPreference::kV1;  // fake server, no hello
-  DaemonClient client(listener.path(), options);
+  DaemonClient client(listener->path(), options);
   util::Json frame = util::JsonObject{};
   frame.set("verb", "noop");
   EXPECT_THROW((void)client.request(frame), util::SocketError);
 
-  listener.close();
+  listener->close();
   closing_server.join();
 }
 
@@ -194,10 +194,10 @@ TEST(DaemonClient, ZeroRetriesSurfacesTheFirstFailure) {
 /// later connection would have its submits answered, so a resend would
 /// show as a returned ticket list.
 TEST(DaemonClient, SubmitAllNeverResendsAfterAFrameLeft) {
-  util::UnixListener listener(socket_path("noresend"));
+  const auto listener = util::Listener::unix_at(socket_path("noresend"));
   int connections = 0;
   std::thread dropping_server([&listener, &connections]() {
-    while (std::optional<util::StreamSocket> peer = listener.accept()) {
+    while (std::optional<util::StreamSocket> peer = listener->accept()) {
       if (++connections == 1) {
         (void)peer->recv_line();  // a submit arrived; hang up unanswered
         continue;
@@ -213,12 +213,12 @@ TEST(DaemonClient, SubmitAllNeverResendsAfterAFrameLeft) {
   options.backoff_ms = 1;
   options.protocol = ProtocolPreference::kV1;  // fake server, no hello
   {
-    DaemonClient client(listener.path(), options);
+    DaemonClient client(listener->path(), options);
     const std::vector<service::SolveJob> jobs = {make_job("a", 1),
                                                  make_job("b", 2)};
     EXPECT_THROW((void)client.submit_all(jobs), util::SocketError);
   }
-  listener.close();
+  listener->close();
   dropping_server.join();
   EXPECT_EQ(connections, 1);
 }
@@ -228,7 +228,7 @@ TEST(DaemonClient, SubmitAllNeverResendsAfterAFrameLeft) {
 /// first connection answers tickets 9 and 7 (out of order) and drops;
 /// the second must be asked for ticket 8 alone.
 TEST(DaemonClient, WaitAllReissuesOnlyUnansweredWaitsAfterReconnect) {
-  util::UnixListener listener(socket_path("rewait"));
+  const auto listener = util::Listener::unix_at(socket_path("rewait"));
   const auto status_line = [](Ticket ticket) {
     return R"({"ok": true, "priority": 0, "state": "done", "ticket": )" +
            std::to_string(ticket) + "}";
@@ -240,7 +240,7 @@ TEST(DaemonClient, WaitAllReissuesOnlyUnansweredWaitsAfterReconnect) {
   };
   std::thread flaky_server([&]() {
     {
-      std::optional<util::StreamSocket> first = listener.accept();
+      std::optional<util::StreamSocket> first = listener->accept();
       ASSERT_TRUE(first.has_value());
       std::vector<Ticket> asked;
       for (int i = 0; i < 3; ++i) {
@@ -252,7 +252,7 @@ TEST(DaemonClient, WaitAllReissuesOnlyUnansweredWaitsAfterReconnect) {
       first->send_line(status_line(9));
       first->send_line(status_line(7));
     }  // dropped with ticket 8 unanswered
-    std::optional<util::StreamSocket> second = listener.accept();
+    std::optional<util::StreamSocket> second = listener->accept();
     ASSERT_TRUE(second.has_value());
     const std::optional<std::string> line = second->recv_line();
     ASSERT_TRUE(line.has_value());
@@ -267,7 +267,7 @@ TEST(DaemonClient, WaitAllReissuesOnlyUnansweredWaitsAfterReconnect) {
   options.backoff_ms = 1;
   options.protocol = ProtocolPreference::kV1;
   {
-    DaemonClient client(listener.path(), options);
+    DaemonClient client(listener->path(), options);
     const std::vector<Ticket> tickets = {7, 8, 9};
     const std::vector<JobStatusView> statuses = client.wait_all(tickets);
     ASSERT_EQ(statuses.size(), 3u);

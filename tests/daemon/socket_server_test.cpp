@@ -781,9 +781,9 @@ TEST(SocketServer, SubmitAllRejectionMidWindowLeavesTheConnectionInSync) {
 /// build would (unknown verb).
 TEST(SocketServer, DemandingV2FromAV1OnlyServerFailsLoudly) {
   const std::string path = socket_path("v1only");
-  util::UnixListener listener(path);
+  const auto listener = util::Listener::unix_at(path);
   std::thread old_server([&listener]() {
-    std::optional<util::StreamSocket> peer = listener.accept();
+    std::optional<util::StreamSocket> peer = listener->accept();
     ASSERT_TRUE(peer.has_value());
     const std::optional<std::string> line = peer->recv_line();
     ASSERT_TRUE(line.has_value());
@@ -798,7 +798,7 @@ TEST(SocketServer, DemandingV2FromAV1OnlyServerFailsLoudly) {
   options.max_retries = 0;
   EXPECT_THROW(DaemonClient(path, options), DaemonError);
 
-  listener.close();
+  listener->close();
   old_server.join();
 }
 
@@ -810,10 +810,10 @@ TEST(SocketServer, RegisterNetworkFrameMatchesTheTreeFrame) {
   const std::string id = "net \"1\"\\";
   for (const bool auto_trace : {true, false}) {
     const std::string path = socket_path(auto_trace ? "regtrace" : "reg");
-    util::UnixListener listener(path);
+    const auto listener = util::Listener::unix_at(path);
     std::string captured;
     std::thread peer_thread([&listener, &captured]() {
-      std::optional<util::StreamSocket> peer = listener.accept();
+      std::optional<util::StreamSocket> peer = listener->accept();
       ASSERT_TRUE(peer.has_value());
       captured = peer->recv_line().value_or("");
       peer->send_line(R"({"ok":true})");

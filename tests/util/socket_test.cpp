@@ -1,6 +1,9 @@
 #include "util/socket.hpp"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <fstream>
@@ -17,9 +20,9 @@ std::string socket_path(const std::string& tag) {
 }
 
 TEST(UnixSocket, LineFramedEchoRoundTrip) {
-  UnixListener listener(socket_path("echo"));
+  const auto listener = Listener::unix_at(socket_path("echo"));
   std::thread server([&listener]() {
-    std::optional<StreamSocket> peer = listener.accept();
+    std::optional<StreamSocket> peer = listener->accept();
     ASSERT_TRUE(peer.has_value());
     for (;;) {
       const std::optional<std::string> line = peer->recv_line();
@@ -30,7 +33,7 @@ TEST(UnixSocket, LineFramedEchoRoundTrip) {
     }
   });
 
-  StreamSocket client = StreamSocket::connect(listener.path());
+  StreamSocket client = StreamSocket::connect(listener->path());
   client.send_line("hello");
   EXPECT_EQ(client.recv_line(), "echo:hello");
   // Framing survives several messages on one connection, including
@@ -46,9 +49,9 @@ TEST(UnixSocket, LineFramedEchoRoundTrip) {
 }
 
 TEST(UnixSocket, OverlongUnterminatedLineThrowsFrameError) {
-  UnixListener listener(socket_path("cap"));
+  const auto listener = Listener::unix_at(socket_path("cap"));
   std::thread server([&listener]() {
-    std::optional<StreamSocket> peer = listener.accept();
+    std::optional<StreamSocket> peer = listener->accept();
     ASSERT_TRUE(peer.has_value());
     // A message under the cap still frames fine...
     peer->send_line(std::string(32, 'a'));
@@ -60,7 +63,7 @@ TEST(UnixSocket, OverlongUnterminatedLineThrowsFrameError) {
     }
   });
 
-  StreamSocket client = StreamSocket::connect(listener.path());
+  StreamSocket client = StreamSocket::connect(listener->path());
   client.set_max_line_bytes(256);
   EXPECT_EQ(client.recv_line(), std::string(32, 'a'));
   // The 4 KiB frame exceeds the 256-byte cap long before its terminator
@@ -96,25 +99,82 @@ TEST(UnixSocket, OverlongPathRejectedNotTruncated) {
 
 TEST(UnixListener, RebindsOverStaleSocketFile) {
   const std::string path = socket_path("stale");
-  { UnixListener first(path); }  // unlinked on destroy, path reusable
+  { const auto first = Listener::unix_at(path); }  // unlinked on destroy
   {
     // A stale file at the path (a crashed daemon's leftover) must not
     // block the next bind.
     std::ofstream(path) << "stale";
-    UnixListener second(path);
-    EXPECT_EQ(second.path(), path);
+    const auto second = Listener::unix_at(path);
+    EXPECT_EQ(second->path(), path);
   }
-  UnixListener third(path);
-  EXPECT_EQ(third.path(), path);
+  const auto third = Listener::unix_at(path);
+  EXPECT_EQ(third->path(), path);
+  EXPECT_EQ(third->port(), -1);
+  EXPECT_STREQ(third->transport(), "unix");
 }
 
-TEST(UnixListener, CloseUnblocksAccept) {
-  UnixListener listener(socket_path("close"));
+TEST(UnixListener, RefusesAPathSomeoneIsListeningOn) {
+  const std::string path = socket_path("live");
+  const auto first = Listener::unix_at(path);
+  EXPECT_THROW((void)Listener::unix_at(path), SocketError);
+  // The refused bind left the live endpoint alone.
+  StreamSocket client = StreamSocket::connect(path);
+  EXPECT_TRUE(first->accept().has_value());
+}
+
+/// close() from another thread wakes a blocked accept(), on either
+/// transport.
+void expect_close_unblocks_accept(Listener& listener) {
   std::thread acceptor([&listener]() {
     EXPECT_FALSE(listener.accept().has_value());
   });
   listener.close();
   acceptor.join();  // returns promptly instead of blocking forever
+}
+
+TEST(UnixListener, CloseUnblocksAccept) {
+  expect_close_unblocks_accept(*Listener::unix_at(socket_path("close")));
+}
+
+TEST(TcpListener, PortZeroResolvesToAConnectablePort) {
+  const auto listener = Listener::tcp_at("127.0.0.1", 0);
+  ASSERT_GT(listener->port(), 0);
+  EXPECT_EQ(listener->path(), "");
+  EXPECT_STREQ(listener->transport(), "tcp");
+  StreamSocket client = StreamSocket::connect_tcp("127.0.0.1",
+                                                  listener->port());
+  std::optional<StreamSocket> peer = listener->accept();
+  ASSERT_TRUE(peer.has_value());
+  client.send_line("ping");
+  EXPECT_EQ(peer->recv_line(), "ping");
+}
+
+TEST(TcpListener, AcceptedConnectionsHaveNoDelay) {
+  const auto listener = Listener::tcp_at("127.0.0.1", 0);
+  StreamSocket client = StreamSocket::connect_tcp("127.0.0.1",
+                                                  listener->port());
+  std::optional<StreamSocket> peer = listener->accept();
+  ASSERT_TRUE(peer.has_value());
+  int nodelay = 0;
+  socklen_t length = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(peer->fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &length),
+            0);
+  EXPECT_NE(nodelay, 0);
+}
+
+TEST(TcpListener, CloseUnblocksAccept) {
+  expect_close_unblocks_accept(*Listener::tcp_at("127.0.0.1", 0));
+}
+
+TEST(TcpListener, DestructionUnlinksNothing) {
+  const std::string path = socket_path("tcp_keep");
+  const auto unix_listener = Listener::unix_at(path);
+  { const auto tcp_listener = Listener::tcp_at("127.0.0.1", 0); }
+  // The Unix endpoint beside it is still there and still served.
+  EXPECT_EQ(::access(path.c_str(), F_OK), 0);
+  StreamSocket client = StreamSocket::connect(path);
+  EXPECT_TRUE(unix_listener->accept().has_value());
 }
 
 }  // namespace
