@@ -561,7 +561,19 @@ DrainOutcome DaemonClient::drain_report(std::int64_t timeout_ms) {
 }
 
 void DaemonClient::shutdown_server() {
-  (void)checked(verb_frame("shutdown"));
+  try {
+    (void)checked(verb_frame("shutdown"));
+  } catch (const util::SocketError&) {
+    // The answer can be lost with its connection while the daemon goes
+    // down.  A daemon that no longer takes connections has shut down.
+    try {
+      connect_socket();
+    } catch (const util::SocketError&) {
+      return;
+    }
+    socket_.close();
+    throw;
+  }
 }
 
 }  // namespace elpc::daemon

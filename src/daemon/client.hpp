@@ -287,6 +287,8 @@ class DaemonClient {
   [[nodiscard]] util::Json drain(std::int64_t timeout_ms);
   /// Typed drain report.
   [[nodiscard]] DrainOutcome drain_report(std::int64_t timeout_ms);
+  /// Asks the daemon to shut down.  An answer lost with the connection
+  /// counts as done when the daemon then refuses connections.
   void shutdown_server();
 
  private:

@@ -225,12 +225,41 @@ void SocketServer::on_frame(const std::shared_ptr<MuxConnection>& conn,
                             std::string_view line) {
   ConnCtx ctx = context(conn, line.size());
   util::Json request;
+  // A top-level `network` object is built into a Network in the pass
+  // that parses the frame, with no tree for it.  Its schema refusal is
+  // held back for the verb, so a frame answers the error it would have
+  // answered parsed whole and walked.
+  FrameNetwork network;
   try {
-    request = util::Json::parse(line);
+    const auto read_network = [&network](util::JsonCursor& in) {
+      network.read = true;
+      network.begin = in.offset();
+      network.error = nullptr;
+      try {
+        network.network = graph::read_network_json(in);
+      } catch (const util::JsonParseError&) {
+        throw;
+      } catch (...) {
+        network.error = std::current_exception();
+      }
+      network.end = in.offset();
+    };
+    request = util::Json::parse(line, "network", read_network);
   } catch (const util::JsonError& e) {
     send(*conn, error_response(std::string("malformed request: ") + e.what()),
          ctx.version);
     return;
+  }
+  if (network.read && !request.contains("network")) {
+    const util::Json* verb = request.find("verb");
+    if (verb != nullptr && verb->is_string() &&
+        verb->as_string() == "register_network") {
+      ctx.network = &network;
+    } else {
+      // Any other verb sees the member as the tree it always saw.
+      request.set("network", util::Json::parse(line.substr(
+                                 network.begin, network.end - network.begin)));
+    }
   }
   if (Answer answer = dispatch(request, ctx)) {
     send(*conn, std::move(*answer), ctx.version);
@@ -452,12 +481,24 @@ SocketServer::Answer SocketServer::verb_hello(const util::Json& request,
   return response;
 }
 
+graph::Network SocketServer::FrameNetwork::take() {
+  if (error) {
+    std::rethrow_exception(error);
+  }
+  return std::move(network);
+}
+
 SocketServer::Answer SocketServer::verb_register_network(
-    const util::Json& request, ConnCtx& /*ctx*/) {
+    const util::Json& request, ConnCtx& ctx) {
+  // The network before the id: a frame wrong in both answers the
+  // network's error, as it always has.
+  graph::Network network =
+      ctx.network != nullptr
+          ? ctx.network->take()
+          : graph::network_from_json(request.at("network"));
+  const std::string& id = request.at("id").as_string();
   try {
-    (void)engine_->register_network(
-        request.at("id").as_string(),
-        graph::network_from_json(request.at("network")));
+    (void)engine_->register_network(id, std::move(network));
   } catch (const service::NetworkConflict& e) {
     return error_response(e.what(), codes::kConflict);
   }

@@ -60,6 +60,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -70,6 +71,7 @@
 #include "daemon/connection_mux.hpp"
 #include "daemon/job_manager.hpp"
 #include "daemon/trace.hpp"
+#include "graph/network.hpp"
 #include "service/batch_engine.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
@@ -245,6 +247,21 @@ class SocketServer {
   /// nullopt = the handler deferred its answer to completion_sink(),
   /// which throws without a connection: the direct path always answers.
   using Answer = std::optional<Reply>;
+  /// A line request's top-level `network` object, read straight from the
+  /// frame's text in the pass that parses the frame
+  /// (graph::read_network_json): the network, or the schema refusal the
+  /// read deferred until register_network takes it.
+  struct FrameNetwork {
+    bool read = false;
+    /// Where the value sits in the frame.
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    graph::Network network;
+    std::exception_ptr error;
+
+    /// The network, or its deferred refusal thrown.
+    graph::Network take();
+  };
   /// The connection a request arrived on, as the handlers see it.
   struct ConnCtx {
     /// Null on the direct handle() path (no connection to renegotiate or
@@ -259,6 +276,9 @@ class SocketServer {
     /// A v2 binary request's frame (header + payload); null for a line.
     const wire::FrameHeader* frame = nullptr;
     std::string_view frame_payload = {};
+    /// A register_network line's network, read with its frame; null when
+    /// the request holds it as a tree (the direct handle() path).
+    FrameNetwork* network = nullptr;
   };
   using Handler = Answer (SocketServer::*)(const util::Json& request,
                                            ConnCtx& ctx);

@@ -115,7 +115,7 @@ int cmd_generate(const std::vector<std::string>& args, std::ostream& out) {
     spec.stream = static_cast<std::uint64_t>(parser.get_int("seed"));
     scenario = workload::build_scenario(spec);
   }
-  const std::string doc = workload::to_json(scenario).dump(2);
+  const std::string doc = workload::dump_json(scenario, 2);
   if (parser.get_string("out").empty()) {
     out << doc << "\n";
   } else {

@@ -3,9 +3,14 @@
 // paper describes ("arbitrary in topology described in the form of an
 // adjacency matrix", Section 4.1).
 //
-// The schema has one writer, append_json, which prints the document as
-// text; to_json is that text parsed, so a tree and a register_network
-// frame can never disagree about the bytes.
+// The schema has one writer and one reader, both over text.  The writer,
+// append_json, prints the document straight into a string; to_json is
+// that text parsed, for a caller that embeds the network in a larger
+// tree.  The reader, read_network_json, builds the Network straight from
+// the text at a util::JsonCursor, with no tree in between: the daemon
+// reads a register_network frame's network with it in the same pass as
+// the rest of the frame.  network_from_json is that reader over a tree's
+// dump(), for the callers that hold a tree.
 
 #include <cstdint>
 #include <string>
@@ -33,16 +38,28 @@ inline constexpr std::int64_t kMaxWireNodeId = (std::int64_t{1} << 53) - 1;
 /// with links in out-row order (ascending (from, to)) and nodes by id.
 /// This is the schema's one writer.  It prints straight to text through
 /// util::dump_string / util::dump_number, so the bytes are exactly what
-/// dump() prints for the same document, and it allocates nothing per
-/// link or node: only `out` grows.
-void append_json(std::string& out, const Network& net);
+/// dump(indent) prints for the same document nested `depth` levels
+/// deep, and it allocates nothing per link or node: only `out` grows.
+void append_json(std::string& out, const Network& net, int indent = 0,
+                 int depth = 0);
 
 /// The document append_json writes, parsed: a tree for callers that
 /// embed the network in a larger Json value.
 [[nodiscard]] util::Json to_json(const Network& net);
 
-/// Inverse of to_json; validates and throws util::JsonError /
-/// std::invalid_argument on malformed documents.
+/// Reads the network document at `in`, consuming exactly that value,
+/// and builds the Network from it: the schema's one reader.  A syntax
+/// error throws at once (util::JsonParseError, with its offset).  The
+/// schema's refusals (util::JsonError for a missing or mistyped member,
+/// std::invalid_argument for a bad id or link, from node_id_from_json
+/// and Network) are thrown only once the whole value is read, and the
+/// one thrown is the first a walk over the parsed tree meets: whatever
+/// the member order, a repeated key's last value counting, unknown
+/// members ignored.
+[[nodiscard]] Network read_network_json(util::JsonCursor& in);
+
+/// read_network_json over `doc`'s dump(): for callers that hold a tree.
+/// A non-finite number in `doc` dumps as null and is refused as one.
 [[nodiscard]] Network network_from_json(const util::Json& doc);
 
 /// 0/1 adjacency matrix as text, one row per line ("0 1 1\n1 0 0\n...").

@@ -75,22 +75,42 @@ SolveJob job_from_json(const util::Json& doc) {
   return job;
 }
 
-util::Json to_json(const BatchSpec& spec) {
-  util::JsonArray networks;
-  for (const auto& [id, network] : spec.networks) {
-    util::Json entry = util::JsonObject{};
-    entry.set("id", id);
-    entry.set("network", graph::to_json(network));
-    networks.push_back(std::move(entry));
-  }
+std::string dump_json(const BatchSpec& spec, int indent) {
   util::JsonArray jobs;
   for (const SolveJob& job : spec.jobs) {
     jobs.push_back(to_json(job));
   }
   util::Json doc = util::JsonObject{};
-  doc.set("networks", util::Json(std::move(networks)));
   doc.set("jobs", util::Json(std::move(jobs)));
-  return doc;
+  std::string out;
+  util::dump_with_member(
+      out, doc, indent, 0, "networks", [&](std::string& text, int depth) {
+        if (spec.networks.empty()) {
+          text += "[]";
+          return;
+        }
+        text += '[';
+        const char* separator = "";
+        for (const auto& [id, network] : spec.networks) {
+          text += separator;
+          separator = ",";
+          util::dump_newline(text, indent, depth + 1);
+          util::Json entry = util::JsonObject{};
+          entry.set("id", id);
+          util::dump_with_member(
+              text, entry, indent, depth + 1, "network",
+              [&](std::string& inner, int inner_depth) {
+                graph::append_json(inner, network, indent, inner_depth);
+              });
+        }
+        util::dump_newline(text, indent, depth);
+        text += ']';
+      });
+  return out;
+}
+
+util::Json to_json(const BatchSpec& spec) {
+  return util::Json::parse(dump_json(spec));
 }
 
 BatchSpec batch_spec_from_json(const util::Json& doc) {

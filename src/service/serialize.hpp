@@ -44,6 +44,10 @@ struct BatchSpec {
 [[nodiscard]] util::Json to_json(const SolveJob& job);
 [[nodiscard]] SolveJob job_from_json(const util::Json& doc);
 
+/// The job file as text, the bytes Json::dump(indent) prints for it,
+/// with each network written by graph::append_json and never built as a
+/// tree; to_json is that text parsed.
+[[nodiscard]] std::string dump_json(const BatchSpec& spec, int indent = 0);
 [[nodiscard]] util::Json to_json(const BatchSpec& spec);
 [[nodiscard]] BatchSpec batch_spec_from_json(const util::Json& doc);
 

@@ -25,10 +25,15 @@
 //                      (detectable: the next incremental re-solve fails
 //                      its version check and falls back to a full solve
 //                      — results stay bit-identical)
-//   socket_send_epipe  StreamSocket::send_line throws before sending
+//   socket_send_epipe  StreamSocket::send_line throws before sending;
+//                      the daemon's send_pending reports the connection
+//                      dead (what EPIPE gives), so the mux closes it
 //   socket_short_write StreamSocket::send_line sends a torn frame, then
-//                      throws
-//   socket_recv_slow   StreamSocket::recv_line sleeps param ms first
+//                      throws; the daemon's send_pending sends half the
+//                      batch and reports would-block, so the rest leaves
+//                      on the next writable wake
+//   socket_recv_slow   StreamSocket::recv_line, and the daemon's
+//                      recv_available, sleep param ms first
 
 #include <atomic>
 #include <cstdint>

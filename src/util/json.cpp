@@ -262,21 +262,24 @@ void release_scratch(std::vector<T>& stack) {
   }
 }
 
-/// The six characters isspace accepts in the C locale.
-bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
-         c == '\r';
-}
-
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-/// Recursive-descent JSON parser over a string with a cursor.
-class Parser {
- public:
-  Parser(std::string_view text, ParseScratch& scratch)
-      : text_(text), scratch_(scratch) {}
+/// A byte the number scan takes into a number's token.
+bool is_number_byte(char c) {
+  return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+         c == '-';
+}
 
-  Json parse_document() {
+/// Builds the Json tree of the value at a cursor.
+class TreeReader {
+ public:
+  TreeReader(JsonCursor& in, ParseScratch& scratch)
+      : in_(in), scratch_(scratch) {}
+
+  /// The document, with `key`'s object values at the top level handed
+  /// to `read` when it is set.
+  Json document(std::string_view key,
+                const std::function<void(JsonCursor&)>* read) {
     // What a failed parse leaves on the stacks is dropped on the way out.
     struct Release {
       ParseScratch& scratch;
@@ -285,82 +288,25 @@ class Parser {
         release_scratch(scratch.elements);
       }
     } release{scratch_};
-    Json v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing characters after document");
-    }
+    Json v = read != nullptr && in_.peek() == JsonCursor::Kind::kObject
+                 ? object(key, read)
+                 : value();
+    in_.finish();
     return v;
   }
 
  private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw JsonError("JSON parse error at offset " + std::to_string(pos_) +
-                    ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && is_space(text_[pos_])) {
-      ++pos_;
+  Json value() {
+    switch (in_.peek()) {
+      case JsonCursor::Kind::kObject: return object({}, nullptr);
+      case JsonCursor::Kind::kArray: return array();
+      case JsonCursor::Kind::kString:
+        return Json(std::string(in_.read_string()));
+      case JsonCursor::Kind::kBool: return Json(in_.read_bool());
+      case JsonCursor::Kind::kNull: in_.read_null(); return Json(nullptr);
+      case JsonCursor::Kind::kNumber: break;
     }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-    }
-    return text_[pos_];
-  }
-
-  char take() {
-    char c = peek();
-    ++pos_;
-    return c;
-  }
-
-  void expect(char c) {
-    if (take() != c) {
-      --pos_;
-      fail(std::string("expected '") + c + "'");
-    }
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{':
-      case '[': {
-        // Recursion (and the recursive destructor of what it builds) is
-        // bounded by the nesting cap, whatever the peer sends.
-        if (++depth_ > kMaxJsonDepth) {
-          fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
-        }
-        Json v = c == '{' ? parse_object() : parse_array();
-        --depth_;
-        return v;
-      }
-      case '"': return Json(parse_string());
-      case 't':
-        if (consume_literal("true")) return Json(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Json(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Json(nullptr);
-        fail("invalid literal");
-      default:
-        return parse_number();
-    }
+    return Json(in_.read_number());
   }
 
   /// Moves stack[base, end) out into an exact-size vector.
@@ -373,170 +319,354 @@ class Parser {
     return out;
   }
 
-  Json parse_object() {
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      take();
-      return Json(JsonObject{});
-    }
+  Json object(std::string_view key,
+              const std::function<void(JsonCursor&)>* read) {
+    in_.begin_object();
     std::vector<JsonObject::value_type>& stack = scratch_.members;
     const std::size_t base = stack.size();
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      // Parsed before the push: nested containers use the same stack.
-      Json value = parse_value();
-      stack.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      const char c = take();
-      if (c == '}') {
-        break;
+    bool handed_last = false;  // the last `key` member went to `read`
+    std::string_view name;
+    while (in_.next_key(name)) {
+      if (read != nullptr && name == key) {
+        handed_last = in_.peek() == JsonCursor::Kind::kObject;
+        if (handed_last) {
+          (*read)(in_);
+          continue;
+        }
       }
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or '}' in object");
-      }
+      // The key is copied before the value is read, which may reuse the
+      // view's storage; the value is read before the push, since nested
+      // containers use the same stack.
+      std::string name_copy(name);
+      Json v = value();
+      stack.emplace_back(std::move(name_copy), std::move(v));
+    }
+    if (handed_last) {
+      stack.erase(std::remove_if(stack.begin() +
+                                     static_cast<std::ptrdiff_t>(base),
+                                 stack.end(),
+                                 [key](const JsonObject::value_type& m) {
+                                   return m.first == key;
+                                 }),
+                  stack.end());
+    }
+    if (stack.size() == base) {
+      return Json(JsonObject{});
     }
     // Sorts and drops earlier duplicates only when out of order.
     return Json(JsonObject(pop_from(stack, base)));
   }
 
-  Json parse_array() {
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      take();
-      return Json(JsonArray{});
-    }
+  Json array() {
+    in_.begin_array();
     std::vector<Json>& stack = scratch_.elements;
     const std::size_t base = stack.size();
-    while (true) {
-      Json element = parse_value();
+    while (in_.next_element()) {
+      Json element = value();
       stack.push_back(std::move(element));
-      skip_ws();
-      const char c = take();
-      if (c == ']') {
-        break;
-      }
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or ']' in array");
-      }
+    }
+    if (stack.size() == base) {
+      return Json(JsonArray{});
     }
     return Json(pop_from(stack, base));
   }
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      // Copy the run up to the next quote or backslash in one append.
-      std::size_t run_end = pos_;
-      while (run_end < text_.size() && text_[run_end] != '"' &&
-             text_[run_end] != '\\') {
-        ++run_end;
-      }
-      out.append(text_.data() + pos_, run_end - pos_);
-      pos_ = run_end;
-      if (take() == '"') {
-        break;
-      }
-      const char esc = take();
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = take();
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("invalid \\u escape");
-            }
-          }
-          // One BMP code point to UTF-8; surrogate halves are not joined.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          fail("invalid escape character");
-      }
-    }
-    return out;
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') {
-      take();
-    }
-    while (pos_ < text_.size() &&
-           (is_digit(text_[pos_]) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("invalid number");
-    }
-    const char* const first = text_.data() + start;
-    const char* const last = text_.data() + pos_;
-    double d = 0.0;
-    const std::from_chars_result r = std::from_chars(first, last, d);
-    if (r.ec == std::errc() && r.ptr == last) {
-      return Json(d);
-    }
-    // The rare rest keeps strtod's verdict: out-of-range magnitudes
-    // (1e400 -> inf, 1e-400 -> 0), a leading '+', and the rejections.
-    const std::string token(first, last);
-    char* end = nullptr;
-    d = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      pos_ = start;
-      fail("invalid number '" + token + "'");
-    }
-    return Json(d);
-  }
-
-  const std::string_view text_;
+  JsonCursor& in_;
   ParseScratch& scratch_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;  // containers open at pos_
 };
 
 }  // namespace
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
-  const bool pretty = indent > 0;
-  const std::size_t pad =
-      pretty ? static_cast<std::size_t>(indent * (depth + 1)) : 0;
-  const std::size_t close_pad =
-      pretty ? static_cast<std::size_t>(indent * depth) : 0;
+void JsonCursor::fail(const std::string& what) const {
+  throw JsonParseError("JSON parse error at offset " + std::to_string(pos_) +
+                       ": " + what);
+}
 
+void JsonCursor::fail_expected(char c) const {
+  fail(std::string("expected '") + c + "'");
+}
+
+void JsonCursor::open(char c) {
+  skip_ws();
+  (void)peek_char();
+  // Recursion (and the recursive destructor of what a tree reader
+  // builds) is bounded by the nesting cap, whatever the peer sends.
+  if (++depth_ > kMaxJsonDepth) {
+    fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+  }
+  expect(c);
+  first_ = true;
+}
+
+void JsonCursor::begin_object() { open('{'); }
+
+void JsonCursor::begin_array() { open('['); }
+
+bool JsonCursor::next_key(std::string_view& key) {
+  skip_ws();
+  if (first_) {
+    first_ = false;
+    if (peek_char() == '}') {
+      ++pos_;
+      --depth_;
+      return false;
+    }
+  } else {
+    const char c = take();
+    if (c == '}') {
+      --depth_;
+      return false;
+    }
+    if (c != ',') {
+      --pos_;
+      fail("expected ',' or '}' in object");
+    }
+    skip_ws();
+  }
+  key = parse_string();
+  skip_ws();
+  expect(':');
+  return true;
+}
+
+bool JsonCursor::next_element() {
+  skip_ws();
+  if (first_) {
+    first_ = false;
+    if (peek_char() == ']') {
+      ++pos_;
+      --depth_;
+      return false;
+    }
+    return true;
+  }
+  const char c = take();
+  if (c == ']') {
+    --depth_;
+    return false;
+  }
+  if (c != ',') {
+    --pos_;
+    fail("expected ',' or ']' in array");
+  }
+  return true;
+}
+
+bool JsonCursor::read_bool() {
+  skip_ws();
+  if (text_.substr(pos_, 4) == "true") {
+    pos_ += 4;
+    return true;
+  }
+  if (text_.substr(pos_, 5) == "false") {
+    pos_ += 5;
+    return false;
+  }
+  (void)peek_char();
+  fail("invalid literal");
+}
+
+void JsonCursor::read_null() {
+  skip_ws();
+  if (text_.substr(pos_, 4) != "null") {
+    (void)peek_char();
+    fail("invalid literal");
+  }
+  pos_ += 4;
+}
+
+std::string_view JsonCursor::read_string() {
+  skip_ws();
+  return parse_string();
+}
+
+std::string_view JsonCursor::parse_string() {
+  expect('"');
+  // Most strings hold no escape: then the string is the text up to the
+  // closing quote, and nothing is copied.
+  std::size_t run_end = pos_;
+  while (run_end < text_.size() && text_[run_end] != '"' &&
+         text_[run_end] != '\\') {
+    ++run_end;
+  }
+  if (run_end < text_.size() && text_[run_end] == '"') {
+    const std::string_view plain = text_.substr(pos_, run_end - pos_);
+    pos_ = run_end + 1;
+    return plain;
+  }
+  std::string& out = decoded_;
+  out.clear();
+  while (true) {
+    // Copy the run up to the next quote or backslash in one append.
+    std::size_t run_end = pos_;
+    while (run_end < text_.size() && text_[run_end] != '"' &&
+           text_[run_end] != '\\') {
+      ++run_end;
+    }
+    out.append(text_.data() + pos_, run_end - pos_);
+    pos_ = run_end;
+    if (take() == '"') {
+      break;
+    }
+    const char esc = take();
+    switch (esc) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'r': out += '\r'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'u': {
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = take();
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code += static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code += static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code += static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            fail("invalid \\u escape");
+          }
+        }
+        // One BMP code point to UTF-8; surrogate halves are not joined.
+        if (code < 0x80) {
+          out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          out += static_cast<char>(0xC0 | (code >> 6));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          out += static_cast<char>(0xE0 | (code >> 12));
+          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        break;
+      }
+      default:
+        fail("invalid escape character");
+    }
+  }
+  return out;
+}
+
+double JsonCursor::read_number() {
+  skip_ws();
+  const std::size_t start = pos_;
+  // The token is the longest run of number bytes.  from_chars straight
+  // on the text stops at the token's end when the token is a plain
+  // number, so the common case needs no separate scan for it.  Only a
+  // token opening with a digit (after an optional '-') goes this way:
+  // from_chars would also take "inf" and "nan", which are no token.
+  const char* const first = text_.data() + pos_;
+  const char* const end = text_.data() + text_.size();
+  const char* const lead = first < end && *first == '-' ? first + 1 : first;
+  if (lead < end && is_digit(*lead)) {
+    double d = 0.0;
+    const std::from_chars_result r = std::from_chars(first, end, d);
+    if (r.ec == std::errc() && (r.ptr == end || !is_number_byte(*r.ptr))) {
+      pos_ += static_cast<std::size_t>(r.ptr - first);
+      return d;
+    }
+  }
+  if (peek_char() == '-') {
+    ++pos_;
+  }
+  while (pos_ < text_.size() && is_number_byte(text_[pos_])) {
+    ++pos_;
+  }
+  if (pos_ == start) {
+    fail("invalid number");
+  }
+  const char* const last = text_.data() + pos_;
+  double d = 0.0;
+  const std::from_chars_result r = std::from_chars(first, last, d);
+  if (r.ec == std::errc() && r.ptr == last) {
+    return d;
+  }
+  // The rare rest keeps strtod's verdict: out-of-range magnitudes
+  // (1e400 -> inf, 1e-400 -> 0), a leading '+', and the rejections.
+  const std::string token(first, last);
+  char* token_end = nullptr;
+  d = std::strtod(token.c_str(), &token_end);
+  if (token_end == nullptr || *token_end != '\0') {
+    pos_ = start;
+    fail("invalid number '" + token + "'");
+  }
+  return d;
+}
+
+void JsonCursor::skip_value() {
+  switch (peek()) {
+    case Kind::kObject:
+      begin_object();
+      for (std::string_view key; next_key(key);) {
+        skip_value();
+      }
+      return;
+    case Kind::kArray:
+      begin_array();
+      while (next_element()) {
+        skip_value();
+      }
+      return;
+    case Kind::kString: (void)read_string(); return;
+    case Kind::kBool: (void)read_bool(); return;
+    case Kind::kNull: read_null(); return;
+    case Kind::kNumber: (void)read_number(); return;
+  }
+}
+
+void JsonCursor::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) {
+    fail("trailing characters after document");
+  }
+}
+
+void dump_newline(std::string& out, int indent, int depth) {
+  if (indent > 0) {
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent) *
+                   static_cast<std::size_t>(depth),
+               ' ');
+  }
+}
+
+void dump_with_member(std::string& out, const Json& doc, int indent,
+                      int depth, std::string_view key,
+                      const std::function<void(std::string&, int)>& write) {
+  const char* separator = "";
+  const auto open_member = [&](std::string_view name) {
+    out += separator;
+    separator = ",";
+    dump_newline(out, indent, depth + 1);
+    dump_string(out, name);
+    out += indent > 0 ? ": " : ":";
+  };
+  bool written = false;
+  out += '{';
+  for (const auto& [name, value] : doc.as_object()) {
+    if (!written && key < std::string_view(name)) {
+      open_member(key);
+      write(out, depth + 1);
+      written = true;
+    }
+    open_member(name);
+    value.dump_to(out, indent, depth + 1);
+  }
+  if (!written) {
+    open_member(key);
+    write(out, depth + 1);
+  }
+  dump_newline(out, indent, depth);
+  out += '}';
+}
+
+void Json::dump_to(std::string& out, int indent, int depth) const {
   if (is_null()) {
     out += "null";
   } else if (is_bool()) {
@@ -553,19 +683,13 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     }
     out += '[';
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (pretty) {
-        out += '\n';
-        out.append(pad, ' ');
-      }
+      dump_newline(out, indent, depth + 1);
       arr[i].dump_to(out, indent, depth + 1);
       if (i + 1 < arr.size()) {
         out += ',';
       }
     }
-    if (pretty) {
-      out += '\n';
-      out.append(close_pad, ' ');
-    }
+    dump_newline(out, indent, depth);
     out += ']';
   } else {
     const auto& obj = as_object();
@@ -576,21 +700,15 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     out += '{';
     std::size_t i = 0;
     for (const auto& [key, value] : obj) {
-      if (pretty) {
-        out += '\n';
-        out.append(pad, ' ');
-      }
+      dump_newline(out, indent, depth + 1);
       dump_string(out, key);
-      out += pretty ? ": " : ":";
+      out += indent > 0 ? ": " : ":";
       value.dump_to(out, indent, depth + 1);
       if (++i < obj.size()) {
         out += ',';
       }
     }
-    if (pretty) {
-      out += '\n';
-      out.append(close_pad, ' ');
-    }
+    dump_newline(out, indent, depth);
     out += '}';
   }
 }
@@ -601,10 +719,25 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-Json Json::parse(std::string_view text) {
+namespace {
+
+/// One thread's scratch stacks: parses on one thread never overlap.
+ParseScratch& thread_scratch() {
   thread_local ParseScratch scratch;
-  Parser parser(text, scratch);
-  return parser.parse_document();
+  return scratch;
+}
+
+}  // namespace
+
+Json Json::parse(std::string_view text) {
+  JsonCursor in(text);
+  return TreeReader(in, thread_scratch()).document({}, nullptr);
+}
+
+Json Json::parse(std::string_view text, std::string_view key,
+                 const std::function<void(JsonCursor&)>& read) {
+  JsonCursor in(text);
+  return TreeReader(in, thread_scratch()).document(key, &read);
 }
 
 }  // namespace elpc::util

@@ -25,6 +25,7 @@
 // after mutating its parent instead of holding the old pointer.
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -85,6 +86,16 @@ class JsonError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown on text that is not JSON ("JSON parse error at offset N:
+/// ..."), as opposed to a well-formed value of the wrong shape: lets a
+/// typed reader that defers its schema errors let syntax errors through.
+class JsonParseError : public JsonError {
+ public:
+  using JsonError::JsonError;
+};
+
+class JsonCursor;
+
 /// Immutable-ish JSON value (null, bool, number, string, array, object).
 class Json {
  public:
@@ -141,6 +152,15 @@ class Json {
   /// keys keep the last value.
   [[nodiscard]] static Json parse(std::string_view text);
 
+  /// parse(), except that when the document is an object, each of its
+  /// top-level `key` members whose value is an object is not built:
+  /// `read` is called with the cursor at that value and must consume
+  /// exactly that value.  The returned tree holds `key` only when its
+  /// last occurrence was built (the last duplicate wins, as in parse).
+  /// Every other rule, and every error and its offset, is parse()'s.
+  [[nodiscard]] static Json parse(std::string_view text, std::string_view key,
+                                  const std::function<void(JsonCursor&)>& read);
+
   friend bool operator==(const Json& a, const Json& b) {
     return a.value_ == b.value_;
   }
@@ -152,6 +172,10 @@ class Json {
   }
 
   void dump_to(std::string& out, int indent, int depth) const;
+  friend void dump_with_member(
+      std::string& out, const Json& doc, int indent, int depth,
+      std::string_view key,
+      const std::function<void(std::string&, int)>& write);
 
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
                JsonObject>
@@ -163,6 +187,121 @@ class Json {
 /// same bytes dump() gives for Json(s) / Json(d), appended to `out`.
 void dump_string(std::string& out, std::string_view s);
 void dump_number(std::string& out, double d);
+/// Appends what dump(indent) prints for the object `doc` nested `depth`
+/// levels deep, with one more member, `key` (absent from `doc`), at its
+/// sorted place: `write` appends that member's value, given the depth
+/// the value sits at.  Lets a writer splice text it prints itself
+/// (graph::append_json) into a document without parsing it into a tree.
+void dump_with_member(std::string& out, const Json& doc, int indent,
+                      int depth, std::string_view key,
+                      const std::function<void(std::string&, int)>& write);
+/// What dump(indent) prints before a member or element nested `depth`
+/// levels deep: a line break and indent * depth spaces (nothing when
+/// indent is 0).
+void dump_newline(std::string& out, int indent, int depth);
+
+/// A cursor over JSON text: the one grammar behind Json::parse, also
+/// used by typed readers that build their own values straight from the
+/// text (graph::read_network_json).  Whoever reads through it, a syntax
+/// error throws the same JsonParseError, "JSON parse error at offset N:
+/// ...", with N an offset into the whole text; nesting deeper than
+/// kMaxJsonDepth is one of them.
+///
+/// A container is read by begin_object() / begin_array(), then
+/// next_key() / next_element() until it returns false; between two such
+/// calls the caller reads or skips exactly one value.
+class JsonCursor {
+ public:
+  /// A value's kind, told by its first byte as the grammar dispatches on
+  /// it; a malformed literal or number is found only when read.
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  explicit JsonCursor(std::string_view text) : text_(text) {}
+
+  /// Skips whitespace and names the next value's kind.
+  [[nodiscard]] Kind peek() {
+    skip_ws();
+    switch (peek_char()) {
+      case '{': return Kind::kObject;
+      case '[': return Kind::kArray;
+      case '"': return Kind::kString;
+      case 't':
+      case 'f': return Kind::kBool;
+      case 'n': return Kind::kNull;
+      default: return Kind::kNumber;
+    }
+  }
+
+  void begin_object();
+  /// The next member's key, in `key`, with the cursor at its value; false
+  /// (and the object closed) at its '}'.  Like read_string's, the view
+  /// lasts until the next call on the cursor.
+  bool next_key(std::string_view& key);
+  void begin_array();
+  /// True with the cursor at the next element; false (and the array
+  /// closed) at its ']'.
+  bool next_element();
+
+  [[nodiscard]] double read_number();
+  /// The decoded string, valid until the next call on the cursor: a view
+  /// of the text itself when the string holds no escape.
+  [[nodiscard]] std::string_view read_string();
+  [[nodiscard]] bool read_bool();
+  void read_null();
+  /// Reads and drops one value of any kind, checking it as parse does.
+  void skip_value();
+
+  /// Checks that only whitespace is left ("trailing characters after
+  /// document").
+  void finish();
+
+  /// Offset of the next unread byte.
+  [[nodiscard]] std::size_t offset() const { return pos_; }
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const;
+  [[noreturn]] void fail_expected(char c) const;
+
+  // The byte-level steps, inline: every value and member goes through
+  // them.  The six bytes isspace accepts in the C locale are whitespace.
+  void skip_ws() {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\v' && c != '\f' &&
+          c != '\r') {
+        return;
+      }
+      ++pos_;
+    }
+  }
+  char peek_char() {
+    if (pos_ >= text_.size()) {
+      fail("unexpected end of input");
+    }
+    return text_[pos_];
+  }
+  char take() {
+    const char c = peek_char();
+    ++pos_;
+    return c;
+  }
+  void expect(char c) {
+    if (take() != c) {
+      --pos_;
+      fail_expected(c);
+    }
+  }
+  void open(char c);
+  std::string_view parse_string();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open at pos_
+  /// The container just opened has not had its first member yet.
+  bool first_ = false;
+  /// The last string read, decoded, when it held an escape.
+  std::string decoded_;
+};
 
 // JsonObject's inline members need Json complete.
 inline JsonObject::const_iterator JsonObject::begin() const {

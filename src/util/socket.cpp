@@ -321,6 +321,9 @@ StreamSocket::IoStatus StreamSocket::recv_available(std::string& buffer,
   if (!valid()) {
     return IoStatus::kError;
   }
+  if (FaultInjector& faults = FaultInjector::instance(); faults.enabled()) {
+    (void)faults.maybe_stall("socket_recv_slow");
+  }
   // Reads land in `buffer` itself, in a window grown past its end and
   // trimmed back to what arrived: no bounce through a stack chunk.
   std::size_t received = 0;
@@ -361,6 +364,15 @@ StreamSocket::IoStatus StreamSocket::send_pending(
   if (!valid()) {
     return IoStatus::kError;
   }
+  // A short write is the kernel taking only part of a batch, as a nearly
+  // full socket buffer does: the rest waits for the next writable wake.
+  bool short_write = false;
+  if (FaultInjector& faults = FaultInjector::instance(); faults.enabled()) {
+    if (faults.should_fire("socket_send_epipe")) {
+      return IoStatus::kError;  // what a vanished peer's EPIPE reports
+    }
+    short_write = faults.should_fire("socket_short_write");
+  }
   while (!chunks.empty()) {
     // Gather up to IOV_MAX chunks per writev: many small line frames
     // still drain in one syscall, and a fat binary payload goes out
@@ -377,9 +389,22 @@ StreamSocket::IoStatus StreamSocket::send_pending(
       iov[i].iov_len = chunk.size() - skip;
       total += iov[i].iov_len;
     }
+    std::size_t iov_count = batch;
+    if (short_write) {
+      // Half the batch's bytes (at least one), cut inside its iovecs.
+      std::size_t left = std::max<std::size_t>(1, total / 2);
+      total = left;
+      iov_count = 0;
+      while (left > iov[iov_count].iov_len) {
+        left -= iov[iov_count].iov_len;
+        ++iov_count;
+      }
+      iov[iov_count].iov_len = left;
+      ++iov_count;
+    }
     msghdr msg{};
     msg.msg_iov = iov;
-    msg.msg_iovlen = batch;
+    msg.msg_iovlen = iov_count;
     const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
@@ -402,9 +427,11 @@ StreamSocket::IoStatus StreamSocket::send_pending(
         sent = 0;
       }
     }
-    if (static_cast<std::size_t>(n) < total) {
+    if (static_cast<std::size_t>(n) < total ||
+        (short_write && !chunks.empty())) {
       return IoStatus::kWouldBlock;  // kernel buffer full mid-batch
     }
+    short_write = false;
   }
   front_offset = 0;
   return IoStatus::kOk;
@@ -504,8 +531,17 @@ std::unique_ptr<Listener> Listener::tcp_at(const std::string& host,
   return listener;
 }
 
+Listener::Listener(int fd, std::string path, int port)
+    : path_(std::move(path)),
+      port_(port),
+      fd_(fd),
+      spare_fd_(::open("/dev/null", O_RDONLY | O_CLOEXEC)) {}
+
 Listener::~Listener() {
   close();
+  if (spare_fd_ >= 0) {
+    ::close(spare_fd_);
+  }
   ::close(fd_);
   if (!path_.empty()) {
     ::unlink(path_.c_str());
@@ -537,20 +573,39 @@ std::optional<StreamSocket> Listener::accept() {
 }
 
 std::optional<StreamSocket> Listener::try_accept() {
-  if (closed_.load(std::memory_order_acquire)) {
-    return std::nullopt;
+  while (!closed_.load(std::memory_order_acquire)) {
+    pollfd pfd{};
+    pfd.fd = fd_;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, /*timeout_ms=*/0) <= 0) {
+      return std::nullopt;
+    }
+    const int client = ::accept(fd_, nullptr, nullptr);
+    if (client >= 0) {
+      return StreamSocket(client);
+    }
+    if ((errno != EMFILE && errno != ENFILE) || !shed_pending()) {
+      return std::nullopt;  // raced with another accept or the close path
+    }
   }
-  pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  if (::poll(&pfd, 1, /*timeout_ms=*/0) <= 0) {
-    return std::nullopt;
+  return std::nullopt;
+}
+
+bool Listener::shed_pending() noexcept {
+  // Out of fds, a pending connection can be neither accepted nor left
+  // in the backlog: there it keeps a level-triggered listener readable,
+  // and the loop polling it wakes for it at once, forever.  The spare
+  // fd makes room to accept it and close it.
+  if (spare_fd_ < 0) {
+    return false;
   }
+  ::close(spare_fd_);
   const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) {
-    return std::nullopt;  // raced with another accept or the close path
+  if (client >= 0) {
+    ::close(client);
   }
-  return StreamSocket(client);
+  spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  return client >= 0;
 }
 
 void Listener::close() noexcept {

@@ -208,7 +208,10 @@ class Listener {
   [[nodiscard]] std::optional<StreamSocket> accept();
 
   /// Non-blocking accept (the epoll path): nullopt when no connection
-  /// is pending or the listener was closed.
+  /// is pending or the listener was closed.  Out of fds (EMFILE or
+  /// ENFILE), it accepts each pending connection on a reserved spare fd
+  /// and closes it, so the peer sees its connection closed and the
+  /// listener does not stay readable, waking its poller forever.
   [[nodiscard]] std::optional<StreamSocket> try_accept();
 
   /// Unblocks pending and future accept() calls; safe to call from a
@@ -216,12 +219,18 @@ class Listener {
   void close() noexcept;
 
  private:
-  Listener(int fd, std::string path, int port)
-      : path_(std::move(path)), port_(port), fd_(fd) {}
+  Listener(int fd, std::string path, int port);
+
+  /// Accepts one pending connection on the spare fd and closes it; false
+  /// when there was none to take or no spare.
+  bool shed_pending() noexcept;
 
   std::string path_;
   int port_;
   int fd_;
+  /// An fd held in reserve (on /dev/null) for shed_pending; -1 when
+  /// even that could not be had.
+  int spare_fd_;
   /// Set by close(); the accept loop polls with a short timeout, so a
   /// concurrent close is observed within one interval even if the
   /// wake-up shutdown() is missed.

@@ -5,14 +5,23 @@
 
 namespace elpc::workload {
 
-util::Json to_json(const Scenario& scenario) {
+std::string dump_json(const Scenario& scenario, int indent) {
   util::Json doc;
   doc.set("name", scenario.name);
   doc.set("pipeline", pipeline::to_json(scenario.pipeline));
-  doc.set("network", graph::to_json(scenario.network));
   doc.set("source", scenario.source);
   doc.set("destination", scenario.destination);
-  return doc;
+  std::string out;
+  util::dump_with_member(out, doc, indent, 0, "network",
+                         [&](std::string& text, int depth) {
+                           graph::append_json(text, scenario.network, indent,
+                                              depth);
+                         });
+  return out;
+}
+
+util::Json to_json(const Scenario& scenario) {
+  return util::Json::parse(dump_json(scenario));
 }
 
 Scenario scenario_from_json(const util::Json& doc) {

@@ -29,6 +29,10 @@ struct Scenario {
 };
 
 /// Full JSON round-trip for persistence and diffing of generated suites.
+/// dump_json writes the document as text, the bytes Json::dump(indent)
+/// prints for it, with the network written by graph::append_json and
+/// never built as a tree; to_json is that text parsed.
+[[nodiscard]] std::string dump_json(const Scenario& scenario, int indent = 0);
 [[nodiscard]] util::Json to_json(const Scenario& scenario);
 [[nodiscard]] Scenario scenario_from_json(const util::Json& doc);
 

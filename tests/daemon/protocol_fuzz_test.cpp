@@ -18,10 +18,13 @@
 #include "daemon/client.hpp"
 #include "daemon/socket_server.hpp"
 #include "graph/generators.hpp"
+#include "graph/serialize.hpp"
 #include "pipeline/generator.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/socket.hpp"
+
+#include "../graph/tree_json_oracle.hpp"
 
 namespace elpc::daemon {
 namespace {
@@ -96,6 +99,70 @@ TEST(SocketServer, SurvivesMalformedAndHostileFrames) {
       ASSERT_TRUE(answer.has_value()) << frame;
       EXPECT_FALSE(util::Json::parse(*answer).at("ok").as_bool()) << frame;
     }
+  }
+
+  // Seeded mutations of a register_network frame, most of them inside
+  // its network: cut short, one byte changed, one value swapped for
+  // another kind.  The daemon reads that member straight from the
+  // frame; each answer must be the one the frame parsed whole and its
+  // network walked as a tree gets.
+  {
+    std::string network;
+    graph::append_json(network, make_network(4));
+    const std::string base = R"({"id":"fuzz","network":)" + network +
+                             R"(,"verb":"register_network"})";
+    const std::string_view bytes = "{}[]\",:. -+0123456789eEtfnul\\x";
+    const std::vector<std::string_view> values = {
+        "0", "-1", "1.5", "\"s\"", "null", "true", "[]", "{}", R"({"a":1})"};
+    util::Rng rng(77);
+    util::StreamSocket hostile =
+        util::StreamSocket::connect(server.socket_path());
+    std::size_t checked = 0;
+    for (int round = 0; round < 400; ++round) {
+      std::string frame = base;
+      switch (rng.index(3)) {
+        case 0:
+          frame.resize(1 + rng.index(frame.size() - 1));
+          break;
+        case 1:
+          frame[rng.index(frame.size())] = bytes[rng.index(bytes.size())];
+          break;
+        default: {
+          const std::size_t colon =
+              frame.find(':', rng.index(frame.size() / 2));
+          const std::size_t end = frame.find_first_of(",}", colon);
+          frame.replace(colon + 1, end - colon - 1,
+                        values[rng.index(values.size())]);
+          break;
+        }
+      }
+      std::string expected;  // the error the answer must carry, if known
+      util::Json request;
+      try {
+        request = util::Json::parse(frame);
+      } catch (const util::JsonError& e) {
+        expected = std::string("malformed request: ") + e.what();
+      }
+      const util::Json* verb = request.find("verb");
+      if (verb != nullptr && verb->is_string() &&
+          verb->as_string() == "register_network" &&
+          request.contains("network")) {
+        try {
+          (void)graph::testing::tree_network_from_json(request.at("network"));
+        } catch (const std::exception& e) {
+          expected = e.what();
+        }
+      }
+      hostile.send_line(frame);
+      const std::optional<std::string> answer = hostile.recv_line();
+      ASSERT_TRUE(answer.has_value()) << frame;
+      const util::Json reply = util::Json::parse(*answer);
+      if (!expected.empty()) {
+        ++checked;
+        EXPECT_EQ(reply.at("error").as_string(), expected) << frame;
+      }
+    }
+    EXPECT_GT(checked, 200u);
   }
 
   // Mid-frame disconnects: a partial frame with no terminator, then an

@@ -839,5 +839,74 @@ TEST(SocketServer, RegisterNetworkFrameMatchesTheTreeFrame) {
   }
 }
 
+/// The daemon reads a register_network frame's network in the same pass
+/// as the frame, with no tree for it.  Its answers are the ones a frame
+/// parsed whole and then walked gets: a syntax error anywhere names its
+/// offset in the frame, the network's refusal comes before the id's,
+/// a repeated member's last value counts, and any other verb still sees
+/// the member as a tree.
+TEST(SocketServer, RegisterNetworkFrameErrorsAnswerAsTheParsedFrame) {
+  SocketServer server(socket_path("regerr"), SocketServerOptions{});
+  std::thread serve_thread([&server]() { server.serve(); });
+  std::string network;
+  graph::append_json(network, make_network(3));
+  const auto frame = [](const std::string& members) {
+    return "{" + members + R"(,"verb":"register_network"})";
+  };
+  // The ':' after the first "power" made ';', and the links array cut
+  // inside its first link, so the frame ends inside the network.
+  std::string broken = frame(R"("id":"n","network":)" + network);
+  const std::size_t power = broken.find(R"("power":)");
+  broken[power + 7] = ';';
+  const std::string cut =
+      frame(R"("id":"n","network":)" + network.substr(0, 40));
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {broken, "malformed request: JSON parse error at offset " +
+                   std::to_string(power + 7) + ": expected ':'"},
+      {cut, "malformed request: JSON parse error at offset " +
+                std::to_string(cut.size()) + ": unexpected end of input"},
+      {frame(R"("id":5,"network":{"links":[]})"),
+       "Json: missing key 'nodes'"},
+      {frame(R"("network":{"nodes":[],"links":[{"from":0}]})"),
+       "Json: missing key 'bandwidth_mbps'"},
+      {frame(R"("network":)" + network), "Json: missing key 'id'"},
+      {frame(R"("id":"n","network":[1])"), "Json: not an object"},
+      {frame(R"("id":"n","network":)" + network + R"(,"network":"s")"),
+       "Json: not an object"},
+      {frame(R"("id":"n","network":{"nodes":{}},"network":{"links":[7]})"),
+       "Json: missing key 'nodes'"},
+      {frame(R"("id":"n","network":{"x":)" + std::string(70, '[') +
+             std::string(70, ']') + "}"),
+       "malformed request: JSON parse error at offset 87: nesting deeper "
+       "than 64"},
+      {R"({"verb":"apply_link_updates","network":)" + network +
+           R"(,"updates":[]})",
+       "Json: not a string"},
+  };
+  util::StreamSocket client = util::StreamSocket::connect(server.socket_path());
+  for (const auto& [request, error] : cases) {
+    client.send_line(request);
+    util::Json expected = util::JsonObject{};
+    expected.set("ok", false);
+    expected.set("error", error);
+    EXPECT_EQ(client.recv_line().value_or(""), expected.dump()) << request;
+  }
+  // The last occurrence registers, and the network it names is the one
+  // kept: registering it again is a no-op, the first one conflicts.
+  client.send_line(frame(R"("id":"dup","network":{"nodes":[]},"network":)" +
+                         network));
+  EXPECT_EQ(client.recv_line().value_or(""), R"({"ok":true})");
+  client.send_line(frame(R"("id":"dup","network":)" + network));
+  EXPECT_EQ(client.recv_line().value_or(""), R"({"ok":true})");
+  client.send_line(frame(R"("id":"dup","network":{"nodes":[],"links":[]})"));
+  EXPECT_EQ(util::Json::parse(client.recv_line().value_or("{}"))
+                .at("code")
+                .as_string(),
+            "conflict");
+  client.close();
+  server.stop();
+  serve_thread.join();
+}
+
 }  // namespace
 }  // namespace elpc::daemon

@@ -17,6 +17,8 @@
 #include "service/serialize.hpp"
 #include "util/rng.hpp"
 
+#include "../graph/tree_json_oracle.hpp"
+
 namespace elpc::service {
 namespace {
 
@@ -534,6 +536,45 @@ TEST(BatchSerialize, ObjectiveDependentCostDefaults) {
 
   stripped.set("objective", "framerate");
   EXPECT_FALSE(job_from_json(stripped).cost.include_link_delay);
+}
+
+/// dump_json writes each network as text, and the bytes are the dump
+/// of the job file built as one tree, with no networks too.
+TEST(BatchSerialize, SpecDumpJsonMatchesTheTreeDump) {
+  BatchSpec spec;
+  const auto tree_of = [&spec] {
+    util::JsonArray networks;
+    for (const auto& [id, network] : spec.networks) {
+      util::Json entry = util::JsonObject{};
+      entry.set("id", id);
+      entry.set("network", graph::testing::tree_to_json(network));
+      networks.push_back(std::move(entry));
+    }
+    util::JsonArray jobs;
+    for (const SolveJob& job : spec.jobs) {
+      jobs.push_back(to_json(job));
+    }
+    util::Json doc = util::JsonObject{};
+    doc.set("networks", util::Json(std::move(networks)));
+    doc.set("jobs", util::Json(std::move(jobs)));
+    return doc;
+  };
+  EXPECT_EQ(dump_json(spec, 2), tree_of().dump(2));
+  spec.networks.emplace_back("netA", make_network(4, 6, 20));
+  spec.networks.emplace_back("net \"B\"", make_network(5, 8, 30));
+  EXPECT_EQ(dump_json(spec, 2), tree_of().dump(2));
+  SolveJob job;
+  job.id = "j0";
+  job.network = "netA";
+  job.pipeline = make_pipeline(3, 3);
+  job.source = 0;
+  job.destination = 5;
+  job.cost = default_cost(job.objective);
+  spec.jobs.push_back(job);
+  for (const int indent : {0, 2}) {
+    EXPECT_EQ(dump_json(spec, indent), tree_of().dump(indent));
+  }
+  EXPECT_EQ(to_json(spec), tree_of());
 }
 
 TEST(BatchSerialize, SpecRoundTripAndUnknownObjectiveRejected) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
+#include "pipeline/serialize.hpp"
 #include "workload/scenario.hpp"
 #include "workload/small_case.hpp"
 #include "workload/suite.hpp"
+
+#include "../graph/tree_json_oracle.hpp"
 
 namespace elpc::workload {
 namespace {
@@ -112,6 +115,23 @@ TEST(ScenarioJson, RoundTrip) {
   EXPECT_EQ(restored.pipeline.module_count(),
             original.pipeline.module_count());
   EXPECT_EQ(restored.network.link_count(), original.network.link_count());
+}
+
+/// dump_json writes the network as text, and the bytes are the dump of
+/// the scenario built as one tree (what `elpc generate` wrote before).
+TEST(ScenarioJson, DumpJsonMatchesTheTreeDump) {
+  for (const Scenario& scenario :
+       {small_case(), build_scenario(default_suite()[2])}) {
+    util::Json tree;
+    tree.set("name", scenario.name);
+    tree.set("pipeline", pipeline::to_json(scenario.pipeline));
+    tree.set("network", graph::testing::tree_to_json(scenario.network));
+    tree.set("source", scenario.source);
+    tree.set("destination", scenario.destination);
+    EXPECT_EQ(dump_json(scenario, 2), tree.dump(2));
+    EXPECT_EQ(dump_json(scenario), tree.dump());
+    EXPECT_EQ(to_json(scenario), tree);
+  }
 }
 
 TEST(ScenarioJson, RejectsOutOfRangeEndpoints) {
